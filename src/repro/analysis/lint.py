@@ -2,7 +2,8 @@
 determinism substrate.
 
 The parallel study runner's byte-identity contract rests on three
-conventions nothing used to enforce:
+conventions nothing used to enforce, and the licensing hot path on a
+fourth:
 
 - shared mutable registries are mutated only under their lock
   (``REG001``), and hand-rolled LRU caches always *have* a lock
@@ -10,7 +11,10 @@ conventions nothing used to enforce:
 - every random byte comes from the seeded HMAC-DRBG, never the
   process RNG (``RNG002``);
 - no wall-clock reads outside :mod:`repro.android.clock` — simulated
-  time is advanced explicitly (``CLK003``).
+  time is advanced explicitly (``CLK003``);
+- no full-width private exponentiation ``pow(_, key.d, key.n)``
+  outside ``RsaPrivateKey``, whose CRT primitive is ~3x faster
+  (``RSA005``).
 
 Each rule is pure stdlib ``ast`` — no third-party linter dependency —
 and is self-tested against seeded-violation fixtures in
@@ -56,7 +60,7 @@ __all__ = [
     "lint_paths_report",
 ]
 
-RULE_IDS = ("REG001", "RNG002", "CLK003", "LRU004")
+RULE_IDS = ("REG001", "RNG002", "CLK003", "LRU004", "RSA005")
 
 # Modules allowed to read the wall clock: the simulation's one clock
 # abstraction. Everything else must take a SimClock.
@@ -633,10 +637,29 @@ def _check_registry_locks(
             scan_scope(_class_scope(node), node, node.name)
 
 
+def _is_full_width_private_pow(call: ast.Call) -> bool:
+    """``pow(_, <x>.d, <x>.n)``, positional or keyword, same ``<x>``."""
+    if _dotted(call.func) not in ("pow", "builtins.pow"):
+        return False
+    args: list[ast.AST | None] = list(call.args[:3])
+    args += [None] * (3 - len(args))
+    for keyword in call.keywords:
+        if keyword.arg in ("exp", "mod"):
+            args[1 if keyword.arg == "exp" else 2] = keyword.value
+    exponent, modulus = args[1], args[2]
+    return (
+        isinstance(exponent, ast.Attribute)
+        and isinstance(modulus, ast.Attribute)
+        and exponent.attr == "d"
+        and modulus.attr == "n"
+        and ast.dump(exponent.value) == ast.dump(modulus.value)
+    )
+
+
 def _check_forbidden_calls(
     tree: ast.Module, path: str, violations: list[LintViolation]
 ) -> None:
-    """RNG002 + CLK003: call-pattern bans."""
+    """RNG002 + CLK003 + RSA005: call-pattern bans."""
     clock_allowed = path.replace("\\", "/").endswith(
         _WALL_CLOCK_ALLOWED_SUFFIXES
     )
@@ -645,6 +668,13 @@ def _check_forbidden_calls(
     # function dodges the rule just as effectively as calling it).
     call_callees = {
         id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
+    }
+    # The CRT primitive itself lives on RsaPrivateKey.
+    rsa_key_class_nodes = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "RsaPrivateKey"
+        for inner in ast.walk(node)
     }
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and id(node) not in call_callees:
@@ -666,7 +696,23 @@ def _check_forbidden_calls(
         if not isinstance(node, ast.Call):
             continue
         name = _dotted(node.func)
-        if name in _FORBIDDEN_RNG:
+        if (
+            _is_full_width_private_pow(node)
+            and id(node) not in rsa_key_class_nodes
+        ):
+            violations.append(
+                LintViolation(
+                    rule="RSA005",
+                    path=path,
+                    line=node.lineno,
+                    message=(
+                        "full-width private exponentiation `pow(_, .d, .n)` "
+                        "outside RsaPrivateKey; use its CRT primitive "
+                        "(raw_decrypt / pss_sign / oaep_decrypt)"
+                    ),
+                )
+            )
+        elif name in _FORBIDDEN_RNG:
             violations.append(
                 LintViolation(
                     rule="RNG002",

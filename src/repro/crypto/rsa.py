@@ -6,6 +6,14 @@ the license server wraps session material with RSAES-OAEP. Both are
 implemented here from the PKCS#1 v2.2 definitions over pure-Python
 big integers.
 
+Every private-key operation (OAEP decryption and PSS signing alike)
+goes through one primitive, :meth:`RsaPrivateKey.raw_decrypt`, which
+exponentiates modulo ``p`` and ``q`` separately and recombines with the
+CRT — about 3x faster than ``pow(x, d, n)`` over the full modulus, and
+equal to it for every input. The CRT parameters ``dp``, ``dq`` and
+``qinv`` are computed once when the key object is built; they are not
+part of the key's identity (``==``, ``repr``) or of its exported bytes.
+
 Key generation is deterministic given a DRBG, which lets the
 provisioning server mint reproducible per-device keys and lets the test
 suite cache expensive keys by seed.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.crypto.rng import HmacDrbg, derive_rng
 
@@ -104,13 +112,23 @@ class RsaPublicKey:
 
 @dataclass(frozen=True)
 class RsaPrivateKey:
-    """RSA private key with CRT parameters."""
+    """RSA private key ``(n, e, d, p, q)`` with precomputed CRT parameters."""
 
     n: int
     e: int
     d: int
     p: int
     q: int
+    # Derived from (d, p, q) in __post_init__; excluded from ==, repr
+    # and export_secret() so they never change a key's identity or bytes.
+    dp: int = field(init=False, repr=False, compare=False)
+    dq: int = field(init=False, repr=False, compare=False)
+    qinv: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dp", self.d % (self.p - 1))
+        object.__setattr__(self, "dq", self.d % (self.q - 1))
+        object.__setattr__(self, "qinv", pow(self.q, -1, self.p))
 
     @property
     def public(self) -> RsaPublicKey:
@@ -121,15 +139,16 @@ class RsaPrivateKey:
         return (self.n.bit_length() + 7) // 8
 
     def raw_decrypt(self, c: int) -> int:
+        """``c^d mod n`` — RSADP, which is also RSASP1 — via the CRT.
+
+        The one private-key primitive: :func:`oaep_decrypt` and
+        :func:`pss_sign` both call it.
+        """
         if not 0 <= c < self.n:
-            raise ValueError("ciphertext representative out of range")
-        # CRT for a ~4x speedup over pow(c, d, n).
-        dp = self.d % (self.p - 1)
-        dq = self.d % (self.q - 1)
-        qinv = pow(self.q, -1, self.p)
-        m1 = pow(c, dp, self.p)
-        m2 = pow(c, dq, self.q)
-        h = (qinv * (m1 - m2)) % self.p
+            raise ValueError("representative out of range")
+        m1 = pow(c, self.dp, self.p)
+        m2 = pow(c, self.dq, self.q)
+        h = (self.qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
     def export_secret(self) -> bytes:
@@ -145,16 +164,28 @@ class RsaPrivateKey:
 
     @classmethod
     def import_secret(cls, blob: bytes) -> "RsaPrivateKey":
+        """Parse :meth:`export_secret` output; raises ValueError unless
+        the blob is exactly one well-formed, self-consistent key."""
         if blob[:4] != b"RSA1":
             raise ValueError("not an exported RSA key")
         values = []
         offset = 4
         for _ in range(5):
+            if offset + 4 > len(blob):
+                raise ValueError("truncated RSA key")
             length = int.from_bytes(blob[offset : offset + 4], "big")
             offset += 4
+            if length == 0 or offset + length > len(blob):
+                raise ValueError("truncated RSA key")
             values.append(int.from_bytes(blob[offset : offset + length], "big"))
             offset += length
+        if offset != len(blob):
+            raise ValueError("trailing bytes after RSA key")
         n, e, d, p, q = values
+        if p < 2 or q < 2 or n != p * q:
+            raise ValueError("inconsistent RSA key: n != p*q")
+        if (e * d) % (p - 1) != 1 or (e * d) % (q - 1) != 1:
+            raise ValueError("inconsistent RSA key: d does not invert e")
         return cls(n=n, e=e, d=d, p=p, q=q)
 
 
@@ -307,7 +338,7 @@ def pss_sign(
     masked_db = bytearray(_xor(db, db_mask))
     masked_db[0] &= 0xFF >> (8 * em_len - em_bits)
     em = bytes(masked_db) + h + b"\xbc"
-    signature = pow(int.from_bytes(em, "big"), private.d, private.n)
+    signature = private.raw_decrypt(int.from_bytes(em, "big"))
     return signature.to_bytes(private.byte_length, "big")
 
 

@@ -64,6 +64,10 @@ LABEL_PROVISIONING = b"PROVISIONING"
 LABEL_PROV_MAC = b"PROVMAC"
 LABEL_STORAGE = b"STORAGE"
 
+# Parsed device RSA keys one engine keeps (one per provisioned origin;
+# the oldest is dropped first).
+_LOADED_RSA_KEY_SLOTS = 16
+
 
 class OemCryptoError(Exception):
     """Base for OEMCrypto failures."""
@@ -138,6 +142,9 @@ class OemCrypto:
         self._rng = derive_rng(f"oemcrypto/{serial}")
         self._sessions: dict[bytes, _Session] = {}
         self._rsa_key: RsaPrivateKey | None = None
+        # (storage key, storage blob) -> parsed device key, so each
+        # origin's blob is decrypted and parsed once, not per session.
+        self._loaded_rsa_keys: dict[tuple[bytes, bytes], RsaPrivateKey] = {}
         self._secure_buffers: dict[int, bytes] = {}
         self._next_handle = 1
         self._next_session = 1
@@ -263,11 +270,20 @@ class OemCrypto:
         storage_key = derive_key(
             self._store.device_key(), LABEL_STORAGE, keybox.device_id, 128
         )
-        try:
-            rsa_blob = cbc_decrypt(storage_key, storage_iv, storage_blob[20:])
-            self._rsa_key = RsaPrivateKey.import_secret(rsa_blob)
-        except ValueError as exc:
-            raise OemCryptoError(f"cannot load device RSA key: {exc}") from exc
+        # Keyed on the storage key too, so a keybox change misses.
+        # Failures raise before the insert and are never cached.
+        loaded_key = (storage_key, bytes(storage_blob))
+        rsa_key = self._loaded_rsa_keys.get(loaded_key)
+        if rsa_key is None:
+            try:
+                rsa_blob = cbc_decrypt(storage_key, storage_iv, storage_blob[20:])
+                rsa_key = RsaPrivateKey.import_secret(rsa_blob)
+            except ValueError as exc:
+                raise OemCryptoError(f"cannot load device RSA key: {exc}") from exc
+            if len(self._loaded_rsa_keys) >= _LOADED_RSA_KEY_SLOTS:
+                del self._loaded_rsa_keys[next(iter(self._loaded_rsa_keys))]
+            self._loaded_rsa_keys[loaded_key] = rsa_key
+        self._rsa_key = rsa_key
 
     def _oecc25_get_rsa_public_fingerprint(self) -> bytes:
         self.call_count += 1

@@ -26,6 +26,7 @@ _FIXTURE_BY_RULE = {
     "RNG002": FIXTURES / "rng002_process_rng.py",
     "CLK003": FIXTURES / "clk003_wall_clock.py",
     "LRU004": FIXTURES / "lru004_unlocked_cache.py",
+    "RSA005": FIXTURES / "rsa005_full_width_private_pow.py",
 }
 
 
@@ -46,6 +47,27 @@ class TestSeededFixtures:
         violations = lint_file(_FIXTURE_BY_RULE["REG001"])
         assert len(violations) == 1  # the locked mutation is not flagged
         assert "_REGISTRY" in violations[0].message
+
+    def test_rsa005_flags_positional_and_keyword_forms_only(self):
+        violations = lint_file(_FIXTURE_BY_RULE["RSA005"])
+        # slow_sign and slow_sign_keywords; the method on RsaPrivateKey
+        # and the public-exponent pow are not flagged.
+        assert [v.line for v in violations] == [15, 19]
+        assert all(v.patch is None for v in violations)
+
+    def test_rsa005_requires_the_same_key_object(self):
+        source = "def f(a, b, m):\n    return pow(m, a.d, b.n)\n"
+        assert lint_source(source) == []
+
+    def test_rsa005_honours_suppressions(self):
+        source = (
+            "def reference(key, em):\n"
+            "    return pow(em, key.d, key.n)  "
+            "# lint: allow(RSA005) textbook reference for a test\n"
+        )
+        report = lint_source_report(source)
+        assert report.violations == []
+        assert [s.violation.rule for s in report.suppressed] == ["RSA005"]
 
     def test_rng002_catches_each_forbidden_form(self):
         violations = lint_file(_FIXTURE_BY_RULE["RNG002"])

@@ -1,5 +1,7 @@
 """RSA keygen, OAEP and PSS: round trips, tamper rejection, determinism."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +15,15 @@ from repro.crypto.rsa import (
     pss_sign,
     pss_verify,
 )
+
+
+def _rsa1_blob(*values: int) -> bytes:
+    """The export_secret() layout: b"RSA1" + length-prefixed integers."""
+    out = b"RSA1"
+    for value in values:
+        raw = value.to_bytes((value.bit_length() + 7) // 8, "big")
+        out += len(raw).to_bytes(4, "big") + raw
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -62,9 +73,26 @@ class TestKeygen:
         restored = RsaPrivateKey.import_secret(blob)
         assert restored == key
 
-    def test_import_rejects_garbage(self):
+    def test_import_rejects_garbage(self, key):
         with pytest.raises(ValueError, match="not an exported RSA key"):
             RsaPrivateKey.import_secret(b"nonsense")
+        blob = key.export_secret()
+        # Cut inside q's bytes: every length prefix is still readable.
+        with pytest.raises(ValueError, match="truncated"):
+            RsaPrivateKey.import_secret(blob[:-20])
+        # Cut inside a length prefix.
+        with pytest.raises(ValueError, match="truncated"):
+            RsaPrivateKey.import_secret(blob[:6])
+        with pytest.raises(ValueError, match="trailing bytes"):
+            RsaPrivateKey.import_secret(blob + b"\x00")
+        with pytest.raises(ValueError, match="n != p\\*q"):
+            RsaPrivateKey.import_secret(
+                _rsa1_blob(key.n + 2, key.e, key.d, key.p, key.q)
+            )
+        with pytest.raises(ValueError, match="does not invert e"):
+            RsaPrivateKey.import_secret(
+                _rsa1_blob(key.n, key.e, key.d + 2, key.p, key.q)
+            )
 
     def test_raw_ops_range_checks(self, key):
         with pytest.raises(ValueError):
@@ -159,3 +187,75 @@ class TestPss:
     @given(message=st.binary(max_size=64))
     def test_sign_verify_property(self, key, message):
         assert pss_verify(key.public, message, pss_sign(key, message))
+
+
+def _textbook_pss_sign(key: RsaPrivateKey, message: bytes, salt: bytes) -> bytes:
+    """EMSA-PSS-ENCODE (SHA-256, MGF1-SHA-256) then the full-width
+    ``pow(em, d, n)`` of PKCS#1 v2.2 section 8.1.1, written out here
+    independently of repro.crypto.rsa."""
+
+    def mgf1(seed: bytes, length: int) -> bytes:
+        out = b""
+        counter = 0
+        while len(out) < length:
+            out += hashlib.sha256(seed + counter.to_bytes(4, "big")).digest()
+            counter += 1
+        return out[:length]
+
+    em_bits = key.n.bit_length() - 1
+    em_len = (em_bits + 7) // 8
+    h = hashlib.sha256(
+        bytes(8) + hashlib.sha256(message).digest() + salt
+    ).digest()
+    db = bytes(em_len - len(salt) - 32 - 2) + b"\x01" + salt
+    masked_db = bytearray(
+        x ^ y for x, y in zip(db, mgf1(h, em_len - 32 - 1))
+    )
+    masked_db[0] &= 0xFF >> (8 * em_len - em_bits)
+    em = int.from_bytes(bytes(masked_db) + h + b"\xbc", "big")
+    return pow(em, key.d, key.n).to_bytes(key.byte_length, "big")
+
+
+class TestCrtPrivateOperation:
+    @pytest.mark.parametrize("fixture", ["key", "key2048"])
+    def test_pss_signature_matches_full_width_exponentiation(
+        self, fixture, request
+    ):
+        key = request.getfixturevalue(fixture)
+        for index, message in enumerate([b"", b"license request", bytes(300)]):
+            label = f"crt-vs-textbook/{fixture}/{index}"
+            salt = derive_rng(label).generate(32)
+            signature = pss_sign(key, message, rng=derive_rng(label))
+            assert signature == _textbook_pss_sign(key, message, salt)
+
+    def test_raw_decrypt_matches_full_width_exponentiation(self, key2048):
+        rng = derive_rng("crt-raw-decrypt")
+        for c in [0, 1, 2, key2048.p, key2048.q, key2048.n - 1] + [
+            rng.randint_below(key2048.n) for _ in range(4)
+        ]:
+            assert key2048.raw_decrypt(c) == pow(c, key2048.d, key2048.n)
+
+    @pytest.mark.parametrize("fixture", ["key", "key2048"])
+    def test_round_tripped_key_signs_identically(self, fixture, request):
+        key = request.getfixturevalue(fixture)
+        restored = RsaPrivateKey.import_secret(key.export_secret())
+        assert restored is not key
+        assert pss_sign(restored, b"m", rng=derive_rng("crt-rt")) == pss_sign(
+            key, b"m", rng=derive_rng("crt-rt")
+        )
+
+    def test_crt_parameters_are_precomputed(self, key):
+        assert key.dp == key.d % (key.p - 1)
+        assert key.dq == key.d % (key.q - 1)
+        assert key.qinv * key.q % key.p == 1
+
+    def test_crt_parameters_do_not_touch_identity_or_bytes(self, key):
+        assert key.export_secret() == _rsa1_blob(
+            key.n, key.e, key.d, key.p, key.q
+        )
+        rebuilt = RsaPrivateKey(n=key.n, e=key.e, d=key.d, p=key.p, q=key.q)
+        assert rebuilt == key and hash(rebuilt) == hash(key)
+        assert repr(rebuilt) == (
+            f"RsaPrivateKey(n={key.n}, e={key.e}, d={key.d}, "
+            f"p={key.p}, q={key.q})"
+        )

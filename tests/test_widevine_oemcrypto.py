@@ -50,10 +50,16 @@ def _rsa_for(serial="OC-T1"):
 def _provisioned_engine(level="L3", serial="OC-T1"):
     """Run the full provisioning path through the public API."""
     oc = _engine(level, serial)
+    rsa = _rsa_for(serial)
+    oc._oecc22_load_device_rsa_key(_storage_blob(oc, serial, rsa))
+    return oc, rsa
+
+
+def _storage_blob(oc, serial, rsa) -> bytes:
+    """Provision *rsa* onto engine *oc*; returns the CDM's storage blob."""
     session = oc._oecc05_open_session()
     nonce = oc._oecc08_generate_nonce(session)
     keybox = issue_keybox(serial)
-    rsa = _rsa_for(serial)
     prov_key = derive_key(keybox.device_key, LABEL_PROVISIONING, nonce, 128)
     iv = bytes(16)
     response = ProvisionResponse(
@@ -66,9 +72,8 @@ def _provisioned_engine(level="L3", serial="OC-T1"):
         mac_key, response.signing_payload(), hashlib.sha256
     ).digest()
     blob = oc._oecc21_rewrap_device_rsa_key(session, response.serialize())
-    oc._oecc22_load_device_rsa_key(blob)
     oc._oecc06_close_session(session)
-    return oc, rsa
+    return blob
 
 
 class TestSessions:
@@ -186,6 +191,73 @@ class TestProvisioning:
         oc = _engine()
         with pytest.raises(OemCryptoError, match="bad RSA storage blob"):
             oc._oecc22_load_device_rsa_key(b"nonsense")
+
+
+class TestDeviceKeyLoading:
+    def test_reloading_the_same_blob_reuses_the_key(self):
+        oc = _engine(serial="OC-K1")
+        rsa = _rsa_for("OC-K1")
+        blob = _storage_blob(oc, "OC-K1", rsa)
+        oc._oecc22_load_device_rsa_key(blob)
+        first = oc._rsa_key
+        oc._oecc22_load_device_rsa_key(bytes(blob))
+        assert oc._rsa_key is first
+        assert first == rsa
+        session = oc._oecc05_open_session()
+        signature = oc._oecc23_generate_rsa_signature(session, b"payload")
+        assert pss_verify(rsa.public, b"payload", signature)
+
+    def test_every_load_counts_as_a_call(self):
+        oc = _engine(serial="OC-K2")
+        blob = _storage_blob(oc, "OC-K2", _rsa_for("OC-K2"))
+        for _ in range(3):
+            before = oc.call_count
+            oc._oecc22_load_device_rsa_key(blob)
+            assert oc.call_count == before + 1
+        before = oc.call_count
+        with pytest.raises(OemCryptoError):
+            oc._oecc22_load_device_rsa_key(b"nonsense")
+        assert oc.call_count == before + 1
+
+    @pytest.mark.parametrize("position", [30, 400, -1])
+    def test_tampered_blob_fails_every_time(self, position):
+        oc = _engine(serial="OC-K3")
+        rsa = _rsa_for("OC-K3")
+        blob = _storage_blob(oc, "OC-K3", rsa)
+        tampered = bytearray(blob)
+        tampered[position] ^= 0x01
+        for _ in range(3):
+            with pytest.raises(OemCryptoError, match="cannot load"):
+                oc._oecc22_load_device_rsa_key(bytes(tampered))
+        assert oc._rsa_key is None
+        oc._oecc22_load_device_rsa_key(blob)
+        assert oc._oecc25_get_rsa_public_fingerprint() == rsa.public.fingerprint()
+
+    def test_two_origins_sign_under_the_last_loaded_key(self):
+        oc = _engine(serial="OC-K4")
+        rsa_a = generate_keypair(1024, label="oemcrypto-test/OC-K4/a")
+        rsa_b = generate_keypair(1024, label="oemcrypto-test/OC-K4/b")
+        blob_a = _storage_blob(oc, "OC-K4", rsa_a)
+        blob_b = _storage_blob(oc, "OC-K4", rsa_b)
+        session = oc._oecc05_open_session()
+        for blob, rsa, other in [
+            (blob_a, rsa_a, rsa_b),
+            (blob_b, rsa_b, rsa_a),
+            (blob_a, rsa_a, rsa_b),
+            (blob_b, rsa_b, rsa_a),
+        ]:
+            oc._oecc22_load_device_rsa_key(blob)
+            signature = oc._oecc23_generate_rsa_signature(session, b"request")
+            assert pss_verify(rsa.public, b"request", signature)
+            assert not pss_verify(other.public, b"request", signature)
+
+    def test_keybox_change_does_not_return_the_cached_key(self):
+        oc = _engine(serial="OC-K5")
+        blob = _storage_blob(oc, "OC-K5", _rsa_for("OC-K5"))
+        oc._oecc22_load_device_rsa_key(blob)
+        oc._store.install_keybox(issue_keybox("OC-K5-replacement"))
+        with pytest.raises(OemCryptoError, match="cannot load"):
+            oc._oecc22_load_device_rsa_key(blob)
 
 
 def _license_for(oc, rsa, session, keys, *, tamper_mac=False):

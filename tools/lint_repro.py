@@ -3,6 +3,11 @@
 
     python tools/lint_repro.py [--fix-preview] [PATH ...]
 
+Rules: REG001 (registry mutated outside its lock), RNG002 (process
+RNG), CLK003 (wall clock outside repro.android.clock), LRU004 (LRU
+cache without a lock), RSA005 (full-width ``pow(_, key.d, key.n)``
+outside RsaPrivateKey's CRT primitive).
+
 Defaults to ``src/repro`` relative to the repository root. Exits 0 when
 clean, 1 when any violation is found (this is what the CI lint job
 gates on), 2 on usage errors. ``--fix-preview`` prints the
