@@ -34,6 +34,38 @@ def test_bench_ctr_4kb(benchmark):
     assert len(out) == 4096
 
 
+# CENC run lengths (in blocks) that media recovery decrypts. AES.keystream
+# has no cache, so unlike test_bench_ctr_4kb (whose ctr_transform hits the
+# keystream LRU after its first round) every round here runs the
+# multi-block AES kernel.
+_RECOVERY_RUN_BLOCKS = (5, 18, 23, 35)
+
+
+def test_bench_keystream_recovery_runs(benchmark):
+    cipher = AES(_KEY)
+    runs = [
+        list(range(i << 64, (i << 64) + n))
+        for i, n in enumerate(_RECOVERY_RUN_BLOCKS)
+    ]
+
+    def keystreams():
+        return [cipher.keystream(counters) for counters in runs]
+
+    out = benchmark(keystreams)
+    assert [len(ks) for ks in out] == [16 * n for n in _RECOVERY_RUN_BLOCKS]
+    assert out[0] == b"".join(
+        cipher.encrypt_block(c.to_bytes(16, "big")) for c in runs[0]
+    )
+
+
+def test_bench_keystream_64kb(benchmark):
+    cipher = AES(_KEY)
+    counters = list(range(65536 // 16))
+    out = benchmark(cipher.keystream, counters)
+    assert len(out) == 65536
+    assert out[-16:] == cipher.encrypt_block(counters[-1].to_bytes(16, "big"))
+
+
 def test_bench_cbc_4kb(benchmark):
     data = bytes(4096)
     out = benchmark(cbc_encrypt, _KEY, _IV, data)

@@ -6,9 +6,12 @@ padding. CTR is the mode CENC's ``cenc`` protection scheme uses
 16-byte IV; the helpers here accept both layouts.
 
 All helpers obtain their cipher through :func:`repro.crypto.aes.cipher_for`,
-so repeated calls under the same key skip key expansion, and bulk
-keystream XOR runs over whole buffers as wide integers rather than
-per-byte Python loops.
+so repeated calls under the same key skip key expansion. The modes whose
+blocks are independent, ECB encryption and the CTR keystream, hand the
+whole run to the multi-block kernel :meth:`repro.crypto.aes.AES.encrypt_blocks`
+in one call; CBC encryption chains each block into the next and stays on
+the one-block path, as does decryption. Keystream and data XOR run over
+whole buffers as wide integers rather than per-byte Python loops.
 """
 
 from __future__ import annotations
@@ -69,11 +72,7 @@ def ecb_encrypt(key: bytes, plaintext: bytes) -> bytes:
     """AES-ECB over already block-aligned *plaintext* (no padding)."""
     if len(plaintext) % BLOCK_SIZE:
         raise ValueError("ECB input must be block aligned")
-    cipher = cipher_for(key)
-    return b"".join(
-        cipher.encrypt_block(plaintext[i : i + BLOCK_SIZE])
-        for i in range(0, len(plaintext), BLOCK_SIZE)
-    )
+    return cipher_for(key).encrypt_blocks(plaintext)
 
 
 def ecb_decrypt(key: bytes, ciphertext: bytes) -> bytes:
@@ -124,26 +123,14 @@ def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *, pad: bool = True) -
     return pkcs7_unpad(plaintext) if pad else plaintext
 
 
-def _counter_block(iv: bytes, block_index: int) -> bytes:
-    """Build the CTR counter block for *block_index*.
-
-    A 16-byte IV is treated as a big-endian 128-bit initial counter
-    (CENC layout); an 8-byte IV occupies the high half with a 64-bit
-    big-endian block counter in the low half.
-    """
-    if len(iv) == 16:
-        counter = (int.from_bytes(iv, "big") + block_index) & _MASK128
-        return counter.to_bytes(16, "big")
-    if len(iv) == 8:
-        return iv + (block_index & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "big")
-    raise ValueError("CTR IV must be 8 or 16 bytes")
-
-
 def ctr_counters(iv: bytes, initial_block: int, nblocks: int) -> list[int]:
     """The 128-bit counter-block values for a CTR run.
 
-    Shared with :mod:`repro.bmff.cenc`, which uses the same two counter
-    layouts for the ``cenc`` scheme keystream.
+    A 16-byte IV is a big-endian 128-bit initial counter that wraps
+    modulo 2^128 (the CENC layout); an 8-byte IV occupies the high half,
+    with a 64-bit big-endian block counter in the low half that wraps
+    modulo 2^64 without carrying into the IV. This is the one
+    implementation of both layouts, shared with :mod:`repro.bmff.cenc`.
     """
     if len(iv) == 16:
         start = int.from_bytes(iv, "big") + initial_block

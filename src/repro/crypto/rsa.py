@@ -25,6 +25,7 @@ import hashlib
 import threading
 from dataclasses import dataclass, field
 
+from repro.crypto.modes import xor_bytes
 from repro.crypto.rng import HmacDrbg, derive_rng
 
 __all__ = [
@@ -262,10 +263,6 @@ def _mgf1(seed: bytes, length: int) -> bytes:
     return bytes(output[:length])
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return bytes(x ^ y for x, y in zip(a, b))
-
-
 def oaep_encrypt(
     public: RsaPublicKey,
     message: bytes,
@@ -283,8 +280,8 @@ def oaep_encrypt(
     padding = bytes(k - len(message) - 2 * _HASH_LEN - 2)
     data_block = l_hash + padding + b"\x01" + message
     seed = rng.generate(_HASH_LEN)
-    masked_db = _xor(data_block, _mgf1(seed, k - _HASH_LEN - 1))
-    masked_seed = _xor(seed, _mgf1(masked_db, _HASH_LEN))
+    masked_db = xor_bytes(data_block, _mgf1(seed, k - _HASH_LEN - 1))
+    masked_seed = xor_bytes(seed, _mgf1(masked_db, _HASH_LEN))
     encoded = b"\x00" + masked_seed + masked_db
     c = public.raw_encrypt(int.from_bytes(encoded, "big"))
     return c.to_bytes(k, "big")
@@ -303,8 +300,8 @@ def oaep_decrypt(
         raise ValueError("OAEP decoding error")
     masked_seed = encoded[1 : 1 + _HASH_LEN]
     masked_db = encoded[1 + _HASH_LEN :]
-    seed = _xor(masked_seed, _mgf1(masked_db, _HASH_LEN))
-    data_block = _xor(masked_db, _mgf1(seed, k - _HASH_LEN - 1))
+    seed = xor_bytes(masked_seed, _mgf1(masked_db, _HASH_LEN))
+    data_block = xor_bytes(masked_db, _mgf1(seed, k - _HASH_LEN - 1))
     l_hash = _HASH(label).digest()
     if data_block[:_HASH_LEN] != l_hash:
         raise ValueError("OAEP decoding error")
@@ -335,7 +332,7 @@ def pss_sign(
     ps = bytes(em_len - salt_len - _HASH_LEN - 2)
     db = ps + b"\x01" + salt
     db_mask = _mgf1(h, em_len - _HASH_LEN - 1)
-    masked_db = bytearray(_xor(db, db_mask))
+    masked_db = bytearray(xor_bytes(db, db_mask))
     masked_db[0] &= 0xFF >> (8 * em_len - em_bits)
     em = bytes(masked_db) + h + b"\xbc"
     signature = private.raw_decrypt(int.from_bytes(em, "big"))
@@ -363,7 +360,7 @@ def pss_verify(
     unused_bits = 8 * em_len - em_bits
     if unused_bits and masked_db[0] >> (8 - unused_bits):
         return False
-    db = bytearray(_xor(masked_db, _mgf1(h, em_len - _HASH_LEN - 1)))
+    db = bytearray(xor_bytes(masked_db, _mgf1(h, em_len - _HASH_LEN - 1)))
     db[0] &= 0xFF >> (8 * em_len - em_bits)
     expected_ps = bytes(em_len - salt_len - _HASH_LEN - 2)
     if bytes(db[: len(expected_ps)]) != expected_ps:

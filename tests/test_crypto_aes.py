@@ -1,10 +1,13 @@
 """AES block cipher: FIPS 197 known-answer tests and properties."""
 
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.crypto.aes import AES, BLOCK_SIZE
+from repro.crypto.aes import AES, BLOCK_SIZE, cipher_for
+from repro.crypto.modes import ctr_transform
 
 # FIPS 197 Appendix C vectors: (key, plaintext, ciphertext).
 _FIPS_VECTORS = [
@@ -100,3 +103,119 @@ def test_different_keys_different_ciphertexts():
     assert AES(bytes(16)).encrypt_block(block) != AES(
         bytes([1]) + bytes(15)
     ).encrypt_block(block)
+
+
+# --- multi-block kernel --------------------------------------------------
+
+
+def _per_block(cipher, data):
+    """Reference: the one-block T-table path over each block in turn."""
+    return b"".join(
+        cipher.encrypt_block(data[i : i + BLOCK_SIZE])
+        for i in range(0, len(data), BLOCK_SIZE)
+    )
+
+
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    data=st.integers(0, 70).flatmap(
+        lambda n: st.binary(min_size=16 * n, max_size=16 * n)
+    ),
+)
+def test_encrypt_blocks_matches_per_block(key, data):
+    cipher = AES(key)
+    assert cipher.encrypt_blocks(data) == _per_block(cipher, data)
+
+
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    counters=st.lists(st.integers(0, (1 << 128) - 1), max_size=70),
+)
+def test_keystream_matches_per_block(key, counters):
+    cipher = AES(key)
+    expected = b"".join(
+        cipher.encrypt_block(counter.to_bytes(BLOCK_SIZE, "big"))
+        for counter in counters
+    )
+    assert cipher.keystream(counters) == expected
+
+
+@pytest.mark.parametrize("bad_len", [1, 15, 17, 33])
+def test_encrypt_blocks_rejects_unaligned(bad_len):
+    with pytest.raises(ValueError, match="block aligned"):
+        AES(bytes(16)).encrypt_blocks(bytes(bad_len))
+
+
+# SP 800-38A F.5.1 / F.5.3 / F.5.5 (CTR-AES128/192/256.Encrypt), all four
+# blocks: (key, ciphertext). Counter block and plaintext are shared.
+_SP800_38A_CTR_COUNTER = "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff"
+_SP800_38A_CTR_PLAINTEXT = (
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+_SP800_38A_CTR_VECTORS = [
+    pytest.param(
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "874d6191b620e3261bef6864990db6ce"
+        "9806f66b7970fdff8617187bb9fffdff"
+        "5ae4df3edbd5d35e5b4f09020db03eab"
+        "1e031dda2fbe03d1792170a0f3009cee",
+        id="F.5.1-AES128",
+    ),
+    pytest.param(
+        "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        "1abc932417521ca24f2b0459fe7e6e0b"
+        "090339ec0aa6faefd5ccc2c6f4ce8e94"
+        "1e36b26bd1ebc670d1bd1d665620abf7"
+        "4f78a7f6d29809585a97daec58c6b050",
+        id="F.5.3-AES192",
+    ),
+    pytest.param(
+        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+        "601ec313775789a5b7a7f504bbf3d228"
+        "f443e3ca4d62b59aca84e990cacaf5c5"
+        "2b0930daa23de94ce87017ba2d84988d"
+        "dfc9c58db67aada613c2dd08457941a6",
+        id="F.5.5-AES256",
+    ),
+]
+
+
+@pytest.mark.parametrize("key_hex,ct_hex", _SP800_38A_CTR_VECTORS)
+def test_sp800_38a_ctr(key_hex, ct_hex):
+    key = bytes.fromhex(key_hex)
+    start = int(_SP800_38A_CTR_COUNTER, 16)
+    pt = bytes.fromhex(_SP800_38A_CTR_PLAINTEXT)
+    keystream = AES(key).keystream([start + i for i in range(4)])
+    assert bytes(k ^ p for k, p in zip(keystream, pt)).hex() == ct_hex
+    iv = bytes.fromhex(_SP800_38A_CTR_COUNTER)
+    assert ctr_transform(key, iv, pt).hex() == ct_hex
+
+
+def test_shared_cipher_keystreams_identical_across_threads():
+    cipher = cipher_for(bytes(range(16, 32)))
+    runs = [[(t << 64) + i for i in range(5 + 9 * t)] for t in range(8)]
+    expected = [cipher.keystream(counters) for counters in runs]
+    barrier = threading.Barrier(len(runs))
+    results: list[list[bytes]] = [[] for _ in runs]
+
+    def worker(t):
+        barrier.wait()
+        for _ in range(20):
+            results[t].append(cipher.keystream(runs[t]))
+
+    threads = [
+        threading.Thread(target=worker, args=(t,)) for t in range(len(runs))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for t, outputs in enumerate(results):
+        assert outputs == [expected[t]] * 20

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.crypto.aes import AES
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
@@ -147,9 +148,24 @@ class TestCtr:
 
     def test_counter_wraps_at_128_bits(self):
         iv = bytes([0xFF]) * 16
-        # Must not raise; counter addition wraps modulo 2^128.
+        # Counter addition wraps modulo 2^128: 2^128 - 1, then 0.
         out = ctr_transform(_KEY, iv, bytes(32))
-        assert len(out) == 32
+        cipher = AES(_KEY)
+        assert out == cipher.encrypt_block(iv) + cipher.encrypt_block(bytes(16))
+
+    def test_8_byte_iv_low_counter_wraps_at_64_bits(self):
+        iv = bytes.fromhex("0123456789abcdef")
+        # The low 64-bit block counter wraps without carrying into the IV.
+        out = ctr_transform(_KEY, iv, bytes(48), initial_block=(1 << 64) - 2)
+        cipher = AES(_KEY)
+        assert out == (
+            cipher.encrypt_block(iv + bytes.fromhex("fffffffffffffffe"))
+            + cipher.encrypt_block(iv + bytes([0xFF]) * 8)
+            + cipher.encrypt_block(iv + bytes(8))
+        )
+        assert ctr_transform(_KEY, iv, bytes(16), initial_block=1 << 64) == (
+            cipher.encrypt_block(iv + bytes(8))
+        )
 
     def test_rejects_bad_iv_length(self):
         with pytest.raises(ValueError, match="8 or 16"):
