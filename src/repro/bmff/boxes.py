@@ -9,17 +9,23 @@ inspect protected DASH segments:
 - typed full boxes needed by CENC (``tenc``, ``senc``, ``saiz``,
   ``saio``, ``pssh``, ``frma``, ``schm``).
 
-The model is deliberately round-trip faithful: ``parse(serialize(x))``
-reproduces the tree, and the content-protection audit in
-:mod:`repro.core.content_audit` decides "is this asset encrypted?" by
-parsing these structures, exactly as the paper inspects downloaded
-assets rather than trusting any metadata.
+There is one parser: :func:`walk_boxes`, a single offset-based pass
+that validates every box header (and decodes every typed payload)
+without copying bodies, and reports each box as a flat pre-order span.
+:func:`parse_boxes` builds the round-trip-faithful :class:`Box` tree
+from those spans — ``parse(serialize(x))`` reproduces the tree — while
+the segment readers on the media hot path
+(:mod:`repro.bmff.builder`) read the spans directly and build no tree.
+The content-protection audit in :mod:`repro.core.content_audit` decides
+"is this asset encrypted?" by parsing these structures, exactly as the
+paper inspects downloaded assets rather than trusting any metadata.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from itertools import starmap
 
 __all__ = [
     "Box",
@@ -33,6 +39,7 @@ __all__ = [
     "SaioBox",
     "FrmaBox",
     "SchmBox",
+    "walk_boxes",
     "parse_boxes",
     "serialize_boxes",
     "find_boxes",
@@ -57,9 +64,26 @@ CONTAINER_TYPES = {
     b"udta",
 }
 
+_HEADER = struct.Struct(">I4s")
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+_SUBSAMPLE = struct.Struct(">HI")
+
 
 class BoxParseError(ValueError):
     """Raised when a byte stream is not well-formed ISO-BMFF."""
+
+
+def _box(box_type: bytes, body: bytes) -> bytes:
+    """One serialized box: 32-bit size, fourcc, body."""
+    return _HEADER.pack(8 + len(body), box_type) + body
+
+
+def _full_box(box_type: bytes, version: int, flags: int, payload: bytes) -> bytes:
+    """One serialized full box: version byte and 24-bit flags, then payload."""
+    return _box(
+        box_type, struct.pack(">B", version) + flags.to_bytes(3, "big") + payload
+    )
 
 
 @dataclass
@@ -83,8 +107,7 @@ class Box:
         return self.payload + b"".join(c.serialize() for c in self.children)
 
     def serialize(self) -> bytes:
-        body = self.body()
-        return struct.pack(">I", 8 + len(body)) + self.box_type + body
+        return _box(self.box_type, self.body())
 
     def find(self, *path: bytes) -> list["Box"]:
         """All descendant boxes matching a type path, e.g.
@@ -108,6 +131,26 @@ class FullBox(Box):
     def body(self) -> bytes:
         header = struct.pack(">B", self.version) + self.flags.to_bytes(3, "big")
         return header + self.payload + b"".join(c.serialize() for c in self.children)
+
+
+# Typed payload decoders. Each reads the payload at data[start:end]
+# in place and returns the typed box's field values; all share one
+# signature so the walker can dispatch on the fourcc.
+
+
+def _decode_tenc(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 19:
+        raise BoxParseError("tenc payload too short")
+    tenc_iv_size = data[start + 2]
+    if tenc_iv_size not in (0, 8, 16):
+        raise BoxParseError(f"tenc iv_size {tenc_iv_size} is not 0, 8 or 16")
+    return {
+        "version": version,
+        "flags": flags,
+        "is_protected": bool(data[start + 1]),
+        "iv_size": tenc_iv_size,
+        "default_kid": data[start + 3 : start + 19],
+    }
 
 
 @dataclass
@@ -138,16 +181,9 @@ class TencBox(FullBox):
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "TencBox":
-        if len(payload) < 19:
-            raise BoxParseError("tenc payload too short")
-        __, protected, iv_size = struct.unpack(">BBB", payload[:3])
         return cls(
             box_type=b"tenc",
-            version=version,
-            flags=flags,
-            is_protected=bool(protected),
-            iv_size=iv_size,
-            default_kid=payload[3:19],
+            **_decode_tenc(payload, 0, len(payload), version, flags, 8),
         )
 
 
@@ -167,6 +203,52 @@ class SencEntry:
     subsamples: list[SubsampleRange] = field(default_factory=list)
 
 
+def _encode_senc(entries: list[SencEntry], iv_size: int) -> tuple[int, bytes]:
+    """``senc`` flags and payload; flag 0x2 when any entry has subsamples."""
+    has_subsamples = any(e.subsamples for e in entries)
+    out = bytearray(_U32.pack(len(entries)))
+    for entry in entries:
+        if len(entry.iv) != iv_size:
+            raise ValueError(
+                f"IV length {len(entry.iv)} != declared iv_size {iv_size}"
+            )
+        out += entry.iv
+        if has_subsamples:
+            out += _U16.pack(len(entry.subsamples))
+            for sub in entry.subsamples:
+                out += _SUBSAMPLE.pack(sub.clear_bytes, sub.protected_bytes)
+    return (0x2 if has_subsamples else 0x0), bytes(out)
+
+
+def _decode_senc(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 4:
+        raise BoxParseError("senc payload too short")
+    (count,) = _U32.unpack_from(data, start)
+    offset = start + 4
+    entries: list[SencEntry] = []
+    for _ in range(count):
+        iv_end = offset + iv_size
+        if iv_end > end:
+            raise BoxParseError("senc truncated IV")
+        iv = data[offset:iv_end]
+        offset = iv_end
+        subsamples: list[SubsampleRange] = []
+        if flags & 0x2:
+            if offset + 2 > end:
+                raise BoxParseError("senc truncated subsample count")
+            (sub_count,) = _U16.unpack_from(data, offset)
+            offset += 2
+            map_end = offset + 6 * sub_count
+            if map_end > end:
+                raise BoxParseError("senc truncated subsample map")
+            subsamples = list(
+                starmap(SubsampleRange, _SUBSAMPLE.iter_unpack(data[offset:map_end]))
+            )
+            offset = map_end
+        entries.append(SencEntry(iv, subsamples))
+    return {"version": version, "flags": flags, "entries": entries, "iv_size": iv_size}
+
+
 @dataclass
 class SencBox(FullBox):
     """Sample Encryption box (ISO/IEC 23001-7 §7.2).
@@ -178,54 +260,43 @@ class SencBox(FullBox):
     iv_size: int = 8
 
     def body(self) -> bytes:
-        has_subsamples = any(e.subsamples for e in self.entries)
-        self.flags = 0x2 if has_subsamples else 0x0
-        out = bytearray(struct.pack(">I", len(self.entries)))
-        for entry in self.entries:
-            if len(entry.iv) != self.iv_size:
-                raise ValueError(
-                    f"IV length {len(entry.iv)} != declared iv_size {self.iv_size}"
-                )
-            out.extend(entry.iv)
-            if has_subsamples:
-                out.extend(struct.pack(">H", len(entry.subsamples)))
-                for sub in entry.subsamples:
-                    out.extend(struct.pack(">HI", sub.clear_bytes, sub.protected_bytes))
-        self.payload = bytes(out)
+        self.flags, self.payload = _encode_senc(self.entries, self.iv_size)
         return super().body()
 
     @classmethod
     def parse_payload(
         cls, version: int, flags: int, payload: bytes, iv_size: int = 8
     ) -> "SencBox":
-        if len(payload) < 4:
-            raise BoxParseError("senc payload too short")
-        (count,) = struct.unpack(">I", payload[:4])
-        offset = 4
-        entries: list[SencEntry] = []
-        for _ in range(count):
-            iv = payload[offset : offset + iv_size]
-            if len(iv) != iv_size:
-                raise BoxParseError("senc truncated IV")
-            offset += iv_size
-            subsamples: list[SubsampleRange] = []
-            if flags & 0x2:
-                (sub_count,) = struct.unpack(">H", payload[offset : offset + 2])
-                offset += 2
-                for _ in range(sub_count):
-                    clear, protected = struct.unpack(
-                        ">HI", payload[offset : offset + 6]
-                    )
-                    offset += 6
-                    subsamples.append(SubsampleRange(clear, protected))
-            entries.append(SencEntry(iv=iv, subsamples=subsamples))
         return cls(
             box_type=b"senc",
-            version=version,
-            flags=flags,
-            entries=entries,
-            iv_size=iv_size,
+            **_decode_senc(payload, 0, len(payload), version, flags, iv_size),
         )
+
+
+def _decode_pssh(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 20:
+        raise BoxParseError("pssh payload too short")
+    offset = start + 16
+    key_ids: list[bytes] = []
+    if version >= 1:
+        (count,) = _U32.unpack_from(data, offset)
+        offset += 4
+        kids_end = offset + 16 * count
+        if kids_end + 4 > end:
+            raise BoxParseError("pssh truncated key ids")
+        key_ids = [data[kid : kid + 16] for kid in range(offset, kids_end, 16)]
+        offset = kids_end
+    (data_len,) = _U32.unpack_from(data, offset)
+    offset += 4
+    if offset + data_len > end:
+        raise BoxParseError("pssh truncated data")
+    return {
+        "version": version,
+        "flags": flags,
+        "system_id": data[start : start + 16],
+        "key_ids": key_ids,
+        "data": data[offset : offset + data_len],
+    }
 
 
 @dataclass
@@ -261,30 +332,32 @@ class PsshBox(FullBox):
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "PsshBox":
-        if len(payload) < 20:
-            raise BoxParseError("pssh payload too short")
-        system_id = payload[:16]
-        offset = 16
-        key_ids: list[bytes] = []
-        if version >= 1:
-            (count,) = struct.unpack(">I", payload[offset : offset + 4])
-            offset += 4
-            for _ in range(count):
-                key_ids.append(payload[offset : offset + 16])
-                offset += 16
-        (data_len,) = struct.unpack(">I", payload[offset : offset + 4])
-        offset += 4
-        data = payload[offset : offset + data_len]
-        if len(data) != data_len:
-            raise BoxParseError("pssh truncated data")
         return cls(
             box_type=b"pssh",
-            version=version,
-            flags=flags,
-            system_id=system_id,
-            key_ids=key_ids,
-            data=data,
+            **_decode_pssh(payload, 0, len(payload), version, flags, 8),
         )
+
+
+def _encode_saiz(sample_sizes: list[int]) -> bytes:
+    uniform = len(set(sample_sizes)) == 1 if sample_sizes else True
+    default_size = sample_sizes[0] if uniform and sample_sizes else 0
+    out = bytearray(struct.pack(">BI", default_size, len(sample_sizes)))
+    if not uniform:
+        out[0:1] = b"\x00"
+        out.extend(bytes(sample_sizes))
+    return bytes(out)
+
+
+def _decode_saiz(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 5:
+        raise BoxParseError("saiz payload too short")
+    default_size = data[start]
+    (count,) = _U32.unpack_from(data, start + 1)
+    if default_size:
+        sizes = [default_size] * count
+    else:
+        sizes = list(data[start + 5 : min(start + 5 + count, end)])
+    return {"version": version, "flags": flags, "sample_sizes": sizes}
 
 
 @dataclass
@@ -294,23 +367,29 @@ class SaizBox(FullBox):
     sample_sizes: list[int] = field(default_factory=list)
 
     def body(self) -> bytes:
-        uniform = len(set(self.sample_sizes)) == 1 if self.sample_sizes else True
-        default_size = self.sample_sizes[0] if uniform and self.sample_sizes else 0
-        out = bytearray(struct.pack(">BI", default_size, len(self.sample_sizes)))
-        if not uniform:
-            out[0:1] = b"\x00"
-            out.extend(bytes(self.sample_sizes))
-        self.payload = bytes(out)
+        self.payload = _encode_saiz(self.sample_sizes)
         return super().body()
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaizBox":
-        default_size, count = struct.unpack(">BI", payload[:5])
-        if default_size:
-            sizes = [default_size] * count
-        else:
-            sizes = list(payload[5 : 5 + count])
-        return cls(box_type=b"saiz", version=version, flags=flags, sample_sizes=sizes)
+        return cls(
+            box_type=b"saiz",
+            **_decode_saiz(payload, 0, len(payload), version, flags, 8),
+        )
+
+
+def _encode_saio(offsets: list[int]) -> bytes:
+    return struct.pack(f">{len(offsets) + 1}I", len(offsets), *offsets)
+
+
+def _decode_saio(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 4:
+        raise BoxParseError("saio payload too short")
+    (count,) = _U32.unpack_from(data, start)
+    if start + 4 + 4 * count > end:
+        raise BoxParseError("saio truncated offsets")
+    offsets = list(struct.unpack_from(f">{count}I", data, start + 4))
+    return {"version": version, "flags": flags, "offsets": offsets}
 
 
 @dataclass
@@ -320,20 +399,15 @@ class SaioBox(FullBox):
     offsets: list[int] = field(default_factory=list)
 
     def body(self) -> bytes:
-        out = bytearray(struct.pack(">I", len(self.offsets)))
-        for off in self.offsets:
-            out.extend(struct.pack(">I", off))
-        self.payload = bytes(out)
+        self.payload = _encode_saio(self.offsets)
         return super().body()
 
     @classmethod
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaioBox":
-        (count,) = struct.unpack(">I", payload[:4])
-        offsets = [
-            struct.unpack(">I", payload[4 + 4 * i : 8 + 4 * i])[0]
-            for i in range(count)
-        ]
-        return cls(box_type=b"saio", version=version, flags=flags, offsets=offsets)
+        return cls(
+            box_type=b"saio",
+            **_decode_saio(payload, 0, len(payload), version, flags, 8),
+        )
 
 
 @dataclass
@@ -351,6 +425,17 @@ class FrmaBox(Box):
         return cls(box_type=b"frma", original_format=payload[:4])
 
 
+def _decode_schm(data, start, end, version, flags, iv_size) -> dict:
+    if end - start < 8:
+        raise BoxParseError("schm payload too short")
+    return {
+        "version": version,
+        "flags": flags,
+        "scheme_type": data[start : start + 4],
+        "scheme_version": _U32.unpack_from(data, start + 4)[0],
+    }
+
+
 @dataclass
 class SchmBox(FullBox):
     """Scheme Type box: which protection scheme applies (``cenc``…)."""
@@ -366,55 +451,86 @@ class SchmBox(FullBox):
     def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SchmBox":
         return cls(
             box_type=b"schm",
-            version=version,
-            flags=flags,
-            scheme_type=payload[:4],
-            scheme_version=struct.unpack(">I", payload[4:8])[0],
+            **_decode_schm(payload, 0, len(payload), version, flags, 8),
         )
 
 
-_FULLBOX_TYPES = {b"tenc", b"senc", b"pssh", b"saiz", b"saio", b"schm"}
+# Typed full boxes: fourcc -> (class, payload decoder).
+_FULLBOX_TYPES = {
+    b"tenc": (TencBox, _decode_tenc),
+    b"senc": (SencBox, _decode_senc),
+    b"pssh": (PsshBox, _decode_pssh),
+    b"saiz": (SaizBox, _decode_saiz),
+    b"saio": (SaioBox, _decode_saio),
+    b"schm": (SchmBox, _decode_schm),
+}
 
 
-def _parse_one(data: bytes, offset: int, *, iv_size_hint: int = 8) -> tuple[Box, int]:
-    if offset + 8 > len(data):
-        raise BoxParseError("truncated box header")
-    (size,) = struct.unpack(">I", data[offset : offset + 4])
-    box_type = data[offset + 4 : offset + 8]
-    if size < 8 or offset + size > len(data):
-        raise BoxParseError(f"bad box size {size} for {box_type!r}")
-    body = data[offset + 8 : offset + size]
+def walk_boxes(data: bytes, *, iv_size_hint: int = 8) -> list[tuple]:
+    """Validate *data* as a box forest in one pass, without copying bodies.
 
-    if box_type in CONTAINER_TYPES:
-        children = parse_boxes(body, iv_size_hint=iv_size_hint)
-        return Box(box_type=box_type, children=children), offset + size
+    Returns one ``(path, start, body, end, fields)`` span per box in
+    pre-order (document order): ``path`` is the tuple of fourccs from the
+    top level down to the box itself, the box occupies
+    ``data[start:end]`` with its body at ``data[body:end]``, and
+    ``fields`` holds the decoded field values of a typed box (``tenc``,
+    ``senc``, ``pssh``, ``saiz``, ``saio``, ``schm``, ``frma``) or None.
+    The first span whose ``path`` equals a type path is the box
+    :func:`find_first` returns for that path on the parsed tree.
 
-    if box_type in _FULLBOX_TYPES:
-        if len(body) < 4:
-            raise BoxParseError(f"truncated fullbox {box_type!r}")
-        version = body[0]
-        flags = int.from_bytes(body[1:4], "big")
-        payload = body[4:]
-        if box_type == b"tenc":
-            return TencBox.parse_payload(version, flags, payload), offset + size
-        if box_type == b"senc":
-            return (
-                SencBox.parse_payload(version, flags, payload, iv_size=iv_size_hint),
-                offset + size,
+    Every header is checked (truncated header, bad size, truncated full
+    box) and every typed payload decoded, so a malformed box anywhere
+    raises :class:`BoxParseError` — the same error, in the same order,
+    that :func:`parse_boxes` raises. ``iv_size_hint`` is as for
+    :func:`parse_boxes`.
+    """
+    spans: list[tuple] = []
+    add = spans.append
+    unpack_header = _HEADER.unpack_from
+    unpack_u32 = _U32.unpack_from
+    containers = CONTAINER_TYPES
+    typed_boxes = _FULLBOX_TYPES
+    enclosing: list[tuple[int, tuple]] = []  # (end, path) of open containers
+    path: tuple = ()
+    limit = len(data)
+    offset = 0
+    while True:
+        if offset == limit:
+            if not enclosing:
+                return spans
+            limit, path = enclosing.pop()
+            continue
+        if offset + 8 > limit:
+            raise BoxParseError("truncated box header")
+        size, box_type = unpack_header(data, offset)
+        end = offset + size
+        if size < 8 or end > limit:
+            raise BoxParseError(f"bad box size {size} for {box_type!r}")
+        body = offset + 8
+        box_path = path + (box_type,)
+        if box_type in containers:
+            add((box_path, offset, body, end, None))
+            enclosing.append((limit, path))
+            limit, path, offset = end, box_path, body
+            continue
+        fields = None
+        typed = typed_boxes.get(box_type)
+        if typed is not None:
+            if size < 12:
+                raise BoxParseError(f"truncated fullbox {box_type!r}")
+            (version_flags,) = unpack_u32(data, body)
+            fields = typed[1](
+                data,
+                body + 4,
+                end,
+                version_flags >> 24,
+                version_flags & 0xFFFFFF,
+                iv_size_hint,
             )
-        if box_type == b"pssh":
-            return PsshBox.parse_payload(version, flags, payload), offset + size
-        if box_type == b"saiz":
-            return SaizBox.parse_payload(version, flags, payload), offset + size
-        if box_type == b"saio":
-            return SaioBox.parse_payload(version, flags, payload), offset + size
-        if box_type == b"schm":
-            return SchmBox.parse_payload(version, flags, payload), offset + size
-
-    if box_type == b"frma":
-        return FrmaBox.parse_payload(body), offset + size
-
-    return Box(box_type=box_type, payload=body), offset + size
+        elif box_type == b"frma":
+            fields = {"original_format": data[body : min(body + 4, end)]}
+        add((box_path, offset, body, end, fields))
+        offset = end
 
 
 def parse_boxes(data: bytes, *, iv_size_hint: int = 8) -> list[Box]:
@@ -426,12 +542,22 @@ def parse_boxes(data: bytes, *, iv_size_hint: int = 8) -> list[Box]:
     from the init segment; the default (8) matches this library's
     builder output.
     """
-    boxes: list[Box] = []
-    offset = 0
-    while offset < len(data):
-        box, offset = _parse_one(data, offset, iv_size_hint=iv_size_hint)
-        boxes.append(box)
-    return boxes
+    top: list[Box] = []
+    levels = [top]  # levels[d] collects the children of the open depth-d box
+    for path, _, body, end, fields in walk_boxes(data, iv_size_hint=iv_size_hint):
+        depth = len(path)
+        del levels[depth:]
+        box_type = path[-1]
+        if fields is not None:
+            cls = FrmaBox if box_type == b"frma" else _FULLBOX_TYPES[box_type][0]
+            box: Box = cls(box_type=box_type, **fields)
+        elif box_type in CONTAINER_TYPES:
+            box = Box(box_type=box_type)
+            levels.append(box.children)
+        else:
+            box = Box(box_type=box_type, payload=data[body:end])
+        levels[depth - 1].append(box)
+    return top
 
 
 def serialize_boxes(boxes: list[Box]) -> bytes:

@@ -6,6 +6,13 @@ and parses them back. The box grammar is the library's own (see
 holding a ``codc`` codec-info leaf plus, when protected, the standard
 ``sinf``/``frma``/``schm``/``schi``/``tenc`` chain, which is exactly the
 structure the content-protection audit walks to classify assets.
+
+The media-plane functions build no box tree: :func:`read_samples` and
+:func:`read_track_info` read the flat spans of
+:func:`~repro.bmff.boxes.walk_boxes` (first match by type path, as
+:func:`~repro.bmff.boxes.find_first`), and :func:`build_media_segment`
+writes its box headers directly. Init segments are built, and PSSH boxes
+read, through the :class:`~repro.bmff.boxes.Box` tree.
 """
 
 from __future__ import annotations
@@ -18,16 +25,18 @@ from repro.bmff.boxes import (
     Box,
     BoxParseError,
     FrmaBox,
-    SaioBox,
-    SaizBox,
     SchmBox,
-    SencBox,
     SencEntry,
     TencBox,
+    _box,
+    _encode_saio,
+    _encode_saiz,
+    _encode_senc,
+    _full_box,
     find_boxes,
-    find_first,
     parse_boxes,
     serialize_boxes,
+    walk_boxes,
 )
 from repro.bmff.cenc import CencSample
 
@@ -55,6 +64,13 @@ for _kind, (_clear, _enc) in _SAMPLE_ENTRIES.items():
 bx.CONTAINER_TYPES.update(
     {b"stsd", b"avc1", b"encv", b"mp4a", b"enca", b"wvtt", b"enct"}
 )
+
+# Type paths the readers look up, from the top level down.
+_STSD_PATH = (b"moov", b"trak", b"mdia", b"minf", b"stbl", b"stsd")
+_TKHD_PATH = (b"moov", b"trak", b"tkhd")
+_TRUN_PATH = (b"moof", b"traf", b"trun")
+_SENC_PATH = (b"moof", b"traf", b"senc")
+_MDAT_PATH = (b"mdat",)
 
 
 @dataclass(frozen=True)
@@ -165,7 +181,8 @@ def build_media_segment(
 
     Pass :class:`CencSample` items for protected content (their ``senc``
     entries are emitted with ``saiz``/``saio``) or raw ``bytes`` for
-    clear content.
+    clear content. The boxes are written directly, byte-identical to
+    serializing the equivalent :class:`Box` tree.
     """
     if not samples:
         raise ValueError("a media segment needs at least one sample")
@@ -184,67 +201,83 @@ def build_media_segment(
                 raise TypeError("cannot mix clear and protected samples")
             sample_bytes.append(sample)
 
-    mfhd = Box(box_type=b"mfhd", payload=struct.pack(">I", sequence_number))
-    tfhd = Box(box_type=b"tfhd", payload=struct.pack(">I", track_id))
-    trun_payload = bytearray(struct.pack(">I", len(sample_bytes)))
-    for blob in sample_bytes:
-        trun_payload.extend(struct.pack(">I", len(blob)))
-    trun = Box(box_type=b"trun", payload=bytes(trun_payload))
-
-    traf_children: list[Box] = [tfhd, trun]
+    count = len(sample_bytes)
+    traf = _box(b"tfhd", struct.pack(">I", track_id)) + _box(
+        b"trun", struct.pack(f">{count + 1}I", count, *map(len, sample_bytes))
+    )
     if protected:
-        senc = SencBox(box_type=b"senc", entries=senc_entries, iv_size=iv_size)
+        senc_flags, senc_payload = _encode_senc(senc_entries, iv_size)
         aux_sizes = [
             iv_size + (2 + 6 * len(e.subsamples) if e.subsamples else 0)
             for e in senc_entries
         ]
-        traf_children.append(senc)
-        traf_children.append(SaizBox(box_type=b"saiz", sample_sizes=aux_sizes))
-        traf_children.append(SaioBox(box_type=b"saio", offsets=[0]))
-
-    moof = Box(
-        box_type=b"moof",
-        children=[mfhd, Box(box_type=b"traf", children=traf_children)],
+        traf += (
+            _full_box(b"senc", 0, senc_flags, senc_payload)
+            + _full_box(b"saiz", 0, 0, _encode_saiz(aux_sizes))
+            + _full_box(b"saio", 0, 0, _encode_saio([0]))
+        )
+    moof = _box(
+        b"moof",
+        _box(b"mfhd", struct.pack(">I", sequence_number)) + _box(b"traf", traf),
     )
-    styp = Box(box_type=b"styp", payload=b"msdh")
-    mdat = Box(box_type=b"mdat", payload=b"".join(sample_bytes))
-    return serialize_boxes([styp, moof, mdat])
+    return _box(b"styp", b"msdh") + moof + _box(b"mdat", b"".join(sample_bytes))
+
+
+def _first(
+    spans: list[tuple], path: tuple, lo: int = 0, hi: int | None = None
+) -> int | None:
+    """Index of the first span of ``spans[lo:hi]`` at *path*, or None."""
+    for index in range(lo, len(spans) if hi is None else hi):
+        if spans[index][0] == path:
+            return index
+    return None
 
 
 def read_track_info(init_segment: bytes) -> TrackInfo:
     """Parse an init segment and report the track's protection status."""
-    tree = parse_boxes(init_segment)
-    stsd = find_first(tree, b"moov", b"trak", b"mdia", b"minf", b"stbl", b"stsd")
-    if stsd is None or not stsd.children:
+    spans = walk_boxes(init_segment)
+    stsd = _first(spans, _STSD_PATH)
+    # A container's body is empty or holds its first child's span next.
+    if stsd is None or spans[stsd][2] == spans[stsd][3]:
         raise BoxParseError("init segment has no sample description")
-    entry = stsd.children[0]
-    known = _KIND_BY_ENTRY.get(entry.box_type)
+    entry_path, _, _, entry_end, _ = spans[stsd + 1]
+    known = _KIND_BY_ENTRY.get(entry_path[-1])
     if known is None:
-        raise BoxParseError(f"unknown sample entry {entry.fourcc!r}")
+        raise BoxParseError(
+            f"unknown sample entry {entry_path[-1].decode('latin-1')!r}"
+        )
     kind, protected = known
+    # The entry's descendants: the spans that start inside it.
+    lo = hi = stsd + 2
+    while hi < len(spans) and spans[hi][1] < entry_end:
+        hi += 1
 
     codec = "unknown"
-    codc = find_first(entry.children, b"codc")
+    codc = _first(spans, entry_path + (b"codc",), lo, hi)
     if codc is not None:
-        codec = codc.payload.decode().split(":", 1)[-1]
+        _, _, body, end, _ = spans[codc]
+        codec = init_segment[body:end].decode().split(":", 1)[-1]
 
     default_kid: bytes | None = None
     iv_size = 8
     scheme = "cenc"
     if protected:
-        tenc = find_first(entry.children, b"sinf", b"schi", b"tenc")
-        if tenc is None or not isinstance(tenc, TencBox):
+        tenc = _first(spans, entry_path + (b"sinf", b"schi", b"tenc"), lo, hi)
+        if tenc is None:
             raise BoxParseError("protected entry lacks a tenc box")
-        default_kid = tenc.default_kid
-        iv_size = tenc.iv_size
-        schm = find_first(entry.children, b"sinf", b"schm")
-        if isinstance(schm, SchmBox):
-            scheme = schm.scheme_type.decode("latin-1")
+        fields = spans[tenc][4]
+        default_kid = fields["default_kid"]
+        iv_size = fields["iv_size"]
+        schm = _first(spans, entry_path + (b"sinf", b"schm"), lo, hi)
+        if schm is not None:
+            scheme = spans[schm][4]["scheme_type"].decode("latin-1")
 
     track_id = 1
-    tkhd = find_first(tree, b"moov", b"trak", b"tkhd")
-    if tkhd is not None and len(tkhd.payload) >= 4:
-        (track_id,) = struct.unpack(">I", tkhd.payload[:4])
+    tkhd = _first(spans, _TKHD_PATH)
+    if tkhd is not None:
+        _, _, body, end, _ = spans[tkhd]
+        if end - body >= 4:
+            (track_id,) = struct.unpack_from(">I", init_segment, body)
 
     return TrackInfo(
         kind=kind,
@@ -265,36 +298,37 @@ def read_samples(
     Returns ``(samples, protected)``. For clear segments the samples
     carry empty ``senc`` entries.
     """
-    tree = parse_boxes(segment, iv_size_hint=iv_size)
-    trun = find_first(tree, b"moof", b"traf", b"trun")
-    mdat = find_first(tree, b"mdat")
+    spans = walk_boxes(segment, iv_size_hint=iv_size)
+    first = {span[0]: span for span in reversed(spans)}  # first span per path
+    trun = first.get(_TRUN_PATH)
+    mdat = first.get(_MDAT_PATH)
     if trun is None or mdat is None:
         raise BoxParseError("media segment lacks trun or mdat")
-    (count,) = struct.unpack(">I", trun.payload[:4])
-    sizes = [
-        struct.unpack(">I", trun.payload[4 + 4 * i : 8 + 4 * i])[0]
-        for i in range(count)
-    ]
-    if sum(sizes) != len(mdat.payload):
+    _, _, trun_body, trun_end, _ = trun
+    if trun_end - trun_body < 4:
+        raise BoxParseError("trun payload too short")
+    (count,) = struct.unpack_from(">I", segment, trun_body)
+    if trun_end - trun_body < 4 + 4 * count:
+        raise BoxParseError("trun truncated sample sizes")
+    sizes = struct.unpack_from(f">{count}I", segment, trun_body + 4)
+    _, _, offset, mdat_end, _ = mdat
+    if sum(sizes) != mdat_end - offset:
         raise BoxParseError("trun sizes do not cover mdat")
 
-    senc = find_first(tree, b"moof", b"traf", b"senc")
+    senc = first.get(_SENC_PATH)
     protected = senc is not None
     entries: list[SencEntry]
     if protected:
-        assert isinstance(senc, SencBox)
-        entries = senc.entries
+        entries = senc[4]["entries"]
         if len(entries) != count:
             raise BoxParseError("senc entry count mismatch")
     else:
-        entries = [SencEntry(iv=bytes(iv_size)) for _ in range(count)]
+        zero_iv = bytes(iv_size)
+        entries = [SencEntry(zero_iv, []) for _ in range(count)]
 
     samples: list[CencSample] = []
-    offset = 0
     for size, entry in zip(sizes, entries):
-        samples.append(
-            CencSample(data=mdat.payload[offset : offset + size], entry=entry)
-        )
+        samples.append(CencSample(segment[offset : offset + size], entry))
         offset += size
     return samples, protected
 

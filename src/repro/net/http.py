@@ -3,12 +3,20 @@
 Requests and responses are plain dataclasses; there is no socket layer —
 delivery happens through :class:`repro.net.network.Network`, which is
 where TLS, pinning and the intercepting proxy live.
+
+A request's URL is parsed on every hop (client, proxy, origin, route
+handler), so :func:`parse_url` memoizes on the raw string: each distinct
+URL is parsed once, and every later hop pays one cache lookup. The
+cached :class:`Url` values are shared, hence immutable — ``query`` is a
+read-only mapping.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from functools import lru_cache
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Mapping
 from urllib.parse import parse_qs, urlparse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -17,14 +25,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["HttpRequest", "HttpResponse", "Url", "parse_url"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Url:
-    """Decomposed URL."""
+    """Decomposed URL (immutable: instances are shared by the parse cache)."""
 
     scheme: str
     host: str
     path: str
-    query: dict[str, str]
+    query: Mapping[str, str]
 
     def __str__(self) -> str:
         query = "&".join(f"{k}={v}" for k, v in sorted(self.query.items()))
@@ -33,8 +41,16 @@ class Url:
         )
 
 
+_NO_QUERY: Mapping[str, str] = MappingProxyType({})
+
+
+@lru_cache(maxsize=4096)
 def parse_url(raw: str) -> Url:
-    """Parse an absolute URL; raises ValueError when host is missing."""
+    """Parse an absolute URL; raises ValueError when host is missing.
+
+    Memoized on *raw* (errors are not cached: a host-less URL raises on
+    every call).
+    """
     parsed = urlparse(raw)
     if not parsed.netloc:
         raise ValueError(f"URL has no host: {raw!r}")
@@ -43,7 +59,7 @@ def parse_url(raw: str) -> Url:
         scheme=parsed.scheme or "https",
         host=parsed.netloc,
         path=parsed.path or "/",
-        query=query,
+        query=MappingProxyType(query) if query else _NO_QUERY,
     )
 
 

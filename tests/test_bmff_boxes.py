@@ -1,5 +1,7 @@
 """ISO-BMFF box model: round trips, typed boxes, error handling."""
 
+import struct
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,6 +22,7 @@ from repro.bmff.boxes import (
     find_first,
     parse_boxes,
     serialize_boxes,
+    walk_boxes,
 )
 
 
@@ -235,3 +238,152 @@ class TestFind:
 
     def test_find_first_missing(self):
         assert find_first(self._tree(), b"moov", b"mvex") is None
+
+
+def _full_box(box_type, payload, *, version=0, flags=0):
+    body = bytes([version]) + flags.to_bytes(3, "big") + payload
+    return struct.pack(">I", 8 + len(body)) + box_type + body
+
+
+class TestMalformedPayloads:
+    """Short typed payloads raise BoxParseError, never struct.error."""
+
+    @pytest.mark.parametrize(
+        "box_type, payload",
+        [
+            (b"saio", b"\x00\x00"),  # sample count cut short
+            (b"saio", struct.pack(">I", 2) + bytes(4)),  # one offset of two
+            (b"saiz", b"\x08\x00"),  # no sample count
+            (b"schm", b"cenc"),  # no scheme version
+            (b"tenc", bytes(18)),
+        ],
+    )
+    def test_short_payload(self, box_type, payload):
+        with pytest.raises(BoxParseError, match=box_type.decode()):
+            parse_boxes(_full_box(box_type, payload))
+
+    def test_truncated_senc_subsample_map(self):
+        payload = (
+            struct.pack(">I", 1)
+            + bytes(8)
+            + struct.pack(">H", 2)
+            + struct.pack(">HI", 1, 2)  # one range of two
+        )
+        with pytest.raises(BoxParseError, match="senc truncated subsample map"):
+            parse_boxes(_full_box(b"senc", payload, flags=0x2))
+
+    def test_truncated_senc_subsample_count(self):
+        payload = struct.pack(">I", 1) + bytes(8) + b"\x00"
+        with pytest.raises(BoxParseError, match="senc truncated subsample count"):
+            parse_boxes(_full_box(b"senc", payload, flags=0x2))
+
+    def test_truncated_pssh_v1_key_id_count(self):
+        # Claims three KIDs, carries one and no data size.
+        payload = bytes(16) + struct.pack(">I", 3) + bytes(16)
+        with pytest.raises(BoxParseError, match="pssh truncated key ids"):
+            parse_boxes(_full_box(b"pssh", payload, version=1))
+
+    def test_pssh_v1_missing_data_size(self):
+        payload = bytes(16) + struct.pack(">I", 1) + bytes(16)
+        with pytest.raises(BoxParseError, match="pssh"):
+            parse_boxes(_full_box(b"pssh", payload, version=1))
+
+    def test_tenc_bad_iv_size(self):
+        payload = bytes([0, 1, 12]) + bytes(16)
+        with pytest.raises(BoxParseError, match="tenc iv_size 12"):
+            parse_boxes(_full_box(b"tenc", payload))
+
+    @pytest.mark.parametrize(
+        "cls", [TencBox, SencBox, PsshBox, SaizBox, SaioBox, SchmBox]
+    )
+    def test_parse_payload_of_empty_payload(self, cls):
+        with pytest.raises(BoxParseError):
+            cls.parse_payload(0, 0, b"")
+
+    def test_malformed_box_nested_in_container(self):
+        blob = struct.pack(">I", 8 + len(_full_box(b"saio", b"\x00"))) + b"moof"
+        blob += _full_box(b"saio", b"\x00")
+        with pytest.raises(BoxParseError, match="saio payload too short"):
+            parse_boxes(blob)
+        with pytest.raises(BoxParseError, match="saio payload too short"):
+            walk_boxes(blob)
+
+
+class TestWalkBoxes:
+    def _blob(self):
+        return serialize_boxes(
+            [
+                Box(box_type=b"ftyp", payload=b"iso6"),
+                Box(
+                    box_type=b"moov",
+                    children=[
+                        Box(
+                            box_type=b"trak",
+                            children=[Box(box_type=b"tkhd", payload=b"abcd")],
+                        ),
+                        SchmBox(box_type=b"schm", scheme_type=b"cbcs"),
+                    ],
+                ),
+                Box(box_type=b"mdat", payload=b"xy"),
+            ]
+        )
+
+    def test_spans_in_document_order_with_paths(self):
+        spans = walk_boxes(self._blob())
+        assert [span[0] for span in spans] == [
+            (b"ftyp",),
+            (b"moov",),
+            (b"moov", b"trak"),
+            (b"moov", b"trak", b"tkhd"),
+            (b"moov", b"schm"),
+            (b"mdat",),
+        ]
+
+    def test_span_offsets_address_the_bodies(self):
+        blob = self._blob()
+        bodies = {span[0][-1]: blob[span[2] : span[3]] for span in walk_boxes(blob)}
+        assert bodies[b"ftyp"] == b"iso6"
+        assert bodies[b"tkhd"] == b"abcd"
+        assert bodies[b"mdat"] == b"xy"
+
+    def test_typed_fields_decoded(self):
+        (schm,) = [s for s in walk_boxes(self._blob()) if s[0][-1] == b"schm"]
+        assert schm[4]["scheme_type"] == b"cbcs"
+        assert schm[4]["scheme_version"] == 0x00010000
+
+    def test_untyped_boxes_carry_no_fields(self):
+        assert all(
+            span[4] is None for span in walk_boxes(self._blob())
+            if span[0][-1] != b"schm"
+        )
+
+    def test_empty_input(self):
+        assert walk_boxes(b"") == []
+
+    def test_short_frma_reads_only_its_own_body(self):
+        blob = serialize_boxes(
+            [
+                Box(
+                    box_type=b"sinf",
+                    children=[
+                        Box(box_type=b"frma", payload=b"av"),
+                        SchmBox(box_type=b"schm", scheme_type=b"cenc"),
+                    ],
+                )
+            ]
+        )
+        (sinf,) = parse_boxes(blob)
+        assert isinstance(sinf.children[0], FrmaBox)
+        assert sinf.children[0].original_format == b"av"
+        assert walk_boxes(blob)[1][4] == {"original_format": b"av"}
+
+    @pytest.mark.parametrize(
+        "blob",
+        [b"\x00\x00\x00", b"\x00\x00\x00\x04mdat", b"\x00\x00\x00\xffmdatshort"],
+    )
+    def test_same_errors_as_parse_boxes(self, blob):
+        with pytest.raises(BoxParseError) as walked:
+            walk_boxes(blob)
+        with pytest.raises(BoxParseError) as parsed:
+            parse_boxes(blob)
+        assert str(walked.value) == str(parsed.value)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.bmff.boxes import Box, find_first, parse_boxes, serialize_boxes
 from repro.bmff.builder import build_init_segment, build_media_segment
 from repro.bmff.cenc import encrypt_sample, iv_sequence
 from repro.media.codecs import generate_sample, sample_header_length
@@ -51,6 +52,17 @@ class TestProbeTrack:
         init = build_init_segment(kind="video", codec="c")
         probe = probe_track(init, [b"not a segment"])
         assert probe.status is AssetStatus.CORRUPT
+
+    def test_hostile_typed_payload_is_corrupt_not_a_crash(self):
+        # A protected segment whose saio carries a 2-byte payload: every
+        # box header is consistent, only the typed payload is short.
+        init, (segment,) = _encrypted_pair()
+        tree = parse_boxes(segment)
+        traf = find_first(tree, b"moof", b"traf")
+        traf.children[-1] = Box(box_type=b"saio", payload=bytes(4 + 2))
+        probe = probe_track(init, [serialize_boxes(tree)])
+        assert probe.status is AssetStatus.CORRUPT
+        assert probe.notes == ("segment parse error: saio payload too short",)
 
     def test_clear_container_with_garbage_samples(self):
         init = build_init_segment(kind="video", codec="c")

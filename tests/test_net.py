@@ -6,7 +6,7 @@ from repro.net.cdn import CdnServer
 from repro.net.http import HttpRequest, HttpResponse, parse_url
 from repro.net.network import HttpClient, Network
 from repro.net.proxy import InterceptingProxy
-from repro.net.server import VirtualServer
+from repro.net.server import REQUEST_LOG_SIZE, VirtualServer
 from repro.net.tls import (
     Certificate,
     PinSet,
@@ -41,6 +41,39 @@ class TestHttp:
         assert not HttpResponse.not_found().ok
         assert HttpResponse.forbidden().status == 403
         assert HttpResponse.bad_request().status == 400
+
+
+class TestUrlCache:
+    def test_repeated_parse_returns_equal_url(self):
+        raw = "https://cache.example/seg/1.m4s?token=abc&x=2"
+        first = parse_url(raw)
+        again = parse_url(raw)
+        assert again == first
+        assert (again.host, again.path) == ("cache.example", "/seg/1.m4s")
+        assert dict(again.query) == {"token": "abc", "x": "2"}
+
+    def test_query_is_read_only(self):
+        url = parse_url("https://cache.example/p?a=1")
+        with pytest.raises(TypeError):
+            url.query["a"] = "2"
+        with pytest.raises(TypeError):
+            url.query["b"] = "3"
+        assert parse_url("https://cache.example/p?a=1").query == {"a": "1"}
+
+    def test_url_fields_are_frozen(self):
+        url = parse_url("https://cache.example/p")
+        with pytest.raises(AttributeError):
+            url.path = "/other"
+
+    def test_hostless_url_raises_on_every_call(self):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no host"):
+                parse_url("/relative/path?token=x")
+
+    def test_distinct_urls_parse_distinctly(self):
+        assert parse_url("https://a.example/x").host == "a.example"
+        assert parse_url("https://b.example/x").host == "b.example"
+        assert parse_url("https://a.example/x?q=1").query == {"q": "1"}
 
 
 class TestTls:
@@ -118,6 +151,15 @@ class TestServerRouting:
         server = VirtualServer("s.example")
         server.handle(HttpRequest("GET", "https://s.example/x"))
         assert len(server.request_log) == 1
+
+    def test_request_log_keeps_only_the_most_recent(self):
+        server = VirtualServer("s.example")
+        total = REQUEST_LOG_SIZE + 50
+        for i in range(total):
+            server.handle(HttpRequest("GET", f"https://s.example/r{i}"))
+        assert len(server.request_log) == REQUEST_LOG_SIZE
+        assert server.request_log[0].url == "https://s.example/r50"
+        assert server.request_log[-1].url == f"https://s.example/r{total - 1}"
 
 
 class TestNetwork:
@@ -236,6 +278,24 @@ class TestCdn:
         client = HttpClient(net)
         assert client.get("https://cdn.example/x.bin").status == 403
         assert client.get(cdn.url_for("/x.bin")).body == b"data"
+
+    def test_token_gate_on_repeated_urls(self):
+        # The same URL strings, requested again, hit the parse cache: the
+        # gate must still judge each request by its own token.
+        net = Network()
+        cdn = CdnServer("cdn.example", require_token=True)
+        net.register(cdn)
+        cdn.put("/x.bin", b"data")
+        cdn.put("/y.bin", b"other")
+        client = HttpClient(net)
+        good = cdn.url_for("/x.bin")
+        wrong = "https://cdn.example/x.bin?token=" + cdn.token_for("/y.bin")
+        for _ in range(2):
+            assert client.get(good).body == b"data"
+            assert client.get(wrong).status == 403
+            assert client.get("https://cdn.example/x.bin?token=").status == 403
+            assert client.get("https://cdn.example/x.bin").status == 403
+        assert client.get(cdn.url_for("/y.bin")).body == b"other"
 
     def test_url_for_unknown_asset(self):
         with pytest.raises(KeyError):
