@@ -11,7 +11,7 @@ import pytest
 
 from repro.bmff.cenc import decrypt_sample, encrypt_sample
 from repro.crypto.aes import AES
-from repro.crypto.cmac import aes_cmac
+from repro.crypto.cmac import aes_cmac, aes_cmac_many
 from repro.crypto.kdf import derive_session_keys
 from repro.crypto.modes import cbc_encrypt, ctr_transform
 from repro.crypto.rng import HmacDrbg
@@ -78,9 +78,29 @@ def test_bench_cmac_1kb(benchmark):
     assert len(tag) == 16
 
 
+# A serialized license request is ~450-600 bytes; derive_session_keys
+# CMACs all of it in each of its eight chains.
+_LICENSE_CONTEXT = bytes(range(250)) * 2
+
+
 def test_bench_session_key_derivation(benchmark):
-    keys = benchmark(derive_session_keys, _KEY, b"license-request-context")
+    # derive_session_keys is memoized, so a fixed key would time one
+    # cache miss and then only hits: every round gets a fresh base key.
+    base_keys = (n.to_bytes(16, "big") for n in range(1, 10**9))
+
+    def derive():
+        return derive_session_keys(next(base_keys), _LICENSE_CONTEXT)
+
+    keys = benchmark(derive)
     assert len(keys.encryption) == 16
+
+
+def test_bench_cmac_many_8(benchmark):
+    # The batch shape of one session-key derivation: eight chains of
+    # ~32 blocks in lockstep, the AUTHENTICATION ones 4 bytes longer.
+    messages = [bytes([n]) + _LICENSE_CONTEXT + bytes(4 * (n < 4)) for n in range(8)]
+    tags = benchmark(aes_cmac_many, _KEY, messages)
+    assert tags == [aes_cmac(_KEY, m) for m in messages]
 
 
 def test_bench_hmac_drbg(benchmark):

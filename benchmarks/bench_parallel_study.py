@@ -47,7 +47,7 @@ from repro.crypto.aes import cipher_for
 from repro.obs.bus import ObservabilityBus
 from repro.obs.sampling import TraceSampler
 from repro.crypto.cmac import _subkeys_for
-from repro.crypto.kdf import derive_key
+from repro.crypto.kdf import _session_key_material, derive_key
 from repro.crypto.modes import _keystream_blocks
 from repro.dash.packager import clear_segment_cache, segment_cache_stats
 
@@ -60,6 +60,7 @@ def _clear_substrate_caches() -> None:
     _keystream_blocks.cache_clear()
     _subkeys_for.cache_clear()
     derive_key.cache_clear()
+    _session_key_material.cache_clear()
     clear_segment_cache()
 
 

@@ -220,10 +220,27 @@ def _encode_senc(entries: list[SencEntry], iv_size: int) -> tuple[int, bytes]:
     return (0x2 if has_subsamples else 0x0), bytes(out)
 
 
+def _check_sample_count(box: str, count: int, data) -> None:
+    """Reject a sample count that the parsed bytes cannot back.
+
+    Every sample a box describes takes at least one byte of the segment
+    it came from, so a larger count is corrupt. The check runs before
+    any per-sample work: ``senc`` entries with no IV and no subsample
+    map, and ``saiz`` entries of the default size, consume no payload
+    bytes, so nothing else bounds the time and memory their count asks
+    for.
+    """
+    if count > len(data):
+        raise BoxParseError(
+            f"{box} sample count {count} exceeds the {len(data)} bytes parsed"
+        )
+
+
 def _decode_senc(data, start, end, version, flags, iv_size) -> dict:
     if end - start < 4:
         raise BoxParseError("senc payload too short")
     (count,) = _U32.unpack_from(data, start)
+    _check_sample_count("senc", count, data)
     offset = start + 4
     entries: list[SencEntry] = []
     for _ in range(count):
@@ -353,10 +370,14 @@ def _decode_saiz(data, start, end, version, flags, iv_size) -> dict:
         raise BoxParseError("saiz payload too short")
     default_size = data[start]
     (count,) = _U32.unpack_from(data, start + 1)
+    _check_sample_count("saiz", count, data)
     if default_size:
         sizes = [default_size] * count
     else:
-        sizes = list(data[start + 5 : min(start + 5 + count, end)])
+        table_end = start + 5 + count
+        if table_end > end:
+            raise BoxParseError("saiz truncated sample sizes")
+        sizes = list(data[start + 5 : table_end])
     return {"version": version, "flags": flags, "sample_sizes": sizes}
 
 

@@ -6,7 +6,7 @@ published test vectors in the test suite.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.cmac import aes_cmac, cmac_verify
+from repro.crypto.cmac import aes_cmac, aes_cmac_many, cmac_verify
 from repro.crypto.kdf import (
     LABEL_AUTHENTICATION,
     LABEL_ENCRYPTION,
@@ -40,6 +40,7 @@ __all__ = [
     "AES",
     "BLOCK_SIZE",
     "aes_cmac",
+    "aes_cmac_many",
     "cmac_verify",
     "LABEL_AUTHENTICATION",
     "LABEL_ENCRYPTION",

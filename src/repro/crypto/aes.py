@@ -8,11 +8,13 @@ paths, one per shape of work:
   :meth:`AES.decrypt_block`): the round function operates on four
   32-bit column words through fused SubBytes/ShiftRows/MixColumns
   lookup tables (the classic "T-table" formulation). CBC encryption and
-  CMAC chain each block into the next, so they can only ever use this
-  path; it is also the reference the multi-block kernel is tested
-  against.
-* **Many independent blocks** (:meth:`AES.encrypt_blocks`, and
-  :meth:`AES.keystream` / ECB on top of it): a whole-buffer "SWAR"
+  a single CMAC chain feed each block into the next, so they can only
+  ever use this path; it is also the reference the multi-block kernel
+  is tested against.
+* **Many independent blocks** (:meth:`AES.kernel`, with
+  :meth:`AES.encrypt_blocks` and :meth:`AES.keystream` / ECB on top of
+  it, and the lockstep CMAC chains of :mod:`repro.crypto.cmac`, which
+  step one kernel once per block): a whole-buffer "SWAR"
   (SIMD within a register) kernel. The N blocks are one 16N-byte big
   integer, and every round step transforms all of them at once with a
   fixed number of C-level operations: SubBytes (and SubBytes times 2 in
@@ -23,10 +25,12 @@ paths, one per shape of work:
   N is, so it overtakes the T-table loop from three blocks upward and
   runs several times faster on CTR runs of a few dozen blocks and more.
 
-The kernel keeps no per-key or per-length state: the repeated round
-keys and masks are built on each call from the expanded key schedule.
-Caching them would multiply the size of every cached cipher (see
-:func:`cipher_for`) for a cost that is small next to the rounds.
+The kernel keeps no per-key or per-length state: :meth:`AES.kernel`
+builds the repeated round keys and masks from the expanded key schedule
+on each call, and the caller keeps the result only as long as it steps
+the same lanes. Caching them would multiply the size of every cached
+cipher (see :func:`cipher_for`) for a cost that is small next to the
+rounds.
 
 This module is self-contained on purpose: the execution environment has
 no third-party crypto packages, and the Widevine key ladder reproduced
@@ -44,6 +48,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from typing import Callable
 
 __all__ = ["AES", "BLOCK_SIZE", "cipher_for"]
 
@@ -314,59 +319,80 @@ class AES:
             ((inv[w3 >> 24] << 24) | (inv[(w2 >> 16) & 0xFF] << 16) | (inv[(w1 >> 8) & 0xFF] << 8) | inv[w0 & 0xFF]) ^ k3,
         )
 
+    def kernel(self, lanes: int) -> Callable[[int], int]:
+        """The whole-buffer round function for *lanes* blocks at a time.
+
+        Builds the round keys and masks repeated *lanes* times once, and
+        returns ``encrypt(state) -> state``: the kernel described in the
+        module docstring, with the blocks as one big-endian integer
+        (block 0 in the most significant 16 bytes) in and out. The
+        blocks travel through every round together, so the Python-level
+        work per round does not grow with their number. A caller that
+        steps the same lanes many times (CMAC chains run in lockstep)
+        pays the build once; :meth:`encrypt_blocks` is a build plus one
+        call.
+        """
+        size = BLOCK_SIZE * lanes
+        from_bytes = int.from_bytes
+        keys = [from_bytes(bytes(rk) * lanes, "big") for rk in self._round_keys]
+        keep, up4, up8, up12, down4, down8, down12 = (
+            from_bytes(_SHIFT_ROWS_MASKS[distance] * lanes, "big")
+            for distance in (0, 4, 8, 12, -4, -8, -12)
+        )
+        rot1_up = from_bytes(_ROT1_UP * lanes, "big")
+        rot1_wrap = from_bytes(_ROT1_WRAP * lanes, "big")
+        rot2_up = from_bytes(_ROT2_UP * lanes, "big")
+        rot2_wrap = from_bytes(_ROT2_WRAP * lanes, "big")
+        sbox, sbox2 = _SBOX, _SBOX2
+        last = self._rounds
+        first_key, last_key = keys[0], keys[last]
+
+        def encrypt(state: int) -> int:
+            state ^= first_key
+            for rnd in range(1, last + 1):
+                # ShiftRows first: it only moves bytes, so it commutes
+                # with SubBytes, and shifting the input saves shifting S
+                # and 2S.
+                state = (
+                    (state & keep)
+                    | ((state << 32) & up4) | ((state << 64) & up8) | ((state << 96) & up12)
+                    | ((state >> 32) & down4) | ((state >> 64) & down8) | ((state >> 96) & down12)
+                )
+                raw = state.to_bytes(size, "big")
+                sub = from_bytes(raw.translate(sbox), "big")
+                if rnd == last:
+                    break
+                sub2 = from_bytes(raw.translate(sbox2), "big")
+                # MixColumns gives row r of column a (rows mod 4)
+                #   2a[r] ^ 3a[r+1] ^ a[r+2] ^ a[r+3]
+                # and a[r+2] ^ a[r+3] is row r+2 of pair = a ^ (a moved
+                # up one row), so three column rotations cover all four
+                # terms.
+                sub3 = sub2 ^ sub
+                pair = sub ^ (((sub << 8) & rot1_up) | ((sub >> 24) & rot1_wrap))
+                state = (
+                    sub2
+                    ^ (((sub3 << 8) & rot1_up) | ((sub3 >> 24) & rot1_wrap))
+                    ^ (((pair << 16) & rot2_up) | ((pair >> 16) & rot2_wrap))
+                    ^ keys[rnd]
+                )
+            # Final round: no MixColumns.
+            return sub ^ last_key
+
+        return encrypt
+
     def encrypt_blocks(self, data: bytes) -> bytes:
         """Encrypt block-aligned *data* as independent blocks (ECB).
 
-        The whole-buffer kernel described in the module docstring: the
-        blocks travel through every round together as one big integer,
-        so the Python-level work per round does not grow with their
-        number. Output is byte-identical to :meth:`encrypt_block` on
-        each 16-byte block in turn.
+        One pass of :meth:`kernel` over all the blocks. Output is
+        byte-identical to :meth:`encrypt_block` on each 16-byte block in
+        turn.
         """
         size = len(data)
         if size % BLOCK_SIZE:
             raise ValueError(f"data must be block aligned, got {size} bytes")
-        count = size // BLOCK_SIZE
-        from_bytes = int.from_bytes
-        keys = [from_bytes(bytes(rk) * count, "big") for rk in self._round_keys]
-        keep, up4, up8, up12, down4, down8, down12 = (
-            from_bytes(_SHIFT_ROWS_MASKS[distance] * count, "big")
-            for distance in (0, 4, 8, 12, -4, -8, -12)
-        )
-        rot1_up = from_bytes(_ROT1_UP * count, "big")
-        rot1_wrap = from_bytes(_ROT1_WRAP * count, "big")
-        rot2_up = from_bytes(_ROT2_UP * count, "big")
-        rot2_wrap = from_bytes(_ROT2_WRAP * count, "big")
-        sbox, sbox2 = _SBOX, _SBOX2
-        last = self._rounds
-        state = from_bytes(data, "big") ^ keys[0]
-        for rnd in range(1, last + 1):
-            # ShiftRows first: it only moves bytes, so it commutes with
-            # SubBytes, and shifting the input saves shifting S and 2S.
-            state = (
-                (state & keep)
-                | ((state << 32) & up4) | ((state << 64) & up8) | ((state << 96) & up12)
-                | ((state >> 32) & down4) | ((state >> 64) & down8) | ((state >> 96) & down12)
-            )
-            raw = state.to_bytes(size, "big")
-            sub = from_bytes(raw.translate(sbox), "big")
-            if rnd == last:
-                break
-            sub2 = from_bytes(raw.translate(sbox2), "big")
-            # MixColumns gives row r of column a (rows mod 4)
-            #   2a[r] ^ 3a[r+1] ^ a[r+2] ^ a[r+3]
-            # and a[r+2] ^ a[r+3] is row r+2 of pair = a ^ (a moved up
-            # one row), so three column rotations cover all four terms.
-            sub3 = sub2 ^ sub
-            pair = sub ^ (((sub << 8) & rot1_up) | ((sub >> 24) & rot1_wrap))
-            state = (
-                sub2
-                ^ (((sub3 << 8) & rot1_up) | ((sub3 >> 24) & rot1_wrap))
-                ^ (((pair << 16) & rot2_up) | ((pair >> 16) & rot2_wrap))
-                ^ keys[rnd]
-            )
-        # Final round: no MixColumns.
-        return (sub ^ keys[last]).to_bytes(size, "big")
+        encrypt = self.kernel(size // BLOCK_SIZE)
+        return encrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
 
     def keystream(self, counters: "list[int]") -> bytes:
         """Encrypt a run of 128-bit counter-block integers.

@@ -16,13 +16,23 @@ Three derivations hang off each session:
   request/response HMACs;
 - ``GENERIC`` — keys for the non-DASH generic crypto API (the "secure
   channel" Netflix uses for its URI manifests).
+
+Every output block of every derivation is its own CMAC chain over the
+whole context (for a license, the serialized request: ~35 blocks), and
+the chains do not depend on each other. :func:`derive_session_keys`
+therefore hands all eight chains of a session's derivations to
+:func:`repro.crypto.cmac.aes_cmac_many` as one batch, which steps them
+together through the whole-buffer AES kernel, and :func:`derive_key`
+does the same with its own counter blocks. Both are memoized: a session
+as one entry (the license server and the CDM derive the same keys), a
+standalone derivation as another.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.crypto.cmac import aes_cmac
+from repro.crypto.cmac import aes_cmac_many
 
 __all__ = [
     "LABEL_ENCRYPTION",
@@ -38,29 +48,62 @@ LABEL_AUTHENTICATION = b"AUTHENTICATION"
 LABEL_GENERIC = b"GENERIC"
 
 
+def _counter_messages(label: bytes, context: bytes, bits: int) -> list[bytes]:
+    """The PRF inputs of one derivation: one message per output block."""
+    if bits % 8:
+        raise ValueError("bits must be a multiple of 8")
+    tail = label + b"\x00" + context + bits.to_bytes(4, "big")
+    return [
+        counter.to_bytes(1, "big") + tail
+        for counter in range(1, (bits + 127) // 128 + 1)
+    ]
+
+
 @lru_cache(maxsize=4096)
 def derive_key(base_key: bytes, label: bytes, context: bytes, bits: int) -> bytes:
     """SP 800-108 counter-mode KDF with AES-CMAC as the PRF.
 
-    Memoized: the derivation is a pure function of its inputs, and the
-    deterministic simulation re-derives the same session keys whenever
-    a study world is rebuilt (every benchmark round, most tests), so the
-    CMAC chain only ever runs once per distinct derivation.
+    The output blocks are independent CMAC chains, so they run as one
+    :func:`aes_cmac_many` batch. Memoized: the derivation is a pure
+    function of its inputs, and the deterministic simulation re-derives
+    the same keys whenever a study world is rebuilt (every benchmark
+    round, most tests), so the CMAC chains only ever run once per
+    distinct derivation.
     """
-    if bits % 8:
-        raise ValueError("bits must be a multiple of 8")
-    num_blocks = (bits + 127) // 128
-    output = bytearray()
-    for counter in range(1, num_blocks + 1):
-        message = (
-            counter.to_bytes(1, "big")
-            + label
-            + b"\x00"
-            + context
-            + bits.to_bytes(4, "big")
-        )
-        output.extend(aes_cmac(base_key, message))
-    return bytes(output[: bits // 8])
+    messages = _counter_messages(label, context, bits)
+    return b"".join(aes_cmac_many(base_key, messages))[: bits // 8]
+
+
+# The four derivations of a session, as (label, context suffix, bits).
+# Their batch holds AUTHENTICATION in tags 0-3, ENCRYPTION in 4, the
+# GENERIC encryption key in 5 and the GENERIC signing key in 6-7.
+_SESSION_DERIVATIONS = (
+    (LABEL_AUTHENTICATION, b"", 512),
+    (LABEL_ENCRYPTION, b"", 128),
+    (LABEL_GENERIC, b"enc", 128),
+    (LABEL_GENERIC, b"sig", 256),
+)
+
+
+@lru_cache(maxsize=1024)
+def _session_key_material(base_key: bytes, context: bytes) -> tuple[bytes, ...]:
+    """The five keys of :class:`SessionKeys`, in its field order.
+
+    All eight CMAC chains of the session's four derivations run as one
+    batch. Memoized per session, like :func:`derive_key` per derivation:
+    the license server and the CDM derive the same keys from the same
+    request, and the second derivation is one lookup. 1024 sessions is
+    what :func:`derive_key`'s 4096 entries held at four derivations per
+    session. Values are tuples of bytes, which no caller can mutate, and
+    :func:`derive_session_keys` wraps them in a fresh :class:`SessionKeys`
+    on every call.
+    """
+    messages: list[bytes] = []
+    for label, suffix, bits in _SESSION_DERIVATIONS:
+        messages += _counter_messages(label, context + suffix, bits)
+    tags = aes_cmac_many(base_key, messages)
+    auth = b"".join(tags[0:4])
+    return (tags[4], auth[:32], auth[32:], tags[5], tags[6] + tags[7])
 
 
 class SessionKeys:
@@ -110,11 +153,4 @@ def derive_session_keys(base_key: bytes, context: bytes) -> SessionKeys:
     protocol uses the serialized request message), so two sessions never
     share derived keys even under the same device key.
     """
-    auth = derive_key(base_key, LABEL_AUTHENTICATION, context, 512)
-    return SessionKeys(
-        encryption=derive_key(base_key, LABEL_ENCRYPTION, context, 128),
-        mac_server=auth[:32],
-        mac_client=auth[32:],
-        generic_encryption=derive_key(base_key, LABEL_GENERIC, context + b"enc", 128),
-        generic_signing=derive_key(base_key, LABEL_GENERIC, context + b"sig", 256),
-    )
+    return SessionKeys(*_session_key_material(base_key, context))

@@ -277,6 +277,35 @@ class TestMalformedPayloads:
         with pytest.raises(BoxParseError, match="senc truncated subsample count"):
             parse_boxes(_full_box(b"senc", payload, flags=0x2))
 
+    # Counts of 2,000,000: large enough that a decoder trusting them
+    # allocates a list of that size, small enough to be survivable if
+    # one does.
+    def test_saiz_default_size_count_beyond_the_input(self):
+        payload = bytes([8]) + struct.pack(">I", 2_000_000)
+        with pytest.raises(BoxParseError, match="saiz sample count 2000000"):
+            parse_boxes(_full_box(b"saiz", payload))
+
+    def test_saiz_short_size_table(self):
+        payload = bytes([0]) + struct.pack(">I", 3) + bytes([8, 8])
+        with pytest.raises(BoxParseError, match="saiz truncated sample sizes"):
+            parse_boxes(_full_box(b"saiz", payload))
+
+    def test_senc_empty_entries_count_beyond_the_input(self):
+        # No IV and no subsample map: each entry takes no payload bytes.
+        payload = struct.pack(">I", 2_000_000)
+        with pytest.raises(BoxParseError, match="senc sample count 2000000"):
+            parse_boxes(_full_box(b"senc", payload), iv_size_hint=0)
+        with pytest.raises(BoxParseError, match="senc sample count 2000000"):
+            walk_boxes(_full_box(b"senc", payload), iv_size_hint=0)
+
+    def test_counts_the_input_backs_still_parse(self):
+        (saiz,) = parse_boxes(_full_box(b"saiz", bytes([8]) + struct.pack(">I", 17)))
+        assert saiz.sample_sizes == [8] * 17
+        (senc,) = parse_boxes(
+            _full_box(b"senc", struct.pack(">I", 16)), iv_size_hint=0
+        )
+        assert senc.entries == [SencEntry(iv=b"")] * 16
+
     def test_truncated_pssh_v1_key_id_count(self):
         # Claims three KIDs, carries one and no data size.
         payload = bytes(16) + struct.pack(">I", 3) + bytes(16)

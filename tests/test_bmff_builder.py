@@ -137,6 +137,26 @@ class TestMediaSegment:
         with pytest.raises(BoxParseError, match="lacks trun or mdat"):
             read_samples(blob)
 
+    def test_read_samples_rejects_hostile_saiz_count(self):
+        # read_samples never looks at saiz, but the walk validates it.
+        enc = [encrypt_sample(bytes(30), _KEY, bytes(8), clear_header=8)] * 2
+        tree = parse_boxes(build_media_segment(1, enc))
+        traf = find_first(tree, b"moof", b"traf")
+        saiz = find_first(tree, b"moof", b"traf", b"saiz")
+        assert saiz.sample_sizes == [16, 16]
+        hostile = bytes(4) + bytes([16]) + struct.pack(">I", 2_000_000)
+        traf.children[traf.children.index(saiz)] = Box(box_type=b"saiz", payload=hostile)
+        with pytest.raises(BoxParseError, match="saiz sample count 2000000"):
+            read_samples(serialize_boxes(tree))
+
+    def test_read_samples_rejects_hostile_senc_count(self):
+        tree = parse_boxes(build_media_segment(1, [bytes(7), bytes(9)]))
+        find_first(tree, b"moof", b"traf").children.append(
+            Box(box_type=b"senc", payload=bytes(4) + struct.pack(">I", 2_000_000))
+        )
+        with pytest.raises(BoxParseError, match="senc sample count 2000000"):
+            read_samples(serialize_boxes(tree), iv_size=0)
+
     @settings(max_examples=20)
     @given(
         samples=st.lists(

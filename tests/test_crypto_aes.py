@@ -144,6 +144,29 @@ def test_keystream_matches_per_block(key, counters):
     assert cipher.keystream(counters) == expected
 
 
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    steps=st.integers(1, 9).flatmap(
+        lambda lanes: st.lists(
+            st.binary(min_size=16 * lanes, max_size=16 * lanes),
+            min_size=1,
+            max_size=4,
+        )
+    ),
+)
+def test_kernel_steps_match_per_block(key, steps):
+    # One kernel built once and stepped repeatedly, as the lockstep CMAC
+    # chains use it: every step equals encrypt_block on each lane.
+    cipher = AES(key)
+    size = len(steps[0])
+    encrypt = cipher.kernel(size // BLOCK_SIZE)
+    for data in steps:
+        out = encrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
+        assert out == _per_block(cipher, data)
+
+
 @pytest.mark.parametrize("bad_len", [1, 15, 17, 33])
 def test_encrypt_blocks_rejects_unaligned(bad_len):
     with pytest.raises(ValueError, match="block aligned"):

@@ -64,6 +64,34 @@ class TestProbeTrack:
         assert probe.status is AssetStatus.CORRUPT
         assert probe.notes == ("segment parse error: saio payload too short",)
 
+    def test_hostile_saiz_count_is_corrupt(self):
+        # A 17-byte saiz claiming 2,000,000 samples of the default size.
+        init, (segment,) = _encrypted_pair()
+        tree = parse_boxes(segment)
+        traf = find_first(tree, b"moof", b"traf")
+        index = [c.box_type for c in traf.children].index(b"saiz")
+        hostile = bytes(4) + bytes([16]) + (2_000_000).to_bytes(4, "big")
+        traf.children[index] = Box(box_type=b"saiz", payload=hostile)
+        probe = probe_track(init, [serialize_boxes(tree)])
+        assert probe.status is AssetStatus.CORRUPT
+        assert probe.notes[0].startswith(
+            "segment parse error: saiz sample count 2000000 exceeds"
+        )
+
+    def test_hostile_senc_count_is_corrupt(self):
+        # A track declaring no per-sample IV, whose senc claims 2,000,000
+        # entries that take no bytes.
+        init = build_init_segment(kind="video", codec="c", default_kid=_KID, iv_size=0)
+        tree = parse_boxes(build_media_segment(1, _samples()))
+        find_first(tree, b"moof", b"traf").children.append(
+            Box(box_type=b"senc", payload=bytes(4) + (2_000_000).to_bytes(4, "big"))
+        )
+        probe = probe_track(init, [serialize_boxes(tree)])
+        assert probe.status is AssetStatus.CORRUPT
+        assert probe.notes[0].startswith(
+            "segment parse error: senc sample count 2000000 exceeds"
+        )
+
     def test_clear_container_with_garbage_samples(self):
         init = build_init_segment(kind="video", codec="c")
         segment = build_media_segment(1, [b"\xde\xad\xbe\xef" * 30])
