@@ -16,12 +16,36 @@ part of the key's identity (``==``, ``repr``) or of its exported bytes.
 
 Key generation is deterministic given a DRBG, which lets the
 provisioning server mint reproducible per-device keys and lets the test
-suite cache expensive keys by seed.
+suite cache expensive keys by seed. A prime search draws a random odd
+candidate of the wanted width, drops it if a prime up to 2000 divides it
+(no further draw), and otherwise draws the 24 Miller-Rabin witnesses of
+an eager test, stopping at the first round the candidate fails. Two
+things cut the ``pow`` calls without moving a single draw:
+
+* the gcd sieve: a candidate with a prime factor in (2000, 2^16] still
+  draws its round-1 witness but is rejected by one ``math.gcd`` against
+  the product of those primes, without the full-width ``pow`` of round 1
+  (about 30% of the round-1 ``pow`` calls);
+* deferred rounds: a candidate that passes round 1 draws the witnesses
+  of rounds 2-24 untested. ``generate_keypair`` tests them only for a
+  pair it keeps (``p != q``, ``e`` coprime to phi, ``n`` of exactly
+  ``bits`` bits; ``n`` falls one bit short about 39% of the time) and
+  drops the pair if one fails, so every prime of a returned key has
+  passed all 24 rounds with the witnesses the eager test drew.
+
+The keys are those of the eager search unless a random composite passes
+round 1 and then fails a later round (the eager test would have drawn
+fewer witnesses for it). For a 1024-bit prime that is below 2^-40, the
+Damgard-Landrock-Pomerance bound ``k^2 * 4^(2 - sqrt(k))`` for one
+round. Golden fingerprints in the test suite pin every key the study
+and the benchmark mint.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import threading
 from dataclasses import dataclass, field
 
@@ -38,10 +62,17 @@ __all__ = [
     "pss_verify",
 ]
 
-_SMALL_PRIMES: list[int] = []
+# Trial division bound: a candidate with a prime factor up to here is
+# dropped before any DRBG draw, as it always has been.
+_TRIAL_LIMIT = 2000
+# gcd sieve bound: a candidate with a prime factor in (2000, 2^16] is
+# dropped after its round-1 witness is drawn but without a pow.
+_SIEVE_LIMIT = 1 << 16
+# Miller-Rabin rounds every prime of a returned key passes.
+_MR_ROUNDS = 24
 
 
-def _sieve(limit: int = 2000) -> list[int]:
+def _sieve(limit: int) -> list[int]:
     flags = bytearray([1]) * (limit + 1)
     flags[0:2] = b"\x00\x00"
     for i in range(2, int(limit**0.5) + 1):
@@ -50,42 +81,55 @@ def _sieve(limit: int = 2000) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-def _is_probable_prime(candidate: int, rng: HmacDrbg, rounds: int = 24) -> bool:
-    if candidate < 2:
-        return False
-    global _SMALL_PRIMES
-    if not _SMALL_PRIMES:
-        _SMALL_PRIMES = _sieve()
-    for p in _SMALL_PRIMES:
-        if candidate == p:
+@functools.cache
+def _sieve_tables() -> tuple[frozenset[int], int, int]:
+    """(primes <= 2000, their product, product of primes in (2000, 2^16])."""
+    primes = _sieve(_SIEVE_LIMIT)
+    small = [p for p in primes if p <= _TRIAL_LIMIT]
+    large = primes[len(small) :]
+    return frozenset(small), math.prod(small), math.prod(large)
+
+
+def _mr_round(candidate: int, witness: int) -> bool:
+    """One Miller-Rabin round: True iff *witness* does not prove
+    *candidate* composite."""
+    minus_one = candidate - 1
+    shift = (minus_one & -minus_one).bit_length() - 1
+    x = pow(witness, minus_one >> shift, candidate)
+    if x == 1 or x == minus_one:
+        return True
+    for _ in range(shift - 1):
+        x = pow(x, 2, candidate)
+        if x == minus_one:
             return True
-        if candidate % p == 0:
-            return False
-    # Miller-Rabin.
-    d = candidate - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for _ in range(rounds):
-        a = 2 + rng.randint_below(candidate - 3)
-        x = pow(a, d, candidate)
-        if x in (1, candidate - 1):
-            continue
-        for _ in range(r - 1):
-            x = pow(x, 2, candidate)
-            if x == candidate - 1:
-                break
-        else:
-            return False
-    return True
+    return False
 
 
-def _generate_prime(bits: int, rng: HmacDrbg) -> int:
+def _find_prime(bits: int, rng: HmacDrbg) -> tuple[int, list[int]]:
+    """Draw candidates until one passes MR round 1; return it with the
+    witnesses of rounds 2-24, drawn but not yet tested.
+
+    The DRBG sees the draws of an eager 24-round search: a candidate
+    costs one ``rand_odd``; one that survives trial division draws its
+    round-1 witness; one that passes round 1 draws 23 more (as a prime
+    does in the eager search). The sieve only skips ``pow`` calls.
+    """
+    small, trial_product, sieve_product = _sieve_tables()
     while True:
         candidate = rng.rand_odd(bits)
-        if _is_probable_prime(candidate, rng):
-            return candidate
+        if candidate <= _TRIAL_LIMIT:
+            if candidate in small:
+                return candidate, []
+            continue
+        if math.gcd(candidate, trial_product) != 1:
+            continue
+        witness = 2 + rng.randint_below(candidate - 3)
+        if candidate > _SIEVE_LIMIT and math.gcd(candidate, sieve_product) != 1:
+            continue
+        if _mr_round(candidate, witness):
+            return candidate, [
+                2 + rng.randint_below(candidate - 3) for _ in range(_MR_ROUNDS - 1)
+            ]
 
 
 @dataclass(frozen=True)
@@ -234,8 +278,8 @@ def generate_keypair(
         return key
     e = 65537
     while True:
-        p = _generate_prime(bits // 2, rng)
-        q = _generate_prime(bits - bits // 2, rng)
+        p, p_witnesses = _find_prime(bits // 2, rng)
+        q, q_witnesses = _find_prime(bits - bits // 2, rng)
         if p == q:
             continue
         phi = (p - 1) * (q - 1)
@@ -243,6 +287,12 @@ def generate_keypair(
             continue
         n = p * q
         if n.bit_length() != bits:
+            continue
+        # Only a kept pair pays MR rounds 2-24, with the witnesses its
+        # search drew; a composite that fooled round 1 drops the pair.
+        if not all(_mr_round(p, w) for w in p_witnesses):
+            continue
+        if not all(_mr_round(q, w) for w in q_witnesses):
             continue
         d = pow(e, -1, phi)
         return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
@@ -346,12 +396,23 @@ def pss_verify(
     *,
     salt_len: int = _HASH_LEN,
 ) -> bool:
-    """Verify an RSASSA-PSS signature; returns False on any mismatch."""
+    """Verify an RSASSA-PSS signature; returns False on any mismatch.
+
+    Per RFC 8017 section 8.1.2, a signature representative outside
+    ``[0, n)`` is invalid (otherwise ``s + n`` would verify as a second
+    signature of the same message), and so is an ``m`` too large for
+    ``em_len`` bytes (possible when ``n`` has ``8k + 1`` bits).
+    """
     if len(signature) != public.byte_length:
         return False
     em_bits = public.n.bit_length() - 1
     em_len = (em_bits + 7) // 8
-    m = pow(int.from_bytes(signature, "big"), public.e, public.n)
+    s = int.from_bytes(signature, "big")
+    if s >= public.n:
+        return False
+    m = pow(s, public.e, public.n)
+    if m.bit_length() > 8 * em_len:
+        return False
     em = m.to_bytes(em_len, "big")
     if em[-1] != 0xBC:
         return False

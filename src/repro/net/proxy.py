@@ -4,11 +4,15 @@ The proxy mints a certificate for whatever host the client asks for,
 signed by its own CA. If the device trusts that CA and the app's pins
 are defeated, the handshake succeeds and every request/response pair is
 recorded as a :class:`Flow` the audit can mine for media URIs and MPD
-manifests (§IV-B "Content Protection").
+manifests (§IV-B "Content Protection"). Like a server's
+``request_log``, the capture is a ring: a long-lived proxy keeps the
+last :data:`FLOW_LOG_SIZE` flows, bodies included, not every segment it
+ever relayed.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 from repro.net.http import HttpRequest, HttpResponse
@@ -16,7 +20,10 @@ from repro.net.network import Network
 from repro.net.tls import Certificate, issue_certificate
 from repro.obs.bus import NULL_BUS
 
-__all__ = ["Flow", "InterceptingProxy"]
+__all__ = ["FLOW_LOG_SIZE", "Flow", "InterceptingProxy"]
+
+# Flows the proxy keeps in ``flows`` (the most recent ones).
+FLOW_LOG_SIZE = 1024
 
 
 @dataclass
@@ -42,7 +49,7 @@ class InterceptingProxy:
     def __init__(self, network: Network):
         self._network = network
         self._certificates: dict[str, Certificate] = {}
-        self.flows: list[Flow] = []
+        self.flows: deque[Flow] = deque(maxlen=FLOW_LOG_SIZE)
         # Optional (request, response) -> response transformer.
         self.response_hook = None
 

@@ -1,5 +1,8 @@
 """HMAC-DRBG determinism and distribution sanity."""
 
+import hashlib
+import hmac
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -87,3 +90,53 @@ def test_byte_distribution_roughly_uniform():
         counts[byte] += 1
     mean = len(data) / 256
     assert all(mean * 0.4 < c < mean * 1.8 for c in counts)
+
+
+class _ReferenceDrbg:
+    """SP 800-90A HMAC_DRBG (SHA-256) over the standard library's
+    ``hmac.new``, written out independently of repro.crypto.rng."""
+
+    def __init__(self, seed: bytes):
+        self.key = bytes(32)
+        self.value = b"\x01" * 32
+        self.update(seed)
+
+    def mac(self, data: bytes) -> bytes:
+        return hmac.new(self.key, data, hashlib.sha256).digest()
+
+    def update(self, provided: bytes) -> None:
+        self.key = self.mac(self.value + b"\x00" + provided)
+        self.value = self.mac(self.value)
+        if provided:
+            self.key = self.mac(self.value + b"\x01" + provided)
+            self.value = self.mac(self.value)
+
+    def generate(self, num_bytes: int) -> bytes:
+        out = b""
+        while len(out) < num_bytes:
+            self.value = self.mac(self.value)
+            out += self.value
+        self.update(b"")
+        return out[:num_bytes]
+
+
+@given(
+    seed=st.binary(max_size=100),
+    steps=st.lists(
+        st.one_of(
+            st.integers(min_value=0, max_value=200),
+            st.binary(min_size=1, max_size=80),
+        ),
+        max_size=8,
+    ),
+)
+def test_output_matches_hmac_new_reference(seed, steps):
+    # Each step is a generate(n) or a reseed(bytes), applied to both.
+    drbg, reference = HmacDrbg(seed), _ReferenceDrbg(seed)
+    for step in steps:
+        if isinstance(step, int):
+            assert drbg.generate(step) == reference.generate(step)
+        else:
+            drbg.reseed(step)
+            reference.update(step)
+    assert drbg.generate(32) == reference.generate(32)

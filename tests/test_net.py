@@ -5,7 +5,7 @@ import pytest
 from repro.net.cdn import CdnServer
 from repro.net.http import HttpRequest, HttpResponse, parse_url
 from repro.net.network import HttpClient, Network
-from repro.net.proxy import InterceptingProxy
+from repro.net.proxy import FLOW_LOG_SIZE, InterceptingProxy
 from repro.net.server import REQUEST_LOG_SIZE, VirtualServer
 from repro.net.tls import (
     Certificate,
@@ -212,7 +212,7 @@ class TestProxyInterception:
         client.set_proxy(proxy)
         with pytest.raises(TlsError, match="untrusted issuer"):
             client.get("https://s.example/")
-        assert proxy.flows == []
+        assert list(proxy.flows) == []
 
     def test_proxy_blocked_by_pinning(self):
         __, __, client, proxy = self._world()
@@ -249,7 +249,22 @@ class TestProxyInterception:
         client.pin_set.enabled = False
         client.get("https://s.example/")
         proxy.clear()
-        assert proxy.flows == []
+        assert list(proxy.flows) == []
+
+    def test_flows_keep_only_the_most_recent(self):
+        net, server, client, proxy = self._world()
+        server.route("/asset", lambda r: HttpResponse(status=200, body=bytes(1000)))
+        client.set_proxy(proxy)
+        client.trust_store.add_issuer(InterceptingProxy.CA_NAME)
+        client.pin_set.enabled = False
+        for i in range(3000):
+            client.get(f"https://s.example/asset?i={i}")
+        assert FLOW_LOG_SIZE == 1024
+        assert len(proxy.flows) <= FLOW_LOG_SIZE
+        first = 3000 - FLOW_LOG_SIZE
+        assert proxy.flows[0].request.url == f"https://s.example/asset?i={first}"
+        assert proxy.flows[-1].request.url == "https://s.example/asset?i=2999"
+        assert sum(len(f.response.body) for f in proxy.flows) <= FLOW_LOG_SIZE * 1000
 
 
 class TestCdn:
