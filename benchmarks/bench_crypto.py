@@ -15,7 +15,7 @@ from repro.bmff.cenc import decrypt_sample, encrypt_sample
 from repro.crypto.aes import AES
 from repro.crypto.cmac import aes_cmac, aes_cmac_many
 from repro.crypto.kdf import derive_session_keys
-from repro.crypto.modes import cbc_encrypt, ctr_transform
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_transform
 from repro.crypto.rng import HmacDrbg, derive_rng
 from repro.crypto.rsa import generate_keypair, oaep_decrypt, oaep_encrypt, pss_sign
 
@@ -72,6 +72,20 @@ def test_bench_cbc_4kb(benchmark):
     data = bytes(4096)
     out = benchmark(cbc_encrypt, _KEY, _IV, data)
     assert len(out) == 4112
+
+
+# A device-RSA storage blob: the wrapped private key the keybox ladder
+# unwraps on every OEMCrypto load, 50 AES blocks with its padding.
+_STORAGE_BLOB = bytes(range(256)) * 3 + bytes(range(20))
+
+
+def test_bench_cbc_decrypt_storage_blob(benchmark):
+    # cbc_decrypt keeps no memo: every round is one 50-block pass of
+    # the inverse kernel.
+    ct = cbc_encrypt(_KEY, _IV, _STORAGE_BLOB)
+    assert len(ct) == 50 * 16
+    out = benchmark(cbc_decrypt, _KEY, _IV, ct)
+    assert out == _STORAGE_BLOB
 
 
 def test_bench_cmac_1kb(benchmark):

@@ -3,7 +3,8 @@ the §IV-D DRM-free rebuild.
 
 Not a paper artefact — these time the fragmented-MP4 readers and writer
 (:mod:`repro.bmff.builder`), the URL parse every HTTP hop performs, and
-one hot (keystream-cached) :meth:`MediaRecoveryPipeline.recover`, so a
+one :meth:`MediaRecoveryPipeline.recover` hot (keystream-cached) and
+cold (every keystream run generated, a track per batch), so a
 regression in the media plane shows up apart from the crypto substrate.
 """
 
@@ -22,6 +23,7 @@ from repro.bmff.builder import (
 )
 from repro.bmff.cenc import decrypt_sample, encrypt_sample, iv_sequence
 from repro.core.media_recovery import MediaRecoveryPipeline
+from repro.crypto.modes import _keystream_blocks
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.media.codecs import generate_sample, sample_header_length
 from repro.net.http import parse_url
@@ -105,4 +107,24 @@ def test_bench_recover_hot(benchmark, recovery_title):
     assert reference.succeeded
     recovered = benchmark(pipeline.recover, service, mpd_url, keys)
     assert recovered.best_video_height == reference.best_video_height
+    assert _digest(recovered) == _digest(reference)
+
+
+def test_bench_recover_cold(benchmark, recovery_title):
+    pipeline, service, mpd_url, keys = recovery_title
+    reference = pipeline.recover(service, mpd_url, keys)
+
+    def cold():
+        # Every round misses the keystream LRU on every run.
+        _keystream_blocks.cache_clear()
+
+    recovered = benchmark.pedantic(
+        pipeline.recover,
+        args=(service, mpd_url, keys),
+        setup=cold,
+        rounds=5,
+        iterations=1,
+    )
+    info = _keystream_blocks.cache_info()
+    assert info.hits == 0 and info.misses > 0
     assert _digest(recovered) == _digest(reference)

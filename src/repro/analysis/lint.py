@@ -3,7 +3,7 @@ determinism substrate.
 
 The parallel study runner's byte-identity contract rests on three
 conventions nothing used to enforce, and the licensing hot path on a
-fourth:
+fourth and fifth:
 
 - shared mutable registries are mutated only under their lock
   (``REG001``), and hand-rolled LRU caches always *have* a lock
@@ -14,7 +14,11 @@ fourth:
   time is advanced explicitly (``CLK003``);
 - no full-width private exponentiation ``pow(_, key.d, key.n)``
   outside ``RsaPrivateKey``, whose CRT primitive is ~3x faster
-  (``RSA005``).
+  (``RSA005``);
+- no one-block ``AES.decrypt_block`` outside :mod:`repro.crypto.aes`:
+  decryption goes through the whole-buffer inverse kernel
+  (``decrypt_blocks`` and the modes built on it), which is several
+  times faster from two blocks up (``AES006``).
 
 Each rule is pure stdlib ``ast`` — no third-party linter dependency —
 and is self-tested against seeded-violation fixtures in
@@ -60,11 +64,14 @@ __all__ = [
     "lint_paths_report",
 ]
 
-RULE_IDS = ("REG001", "RNG002", "CLK003", "LRU004", "RSA005")
+RULE_IDS = ("REG001", "RNG002", "CLK003", "LRU004", "RSA005", "AES006")
 
 # Modules allowed to read the wall clock: the simulation's one clock
 # abstraction. Everything else must take a SimClock.
 _WALL_CLOCK_ALLOWED_SUFFIXES = ("repro/android/clock.py",)
+# The one module that may use the one-block inverse cipher: it defines
+# it, as the reference the inverse kernel is tested against.
+_BLOCK_DECRYPT_ALLOWED_SUFFIXES = ("repro/crypto/aes.py",)
 
 _MUTATOR_METHODS = frozenset(
     {
@@ -659,9 +666,12 @@ def _is_full_width_private_pow(call: ast.Call) -> bool:
 def _check_forbidden_calls(
     tree: ast.Module, path: str, violations: list[LintViolation]
 ) -> None:
-    """RNG002 + CLK003 + RSA005: call-pattern bans."""
+    """RNG002 + CLK003 + RSA005 + AES006: call-pattern bans."""
     clock_allowed = path.replace("\\", "/").endswith(
         _WALL_CLOCK_ALLOWED_SUFFIXES
+    )
+    block_decrypt_allowed = path.replace("\\", "/").endswith(
+        _BLOCK_DECRYPT_ALLOWED_SUFFIXES
     )
     # Attribute nodes serving as a call's callee are handled by the Call
     # branch; the leftovers are bare references (aliasing a clock
@@ -677,6 +687,25 @@ def _check_forbidden_calls(
         for inner in ast.walk(node)
     }
     for node in ast.walk(tree):
+        # A call or a bare reference (aliasing dodges the rule as well).
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr == "decrypt_block"
+            and not block_decrypt_allowed
+        ):
+            violations.append(
+                LintViolation(
+                    rule="AES006",
+                    path=path,
+                    line=node.lineno,
+                    message=(
+                        "one-block `decrypt_block` outside repro.crypto.aes; "
+                        "decrypt through AES.decrypt_blocks or the modes "
+                        "(ecb_decrypt / cbc_decrypt)"
+                    ),
+                )
+            )
+            continue
         if isinstance(node, ast.Attribute) and id(node) not in call_callees:
             name = _dotted(node)
             if name in _FORBIDDEN_CLOCK and not clock_allowed:

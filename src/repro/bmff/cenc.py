@@ -1,4 +1,5 @@
-"""CENC (ISO/IEC 23001-7) ``cenc`` scheme encryption and decryption.
+"""CENC (ISO/IEC 23001-7) ``cenc`` and ``cbcs`` scheme encryption and
+decryption.
 
 Implements AES-CTR subsample encryption over fragmented-MP4 samples:
 each sample gets a per-sample IV recorded in ``senc``; a subsample map
@@ -6,6 +7,15 @@ splits the sample into clear (headers) and protected (payload) ranges,
 with the CTR keystream running continuously across the protected ranges
 of one sample — the detail real decryptors must get right, and the one
 this module is property-tested on.
+
+:func:`encrypt_samples` and :func:`decrypt_samples` handle many samples
+under one key: they declare every sample's keystream run to
+:func:`repro.crypto.modes.ctr_batch` and then run the one-sample function
+on each, so the runs the keystream LRU misses come out of one kernel
+pass instead of one per sample. ``cbcs`` decryption gathers each
+subsample's crypt blocks into one inverse-kernel pass (through
+:func:`repro.crypto.modes.cbc_decrypt`); ``cbcs`` encryption chains
+them one block at a time.
 """
 
 from __future__ import annotations
@@ -13,14 +23,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.bmff.boxes import SencEntry, SubsampleRange
-from repro.crypto.aes import BLOCK_SIZE, cipher_for
-from repro.crypto.modes import ctr_keystream, xor_bytes
+from repro.crypto.aes import BLOCK_SIZE
+from repro.crypto.modes import (
+    cbc_decrypt,
+    cbc_encrypt,
+    ctr_batch,
+    ctr_keystream,
+    xor_bytes,
+)
 from repro.crypto.rng import HmacDrbg
 
 __all__ = [
     "CencSample",
     "encrypt_sample",
     "decrypt_sample",
+    "encrypt_samples",
+    "decrypt_samples",
     "encrypt_sample_cbcs",
     "decrypt_sample_cbcs",
     "DEFAULT_CBCS_PATTERN",
@@ -117,6 +135,53 @@ def decrypt_sample(sample: CencSample, key: bytes) -> bytes:
     return _transform(sample.data, key, sample.entry)
 
 
+def _ctr_run(iv: bytes, protected_len: int) -> tuple[bytes, int] | None:
+    """The ``(iv, nblocks)`` keystream run of one sample, for a batch;
+    None where the sample's own call will reject the IV."""
+    if len(iv) not in (8, 16):
+        return None
+    return iv, (protected_len + BLOCK_SIZE - 1) // BLOCK_SIZE
+
+
+def encrypt_samples(
+    samples: list[bytes],
+    key: bytes,
+    ivs: list[bytes],
+    *,
+    clear_header: int = 0,
+) -> list[CencSample]:
+    """:func:`encrypt_sample` on each sample with its IV, as one
+    keystream batch (see :func:`repro.crypto.modes.ctr_batch`)."""
+    runs = (
+        _ctr_run(iv, len(sample) - clear_header) for sample, iv in zip(samples, ivs)
+    )
+    with ctr_batch(key, filter(None, runs)):
+        return [
+            encrypt_sample(sample, key, iv, clear_header=clear_header)
+            for sample, iv in zip(samples, ivs)
+        ]
+
+
+def decrypt_samples(samples: list[CencSample], key: bytes) -> list[bytes]:
+    """:func:`decrypt_sample` on each sample, as one keystream batch.
+
+    Byte-identical to decrypting the samples one at a time, with the
+    same keystream LRU hits and misses; the runs that miss are generated
+    together (see :func:`repro.crypto.modes.ctr_batch`).
+    """
+    runs = (
+        _ctr_run(
+            sample.entry.iv,
+            sum(sub.protected_bytes for sub in sample.entry.subsamples)
+            if sample.entry.subsamples
+            else len(sample.data),
+        )
+        for sample in samples
+    )
+    with ctr_batch(key, filter(None, runs)):
+        return [decrypt_sample(sample, key) for sample in samples]
+
+
 def iv_sequence(seed: bytes, count: int, *, iv_size: int = 8) -> list[bytes]:
     """Deterministic per-sample IV sequence derived from *seed*."""
     rng = HmacDrbg(b"cenc-iv/" + seed)
@@ -148,27 +213,25 @@ def _cbcs_transform_range(
         raise ValueError(f"bad cbcs pattern {pattern}")
     if len(iv) != BLOCK_SIZE:
         raise ValueError("cbcs IV must be 16 bytes")
-    cipher = cipher_for(key)
-    out = bytearray()
-    previous = iv
-    offset = 0
-    while offset + BLOCK_SIZE <= len(data):
-        for _ in range(crypt_blocks):
-            if offset + BLOCK_SIZE > len(data):
-                break
-            chunk = data[offset : offset + BLOCK_SIZE]
-            if encrypt:
-                block = cipher.encrypt_block(xor_bytes(chunk, previous))
-                previous = block
-            else:
-                block = xor_bytes(cipher.decrypt_block(chunk), previous)
-                previous = chunk
-            out.extend(block)
-            offset += BLOCK_SIZE
-        skip_bytes = min(skip_blocks * BLOCK_SIZE, len(data) - offset)
-        out.extend(data[offset : offset + skip_bytes])
-        offset += skip_bytes
-    out.extend(data[offset:])  # partial trailing block stays clear
+    # The crypt blocks of the range form one CBC chain, with the skipped
+    # blocks and any partial trailing block left clear.
+    crypt = crypt_blocks * BLOCK_SIZE
+    stride = crypt + skip_blocks * BLOCK_SIZE
+    whole = len(data) - len(data) % BLOCK_SIZE
+    offsets = range(0, whole, stride)
+    chain = b"".join(
+        [data[offset : min(offset + crypt, whole)] for offset in offsets]
+    )
+    if encrypt:
+        chain = cbc_encrypt(key, iv, chain, pad=False)
+    else:
+        chain = cbc_decrypt(key, iv, chain, pad=False)
+    out = bytearray(data)
+    start = 0
+    for offset in offsets:
+        end = start + min(crypt, whole - offset)
+        out[offset : offset + end - start] = chain[start:end]
+        start = end
     return bytes(out)
 
 

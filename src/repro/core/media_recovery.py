@@ -11,6 +11,12 @@ rebuilds clear init/media segments, and verifies the result with the
 reference player — the "another device". Since the keys came from an
 L3 session, HD representations stay undecryptable and the best playable
 quality lands at 960x540 (qHD), the paper's headline limitation.
+
+Each track is recovered on its own: a failed download or an unparsable
+or undecryptable asset marks that track, with a note, and the rest of
+the title still recovers. All the ``cenc`` samples of a track, across
+its segments, are decrypted as one keystream batch
+(:func:`repro.bmff.cenc.decrypt_samples`).
 """
 
 from __future__ import annotations
@@ -23,7 +29,8 @@ from repro.bmff.builder import (
     read_samples,
     read_track_info,
 )
-from repro.bmff.cenc import decrypt_sample, decrypt_sample_cbcs
+from repro.bmff.boxes import BoxParseError
+from repro.bmff.cenc import CencDecryptError, decrypt_sample_cbcs, decrypt_samples
 from repro.dash.mpd import Mpd, MpdParseError
 from repro.media.player import AssetStatus, probe_subtitle, probe_track
 from repro.net.network import HttpClient, Network
@@ -75,6 +82,10 @@ class RecoveredMedia:
         return any(t.kind == "video" and t.playable for t in self.tracks)
 
 
+class _DownloadError(Exception):
+    """An asset GET that did not return 2xx."""
+
+
 class MediaRecoveryPipeline:
     """Downloads, decrypts and re-verifies a title outside any app."""
 
@@ -112,8 +123,22 @@ class MediaRecoveryPipeline:
                     )
         return result
 
+    def _fetch(self, url: str) -> bytes:
+        response = self.client.get(url)
+        if not response.ok:
+            raise _DownloadError(f"{url} returned HTTP {response.status}")
+        return response.body
+
     def _recover_subtitle(self, rep, language) -> RecoveredTrack:
-        body = self.client.get(rep.init_url).body
+        try:
+            body = self._fetch(rep.init_url)
+        except _DownloadError as exc:
+            return RecoveredTrack(
+                rep_id=rep.rep_id,
+                kind="text",
+                language=language,
+                note=f"download failed: {exc}",
+            )
         status = probe_subtitle(body)
         return RecoveredTrack(
             rep_id=rep.rep_id,
@@ -132,46 +157,66 @@ class MediaRecoveryPipeline:
         track = RecoveredTrack(
             rep_id=rep.rep_id, kind=kind, height=rep.height, language=language
         )
-        init = self.client.get(rep.init_url).body
-        info = read_track_info(init)
-        track.was_encrypted = info.protected
-
-        segments = [self.client.get(url).body for url in rep.segment_urls]
-        if not info.protected:
-            # Already clear (e.g. Netflix audio): "reconstruction" is a
-            # straight copy, playable anywhere with no account.
-            track.clear_init = init
-            track.clear_segments = segments
-            track.decrypted = True
-            track.note = "asset was delivered unencrypted"
-        else:
-            assert info.default_kid is not None
-            key = content_keys.get(info.default_kid)
-            if key is None:
-                track.note = (
-                    f"no content key for kid {info.default_kid.hex()[:8]}… "
-                    "(not granted at this security level)"
-                )
-                return track
-            track.clear_init = build_init_segment(kind=info.kind, codec=info.codec)
-            for index, segment in enumerate(segments):
-                samples, protected = read_samples(segment, iv_size=info.iv_size)
-                if not protected:
-                    track.clear_segments.append(segment)
-                    continue
-                if info.scheme == "cbcs":
-                    clear_samples = [
-                        decrypt_sample_cbcs(s, key) for s in samples
-                    ]
-                else:
-                    clear_samples = [decrypt_sample(s, key) for s in samples]
-                track.clear_segments.append(
-                    build_media_segment(index + 1, clear_samples)
-                )
-            track.decrypted = True
+        try:
+            init = self._fetch(rep.init_url)
+            info = read_track_info(init)
+            track.was_encrypted = info.protected
+            segments = [self._fetch(url) for url in rep.segment_urls]
+            if not info.protected:
+                # Already clear (e.g. Netflix audio): "reconstruction" is
+                # a straight copy, playable anywhere with no account.
+                track.clear_init = init
+                track.clear_segments = segments
+                track.decrypted = True
+                track.note = "asset was delivered unencrypted"
+            else:
+                assert info.default_kid is not None
+                key = content_keys.get(info.default_kid)
+                if key is None:
+                    track.note = (
+                        f"no content key for kid {info.default_kid.hex()[:8]}… "
+                        "(not granted at this security level)"
+                    )
+                    return track
+                track.clear_segments = _decrypt_segments(segments, info, key)
+                track.clear_init = build_init_segment(kind=info.kind, codec=info.codec)
+                track.decrypted = True
+        except _DownloadError as exc:
+            track.note = f"download failed: {exc}"
+            return track
+        except (BoxParseError, CencDecryptError) as exc:
+            track.note = f"asset unusable: {exc}"
+            return track
 
         probe = probe_track(track.clear_init, track.clear_segments)
         track.playable = probe.status is AssetStatus.CLEAR
         if track.decrypted and not track.playable:
             track.note = f"decryption produced unplayable output: {probe.notes}"
         return track
+
+
+def _decrypt_segments(segments: list[bytes], info, key: bytes) -> list[bytes]:
+    """Clear copies of a protected track's media segments.
+
+    Every protected sample of the track goes to the decryptor at once,
+    so its ``cenc`` keystream runs form one batch; segments that carry
+    no protection pass through unchanged.
+    """
+    parsed = [read_samples(segment, iv_size=info.iv_size) for segment in segments]
+    protected = [
+        sample for samples, is_protected in parsed if is_protected for sample in samples
+    ]
+    if info.scheme == "cbcs":
+        clear = [decrypt_sample_cbcs(sample, key) for sample in protected]
+    else:
+        clear = decrypt_samples(protected, key)
+    out: list[bytes] = []
+    start = 0
+    for index, (segment, (samples, is_protected)) in enumerate(zip(segments, parsed)):
+        if not is_protected:
+            out.append(segment)
+            continue
+        end = start + len(samples)
+        out.append(build_media_segment(index + 1, clear[start:end]))
+        start = end
+    return out

@@ -1,36 +1,46 @@
 """Pure-Python AES block cipher (FIPS 197).
 
 Implements the raw 128-bit block transform for AES-128/192/256. Modes of
-operation live in :mod:`repro.crypto.modes`. There are two encryption
-paths, one per shape of work:
+operation live in :mod:`repro.crypto.modes`. There are two paths in each
+direction, one per shape of work:
 
 * **One block at a time** (:meth:`AES.encrypt_block`,
   :meth:`AES.decrypt_block`): the round function operates on four
   32-bit column words through fused SubBytes/ShiftRows/MixColumns
   lookup tables (the classic "T-table" formulation). CBC encryption and
   a single CMAC chain feed each block into the next, so they can only
-  ever use this path; it is also the reference the multi-block kernel
-  is tested against.
-* **Many independent blocks** (:meth:`AES.kernel`, with
+  ever use the encryption side. Both are also the references the
+  multi-block kernels are tested against; nothing else in the package
+  decrypts one block at a time (lint rule ``AES006``).
+* **Many independent blocks**: a whole-buffer "SWAR" (SIMD within a
+  register) kernel. The N blocks are one 16N-byte big integer, and
+  every round step transforms all of them at once with a fixed number
+  of C-level operations. :meth:`AES.kernel` encrypts, with
   :meth:`AES.encrypt_blocks` and :meth:`AES.keystream` / ECB on top of
-  it, and the lockstep CMAC chains of :mod:`repro.crypto.cmac`, which
-  step one kernel once per block): a whole-buffer "SWAR"
-  (SIMD within a register) kernel. The N blocks are one 16N-byte big
-  integer, and every round step transforms all of them at once with a
-  fixed number of C-level operations: SubBytes (and SubBytes times 2 in
-  GF(2^8)) is one ``bytes.translate`` each, ShiftRows seven masked
-  shifts, MixColumns three masked byte-rotations inside each 4-byte
-  column plus XORs, AddRoundKey one XOR with the round key repeated N
-  times. Its cost is about 50 big-integer operations per round whatever
-  N is, so it overtakes the T-table loop from three blocks upward and
-  runs several times faster on CTR runs of a few dozen blocks and more.
+  it and the lockstep CMAC chains of :mod:`repro.crypto.cmac` stepping
+  one kernel once per block: SubBytes (and SubBytes times 2 in GF(2^8))
+  is one ``bytes.translate`` each, ShiftRows seven masked shifts,
+  MixColumns three masked byte-rotations inside each 4-byte column plus
+  XORs, AddRoundKey one XOR with the round key repeated N times.
+  :meth:`AES.decrypt_kernel` is its mirror, with
+  :meth:`AES.decrypt_blocks` (ECB and CBC decryption, ``cbcs``) on top:
+  InvShiftRows seven masked shifts, InvSubBytes fused with each of the
+  InvMixColumns multiples 9, 11, 13 and 14 as one ``bytes.translate``
+  each, InvMixColumns three column rotations, in the equivalent inverse
+  cipher's order so that the translations can share one byte string. A
+  kernel's cost is about 50 big-integer operations per round whatever
+  N is, so it overtakes the T-table loop from two or three blocks
+  upward and runs several times faster on runs of a few dozen blocks
+  and more.
 
-The kernel keeps no per-key or per-length state: :meth:`AES.kernel`
-builds the repeated round keys and masks from the expanded key schedule
-on each call, and the caller keeps the result only as long as it steps
-the same lanes. Caching them would multiply the size of every cached
-cipher (see :func:`cipher_for`) for a cost that is small next to the
-rounds.
+The kernels keep no per-length state: :meth:`AES.kernel` and
+:meth:`AES.decrypt_kernel` build the repeated round keys and masks on
+each call, and the caller keeps the result only as long as it steps the
+same lanes. Caching them would multiply the size of every cached cipher
+(see :func:`cipher_for`) for a cost that is small next to the rounds.
+The one per-key addition is the equivalent inverse cipher's round keys
+(InvMixColumns of the middle ones), 16 bytes a round, built on a
+cipher's first decryption.
 
 This module is self-contained on purpose: the execution environment has
 no third-party crypto packages, and the Widevine key ladder reproduced
@@ -172,25 +182,37 @@ _U0, _U1, _U2, _U3 = _build_dec_tables()
 _SBOX2 = bytes(_MUL2[s] for s in _SBOX)
 
 
-def _build_shift_rows_masks() -> dict[int, bytes]:
-    # ShiftRows takes output byte r + 4c from input byte r + 4((c+r) % 4):
+# InvSubBytes fused with the four InvMixColumns multiples.
+_INV_SBOX9 = bytes(_MUL9[s] for s in _INV_SBOX)
+_INV_SBOX11 = bytes(_MUL11[s] for s in _INV_SBOX)
+_INV_SBOX13 = bytes(_MUL13[s] for s in _INV_SBOX)
+_INV_SBOX14 = bytes(_MUL14[s] for s in _INV_SBOX)
+
+
+def _build_shift_rows_masks(direction: int) -> dict[int, bytes]:
+    # ShiftRows (direction 1) takes output byte r + 4c from input byte
+    # r + 4((c+r) % 4), InvShiftRows (direction -1) from r + 4((c-r) % 4):
     # a shift by seven distinct byte distances, one mask per distance.
     masks: dict[int, bytearray] = {}
     for col in range(4):
         for row in range(4):
             dest = row + 4 * col
-            distance = row + 4 * ((col + row) % 4) - dest
+            distance = row + 4 * ((col + direction * row) % 4) - dest
             masks.setdefault(distance, bytearray(BLOCK_SIZE))[dest] = 0xFF
     return {distance: bytes(mask) for distance, mask in masks.items()}
 
 
-_SHIFT_ROWS_MASKS = _build_shift_rows_masks()
-# Byte-rotation of each 4-byte column by one and two rows: the bytes
-# that move up within their column, and the ones that wrap to its end.
+_SHIFT_ROWS_MASKS = _build_shift_rows_masks(1)
+_INV_SHIFT_ROWS_MASKS = _build_shift_rows_masks(-1)
+# Byte-rotation of each 4-byte column by one, two and three rows: the
+# bytes that move up within their column, and the ones that wrap to its
+# end.
 _ROT1_UP = b"\xff\xff\xff\x00" * 4
 _ROT1_WRAP = b"\x00\x00\x00\xff" * 4
 _ROT2_UP = b"\xff\xff\x00\x00" * 4
 _ROT2_WRAP = b"\x00\x00\xff\xff" * 4
+_ROT3_UP = b"\xff\x00\x00\x00" * 4
+_ROT3_WRAP = b"\x00\xff\xff\xff" * 4
 
 _ROUNDS_BY_KEY_LEN = {16: 10, 24: 12, 32: 14}
 
@@ -217,6 +239,7 @@ class AES:
         self._round_key_words: list[tuple[int, int, int, int]] = [
             _PACK4.unpack(bytes(rk)) for rk in self._round_keys
         ]
+        self._inverse_keys: list[bytes] | None = None
 
     @property
     def key(self) -> bytes:
@@ -393,6 +416,105 @@ class AES:
             raise ValueError(f"data must be block aligned, got {size} bytes")
         encrypt = self.kernel(size // BLOCK_SIZE)
         return encrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
+
+    def _inverse_round_keys(self) -> list[bytes]:
+        """Round keys of the equivalent inverse cipher, built on first use.
+
+        The middle rounds' keys pass through InvMixColumns once, so that
+        the state's InvMixColumns can run before AddRoundKey. Two threads
+        that race here build the same list.
+        """
+        keys = self._inverse_keys
+        if keys is None:
+            u0, u1, u2, u3 = _U0, _U1, _U2, _U3
+            keys = [bytes(self._round_keys[0])]
+            for words in self._round_key_words[1 : self._rounds]:
+                keys.append(
+                    _PACK4.pack(
+                        *[
+                            u0[w >> 24] ^ u1[(w >> 16) & 0xFF] ^ u2[(w >> 8) & 0xFF] ^ u3[w & 0xFF]
+                            for w in words
+                        ]
+                    )
+                )
+            keys.append(bytes(self._round_keys[self._rounds]))
+            self._inverse_keys = keys
+        return keys
+
+    def decrypt_kernel(self, lanes: int) -> Callable[[int], int]:
+        """The whole-buffer inverse round function for *lanes* blocks.
+
+        The mirror of :meth:`kernel`, in the equivalent inverse cipher's
+        round order (FIPS 197 §5.3.5): each round is InvShiftRows as
+        seven masked shifts, InvSubBytes fused with the four
+        InvMixColumns multiples as one ``bytes.translate`` each (S, 9S,
+        11S, 13S, 14S of the same bytes), InvMixColumns as three column
+        rotations, and AddRoundKey with InvMixColumns of the round key.
+        Returns ``decrypt(state) -> state`` over the blocks as one
+        big-endian integer.
+        """
+        size = BLOCK_SIZE * lanes
+        from_bytes = int.from_bytes
+        last = self._rounds
+        keys = [from_bytes(rk * lanes, "big") for rk in self._inverse_round_keys()]
+        keep, up4, up8, up12, down4, down8, down12 = (
+            from_bytes(_INV_SHIFT_ROWS_MASKS[distance] * lanes, "big")
+            for distance in (0, 4, 8, 12, -4, -8, -12)
+        )
+        rot1_up = from_bytes(_ROT1_UP * lanes, "big")
+        rot1_wrap = from_bytes(_ROT1_WRAP * lanes, "big")
+        rot2_up = from_bytes(_ROT2_UP * lanes, "big")
+        rot2_wrap = from_bytes(_ROT2_WRAP * lanes, "big")
+        rot3_up = from_bytes(_ROT3_UP * lanes, "big")
+        rot3_wrap = from_bytes(_ROT3_WRAP * lanes, "big")
+        inv, inv9, inv11, inv13, inv14 = (
+            _INV_SBOX, _INV_SBOX9, _INV_SBOX11, _INV_SBOX13, _INV_SBOX14
+        )
+        first_key, last_key = keys[last], keys[0]
+
+        def decrypt(state: int) -> int:
+            state ^= first_key
+            for rnd in range(last - 1, -1, -1):
+                # InvShiftRows commutes with InvSubBytes, as ShiftRows
+                # does with SubBytes in the forward kernel.
+                state = (
+                    (state & keep)
+                    | ((state << 32) & up4) | ((state << 64) & up8) | ((state << 96) & up12)
+                    | ((state >> 32) & down4) | ((state >> 64) & down8) | ((state >> 96) & down12)
+                )
+                raw = state.to_bytes(size, "big")
+                if rnd == 0:
+                    break
+                # InvMixColumns gives row r of column a (rows mod 4)
+                #   14a[r] ^ 11a[r+1] ^ 13a[r+2] ^ 9a[r+3]
+                # with a the InvSubBytes output.
+                m11 = from_bytes(raw.translate(inv11), "big")
+                m13 = from_bytes(raw.translate(inv13), "big")
+                m9 = from_bytes(raw.translate(inv9), "big")
+                state = (
+                    from_bytes(raw.translate(inv14), "big")
+                    ^ (((m11 << 8) & rot1_up) | ((m11 >> 24) & rot1_wrap))
+                    ^ (((m13 << 16) & rot2_up) | ((m13 >> 16) & rot2_wrap))
+                    ^ (((m9 << 24) & rot3_up) | ((m9 >> 8) & rot3_wrap))
+                    ^ keys[rnd]
+                )
+            # Final round: no InvMixColumns.
+            return from_bytes(raw.translate(inv), "big") ^ last_key
+
+        return decrypt
+
+    def decrypt_blocks(self, data: bytes) -> bytes:
+        """Decrypt block-aligned *data* as independent blocks (ECB).
+
+        One pass of :meth:`decrypt_kernel` over all the blocks. Output
+        is byte-identical to :meth:`decrypt_block` on each 16-byte block
+        in turn.
+        """
+        size = len(data)
+        if size % BLOCK_SIZE:
+            raise ValueError(f"data must be block aligned, got {size} bytes")
+        decrypt = self.decrypt_kernel(size // BLOCK_SIZE)
+        return decrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
 
     def keystream(self, counters: "list[int]") -> bytes:
         """Encrypt a run of 128-bit counter-block integers.

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from repro.bmff.builder import build_init_segment, build_media_segment
 from repro.bmff.cenc import (
     CencSample,
-    encrypt_sample,
     encrypt_sample_cbcs,
+    encrypt_samples,
     iv_sequence,
 )
 from repro.bmff.pssh import build_widevine_pssh
@@ -361,10 +361,7 @@ class Packager:
                 for s, iv in zip(samples, ivs)
             ]
         else:
-            enc = [
-                encrypt_sample(s, crypto.key, iv, clear_header=clear_len)
-                for s, iv in zip(samples, ivs)
-            ]
+            enc = encrypt_samples(samples, crypto.key, ivs, clear_header=clear_len)
         return build_media_segment(seg_index + 1, enc, iv_size=crypto.iv_size)
 
     def _package_subtitle(

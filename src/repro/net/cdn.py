@@ -33,6 +33,10 @@ class CdnServer(VirtualServer):
         self._blobs[path] = blob
         return f"https://{self.hostname}{path}"
 
+    def remove(self, path: str) -> None:
+        """Purge the asset at *path*; later GETs of it return 404."""
+        del self._blobs[path]
+
     def url_for(self, path: str) -> str:
         if path not in self._blobs:
             raise KeyError(f"no asset at {path}")

@@ -27,6 +27,7 @@ _FIXTURE_BY_RULE = {
     "CLK003": FIXTURES / "clk003_wall_clock.py",
     "LRU004": FIXTURES / "lru004_unlocked_cache.py",
     "RSA005": FIXTURES / "rsa005_full_width_private_pow.py",
+    "AES006": FIXTURES / "aes006_per_block_decrypt.py",
 }
 
 
@@ -68,6 +69,30 @@ class TestSeededFixtures:
         report = lint_source_report(source)
         assert report.violations == []
         assert [s.violation.rule for s in report.suppressed] == ["RSA005"]
+
+    def test_aes006_flags_calls_and_aliases_only(self):
+        violations = lint_file(_FIXTURE_BY_RULE["AES006"])
+        # The call in unwrap and the alias in aliased; decrypt_blocks
+        # and encrypt_block are not flagged.
+        assert [v.line for v in violations] == [6, 11]
+        assert all(v.patch is None for v in violations)
+
+    def test_aes006_allows_the_aes_module_itself(self):
+        source = "def reference(cipher, block):\n    return cipher.decrypt_block(block)\n"
+        assert lint_source(source, path="src/repro/crypto/aes.py") == []
+        assert [v.rule for v in lint_source(source, path="src/repro/bmff/cenc.py")] == [
+            "AES006"
+        ]
+
+    def test_aes006_honours_suppressions(self):
+        source = (
+            "def reference(cipher, block):\n"
+            "    return cipher.decrypt_block(block)  "
+            "# lint: allow(AES006) per-block reference for a test\n"
+        )
+        report = lint_source_report(source)
+        assert report.violations == []
+        assert [s.violation.rule for s in report.suppressed] == ["AES006"]
 
     def test_rng002_catches_each_forbidden_form(self):
         violations = lint_file(_FIXTURE_BY_RULE["RNG002"])

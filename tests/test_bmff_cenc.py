@@ -10,7 +10,9 @@ from repro.bmff.cenc import (
     CencDecryptError,
     CencSample,
     decrypt_sample,
+    decrypt_samples,
     encrypt_sample,
+    encrypt_samples,
     iv_sequence,
 )
 from repro.crypto.modes import ctr_transform
@@ -54,6 +56,51 @@ class TestRoundTrip:
             encrypt_sample(bytes(10), _KEY, _IV8, clear_header=11)
         with pytest.raises(ValueError, match="out of range"):
             encrypt_sample(bytes(10), _KEY, _IV8, clear_header=-1)
+
+
+class TestManySamples:
+    """encrypt_samples / decrypt_samples: one keystream batch, the same
+    bytes as the one-sample functions."""
+
+    @given(
+        samples=st.lists(st.binary(min_size=0, max_size=200), max_size=12),
+        iv_size=st.sampled_from([8, 16]),
+        clear=st.integers(min_value=0, max_value=3),
+        seed=st.binary(min_size=1, max_size=8),
+    )
+    def test_match_one_sample_functions(self, samples, iv_size, clear, seed):
+        # A fresh key per example, so the batch's runs miss the LRU; a
+        # repeated IV makes two samples share a run.
+        key = bytes(16 - len(seed)) + seed
+        ivs = iv_sequence(seed, len(samples), iv_size=iv_size)
+        if len(ivs) > 2:
+            ivs[-1] = ivs[0]
+        samples = [s + bytes(clear) for s in samples]
+        enc = encrypt_samples(samples, key, ivs, clear_header=clear)
+        assert enc == [
+            encrypt_sample(s, key, iv, clear_header=clear)
+            for s, iv in zip(samples, ivs)
+        ]
+        assert decrypt_samples(enc, key) == samples
+        assert decrypt_samples(enc, key) == [decrypt_sample(e, key) for e in enc]
+
+    def test_bad_sample_raises_as_alone(self):
+        good = encrypt_sample(bytes(64), _KEY, _IV8)
+        bad_map = CencSample(
+            data=bytes(64),
+            entry=SencEntry(iv=_IV8, subsamples=[SubsampleRange(1, 1)]),
+        )
+        bad_iv = CencSample(data=bytes(64), entry=SencEntry(iv=bytes(4)))
+        with pytest.raises(CencDecryptError, match="covers 2 bytes"):
+            decrypt_samples([good, bad_map], _KEY)
+        with pytest.raises(ValueError, match="CENC IV must be 8 or 16"):
+            decrypt_samples([good, bad_iv], _KEY)
+        with pytest.raises(ValueError, match="clear_header out of range"):
+            encrypt_samples([bytes(64), bytes(4)], _KEY, [_IV8, _IV8], clear_header=8)
+
+    def test_empty(self):
+        assert encrypt_samples([], _KEY, []) == []
+        assert decrypt_samples([], _KEY) == []
 
 
 class TestKeystreamContinuity:

@@ -9,10 +9,12 @@ from repro.bmff.cenc import (
     CencDecryptError,
     CencSample,
     DEFAULT_CBCS_PATTERN,
+    _apply_cbcs,
     decrypt_sample_cbcs,
     encrypt_sample_cbcs,
 )
-from repro.crypto.modes import cbc_encrypt
+from repro.crypto.aes import AES
+from repro.crypto.modes import cbc_encrypt, xor_bytes
 
 _KEY = bytes(range(16))
 _IV = bytes(reversed(range(16)))
@@ -162,3 +164,95 @@ class TestThroughTheStack:
         session = drm.open_session()
         with pytest.raises(CdmError, match="unsupported protection scheme"):
             drm._cdm.decrypt(session, bytes(16), bytes(16), bytes(16), [], mode="cbc1")
+
+
+# -- the batched decryptor against a one-block-at-a-time reference -------
+
+
+def _reference_range(data, key, iv, pattern, *, encrypt):
+    """cbcs over one protected range, one T-table block at a time."""
+    cipher = AES(key)
+    crypt_blocks, skip_blocks = pattern
+    out = bytearray()
+    previous = iv
+    offset = 0
+    while offset + 16 <= len(data):
+        for _ in range(crypt_blocks):
+            if offset + 16 > len(data):
+                break
+            chunk = data[offset : offset + 16]
+            if encrypt:
+                block = cipher.encrypt_block(xor_bytes(chunk, previous))
+                previous = block
+            else:
+                block = xor_bytes(cipher.decrypt_block(chunk), previous)
+                previous = chunk
+            out += block
+            offset += 16
+        skip = min(skip_blocks * 16, len(data) - offset)
+        out += data[offset : offset + skip]
+        offset += skip
+    return bytes(out + data[offset:])
+
+
+def _reference_sample(data, key, entry, pattern, *, encrypt):
+    if not entry.subsamples:
+        return _reference_range(data, key, entry.iv, pattern, encrypt=encrypt)
+    out = bytearray()
+    offset = 0
+    for sub in entry.subsamples:
+        out += data[offset : offset + sub.clear_bytes]
+        offset += sub.clear_bytes
+        out += _reference_range(
+            data[offset : offset + sub.protected_bytes],
+            key,
+            entry.iv,
+            pattern,
+            encrypt=encrypt,
+        )
+        offset += sub.protected_bytes
+    return bytes(out)
+
+
+_subsample_maps = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(0, 200)), min_size=1, max_size=4
+)
+
+
+class TestAgainstPerBlockReference:
+    @settings(max_examples=60)
+    @given(
+        ranges=_subsample_maps,
+        crypt=st.integers(min_value=1, max_value=3),
+        skip=st.integers(min_value=0, max_value=9),
+        key=st.sampled_from([_KEY, bytes(range(32, 56)), bytes(range(64, 96))]),
+        fill=st.integers(0, 255),
+    )
+    def test_several_subsamples(self, ranges, crypt, skip, key, fill):
+        # Several subsamples, protected sizes that leave partial
+        # trailing blocks, and skip 0 (every block in one chain).
+        entry = SencEntry(
+            iv=_IV, subsamples=[SubsampleRange(c, p) for c, p in ranges]
+        )
+        size = sum(c + p for c, p in ranges)
+        sample = bytes((fill + 7 * i) % 256 for i in range(size))
+        pattern = (crypt, skip)
+        enc = _apply_cbcs(sample, key, entry, pattern, encrypt=True)
+        assert enc == _reference_sample(sample, key, entry, pattern, encrypt=True)
+        dec = decrypt_sample_cbcs(CencSample(enc, entry), key, pattern=pattern)
+        assert dec == sample
+        assert dec == _reference_sample(enc, key, entry, pattern, encrypt=False)
+
+    @pytest.mark.parametrize("size", [0, 5, 16, 17, 31, 32, 33, 160, 161, 175])
+    @pytest.mark.parametrize("pattern", [(1, 9), (1, 0), (2, 0), (3, 1), (5, 2)])
+    def test_whole_sample_sizes(self, size, pattern):
+        sample = bytes(i % 251 for i in range(size))
+        enc = encrypt_sample_cbcs(sample, _KEY, _IV, pattern=pattern)
+        assert enc.data == _reference_range(sample, _KEY, _IV, pattern, encrypt=True)
+        assert decrypt_sample_cbcs(enc, _KEY, pattern=pattern) == sample
+
+    def test_skip_zero_is_plain_cbc_over_whole_blocks(self):
+        sample = bytes(range(200))
+        enc = encrypt_sample_cbcs(sample, _KEY, _IV, pattern=(1, 0))
+        assert enc.data[:192] == cbc_encrypt(_KEY, _IV, sample[:192], pad=False)
+        assert enc.data[192:] == sample[192:]

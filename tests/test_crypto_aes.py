@@ -242,3 +242,91 @@ def test_shared_cipher_keystreams_identical_across_threads():
         thread.join()
     for t, outputs in enumerate(results):
         assert outputs == [expected[t]] * 20
+
+
+# --- inverse multi-block kernel -------------------------------------------
+
+
+@pytest.mark.parametrize("key_hex,pt_hex,ct_hex", _FIPS_VECTORS)
+def test_fips197_inverse_cipher_kernel(key_hex, pt_hex, ct_hex):
+    # FIPS 197 C.1-C.3 inverse cipher, alone and as three lanes of one pass.
+    cipher = AES(bytes.fromhex(key_hex))
+    ct, pt = bytes.fromhex(ct_hex), bytes.fromhex(pt_hex)
+    assert cipher.decrypt_blocks(ct).hex() == pt_hex
+    assert cipher.decrypt_blocks(ct * 3) == pt * 3
+
+
+def _per_block_decrypt(cipher, data):
+    """Reference: the one-block T-table inverse over each block in turn."""
+    return b"".join(
+        cipher.decrypt_block(data[i : i + BLOCK_SIZE])
+        for i in range(0, len(data), BLOCK_SIZE)
+    )
+
+
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    data=st.integers(0, 64).flatmap(
+        lambda n: st.binary(min_size=16 * n, max_size=16 * n)
+    ),
+)
+def test_decrypt_blocks_matches_per_block(key, data):
+    cipher = AES(key)
+    assert cipher.decrypt_blocks(data) == _per_block_decrypt(cipher, data)
+    assert cipher.decrypt_blocks(cipher.encrypt_blocks(data)) == data
+
+
+@given(
+    key=st.sampled_from([16, 24, 32]).flatmap(
+        lambda n: st.binary(min_size=n, max_size=n)
+    ),
+    steps=st.integers(1, 9).flatmap(
+        lambda lanes: st.lists(
+            st.binary(min_size=16 * lanes, max_size=16 * lanes),
+            min_size=1,
+            max_size=3,
+        )
+    ),
+)
+def test_decrypt_kernel_steps_match_per_block(key, steps):
+    cipher = AES(key)
+    size = len(steps[0])
+    decrypt = cipher.decrypt_kernel(size // BLOCK_SIZE)
+    for data in steps:
+        out = decrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
+        assert out == _per_block_decrypt(cipher, data)
+
+
+@pytest.mark.parametrize("bad_len", [1, 15, 17, 33])
+def test_decrypt_blocks_rejects_unaligned(bad_len):
+    with pytest.raises(ValueError, match="block aligned"):
+        AES(bytes(16)).decrypt_blocks(bytes(bad_len))
+
+
+def test_shared_cipher_decrypts_identical_across_threads():
+    # The inverse round keys are built on first use; eight threads race
+    # that first use on one shared cipher.
+    cipher = AES(bytes(range(48, 80)))
+    messages = [bytes([t]) * (16 * (1 + 7 * t)) for t in range(8)]
+    expected = [_per_block_decrypt(cipher, m) for m in messages]
+    cipher = AES(cipher.key)
+    barrier = threading.Barrier(len(messages), timeout=60)
+    results: list[list[bytes]] = [[] for _ in messages]
+
+    def worker(t):
+        barrier.wait()
+        for _ in range(10):
+            results[t].append(cipher.decrypt_blocks(messages[t]))
+
+    threads = [
+        threading.Thread(target=worker, args=(t,)) for t in range(len(messages))
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    for t, outputs in enumerate(results):
+        assert outputs == [expected[t]] * 10

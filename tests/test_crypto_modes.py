@@ -82,6 +82,43 @@ class TestEcb:
             ecb_decrypt(_KEY, b"short")
 
 
+# SP 800-38A F.2.2 / F.2.4 / F.2.6 (CBC-AES128/192/256.Decrypt): (key,
+# ciphertext). IV and plaintext are shared.
+_SP800_38A_CBC_IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+_SP800_38A_PLAINTEXT = (
+    "6bc1bee22e409f96e93d7e117393172a"
+    "ae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52ef"
+    "f69f2445df4f9b17ad2b417be66c3710"
+)
+_SP800_38A_CBC_VECTORS = [
+    pytest.param(
+        "2b7e151628aed2a6abf7158809cf4f3c",
+        "7649abac8119b246cee98e9b12e9197d"
+        "5086cb9b507219ee95db113a917678b2"
+        "73bed6b8e3c1743b7116e69e22229516"
+        "3ff1caa1681fac09120eca307586e1a7",
+        id="F.2.2-AES128",
+    ),
+    pytest.param(
+        "8e73b0f7da0e6452c810f32b809079e562f8ead2522c6b7b",
+        "4f021db243bc633d7178183a9fa071e8"
+        "b4d9ada9ad7dedf4e5e738763f69145a"
+        "571b242012fb7ae07fa9baac3df102e0"
+        "08b0e27988598881d920a9e64f5615cd",
+        id="F.2.4-AES192",
+    ),
+    pytest.param(
+        "603deb1015ca71be2b73aef0857d77811f352c073b6108d72d9810a30914dff4",
+        "f58c4c04d6e5f1ba779eabfb5f7bfbd6"
+        "9cfc4e967edb808d679f777bc6702c7d"
+        "39f23369a9d9bacfa530e26304231461"
+        "b2eb05e2c39be9fcda6c19078c6a9d1b",
+        id="F.2.6-AES256",
+    ),
+]
+
+
 class TestCbc:
     def test_sp800_38a_vector(self):
         # SP 800-38A F.2.1 (no padding).
@@ -89,6 +126,36 @@ class TestCbc:
         pt = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
         ct = cbc_encrypt(_KEY, iv, pt, pad=False)
         assert ct.hex() == "7649abac8119b246cee98e9b12e9197d"
+
+    @pytest.mark.parametrize("key_hex,ct_hex", _SP800_38A_CBC_VECTORS)
+    def test_sp800_38a_decrypt_vectors(self, key_hex, ct_hex):
+        key = bytes.fromhex(key_hex)
+        ct = bytes.fromhex(ct_hex)
+        pt = cbc_decrypt(key, _SP800_38A_CBC_IV, ct, pad=False)
+        assert pt.hex() == _SP800_38A_PLAINTEXT
+        # Every prefix decrypts to the plaintext's prefix.
+        for blocks in range(4):
+            prefix = cbc_decrypt(key, _SP800_38A_CBC_IV, ct[: 16 * blocks], pad=False)
+            assert prefix == bytes.fromhex(_SP800_38A_PLAINTEXT)[: 16 * blocks]
+        assert cbc_encrypt(key, _SP800_38A_CBC_IV, pt, pad=False) == ct
+
+    def test_decrypt_matches_per_block_chain(self):
+        iv = bytes(range(16, 32))
+        ct = cbc_encrypt(_KEY, iv, bytes(range(256)) * 3)
+        cipher = AES(_KEY)
+        previous, expected = iv, b""
+        for i in range(0, len(ct), 16):
+            expected += xor_bytes(cipher.decrypt_block(ct[i : i + 16]), previous)
+            previous = ct[i : i + 16]
+        assert cbc_decrypt(_KEY, iv, ct, pad=False) == expected
+        assert ecb_decrypt(_KEY, ct) == b"".join(
+            cipher.decrypt_block(ct[i : i + 16]) for i in range(0, len(ct), 16)
+        )
+
+    def test_empty_ciphertext(self):
+        assert cbc_decrypt(_KEY, bytes(16), b"", pad=False) == b""
+        with pytest.raises(ValueError, match="multiple"):
+            cbc_decrypt(_KEY, bytes(16), b"")
 
     @given(data=st.binary(max_size=300), iv=st.binary(min_size=16, max_size=16))
     def test_round_trip_padded(self, data, iv):

@@ -6,7 +6,8 @@
 Rules: REG001 (registry mutated outside its lock), RNG002 (process
 RNG), CLK003 (wall clock outside repro.android.clock), LRU004 (LRU
 cache without a lock), RSA005 (full-width ``pow(_, key.d, key.n)``
-outside RsaPrivateKey's CRT primitive).
+outside RsaPrivateKey's CRT primitive), AES006 (one-block
+``decrypt_block`` outside repro.crypto.aes).
 
 Defaults to ``src/repro`` relative to the repository root. Exits 0 when
 clean, 1 when any violation is found (this is what the CI lint job
