@@ -12,9 +12,10 @@ fourth and fifth:
   process RNG (``RNG002``);
 - no wall-clock reads outside :mod:`repro.android.clock` — simulated
   time is advanced explicitly (``CLK003``);
-- no full-width private exponentiation ``pow(_, key.d, key.n)``
-  outside ``RsaPrivateKey``, whose CRT primitive is ~3x faster
-  (``RSA005``);
+- no three-argument ``pow`` with a private exponent (``key.d``,
+  ``key.dp``, ``key.dq``) outside :mod:`repro.crypto.bignum`: private
+  operations go through ``modexp`` (libcrypto, ~11x faster than
+  ``pow``) inside ``RsaPrivateKey``'s CRT primitive (``RSA005``);
 - no one-block ``AES.decrypt_block`` outside :mod:`repro.crypto.aes`:
   decryption goes through the whole-buffer inverse kernel
   (``decrypt_blocks`` and the modes built on it), which is several
@@ -72,6 +73,10 @@ _WALL_CLOCK_ALLOWED_SUFFIXES = ("repro/android/clock.py",)
 # The one module that may use the one-block inverse cipher: it defines
 # it, as the reference the inverse kernel is tested against.
 _BLOCK_DECRYPT_ALLOWED_SUFFIXES = ("repro/crypto/aes.py",)
+# The one module that may exponentiate with a private exponent through
+# ``pow``: it wraps libcrypto's exponentiation and falls back to ``pow``.
+_PRIVATE_POW_ALLOWED_SUFFIXES = ("repro/crypto/bignum.py",)
+_PRIVATE_EXPONENTS = frozenset({"d", "dp", "dq"})
 
 _MUTATOR_METHODS = frozenset(
     {
@@ -644,8 +649,10 @@ def _check_registry_locks(
             scan_scope(_class_scope(node), node, node.name)
 
 
-def _is_full_width_private_pow(call: ast.Call) -> bool:
-    """``pow(_, <x>.d, <x>.n)``, positional or keyword, same ``<x>``."""
+def _is_private_exponent_pow(call: ast.Call) -> bool:
+    """Three-argument ``pow(_, <x>.d, mod)`` (or ``.dp`` / ``.dq``),
+    positional or keyword, unless ``mod`` is read off an object other
+    than ``<x>`` — then the exponent is not that key's."""
     if _dotted(call.func) not in ("pow", "builtins.pow"):
         return False
     args: list[ast.AST | None] = list(call.args[:3])
@@ -654,13 +661,15 @@ def _is_full_width_private_pow(call: ast.Call) -> bool:
         if keyword.arg in ("exp", "mod"):
             args[1 if keyword.arg == "exp" else 2] = keyword.value
     exponent, modulus = args[1], args[2]
-    return (
-        isinstance(exponent, ast.Attribute)
-        and isinstance(modulus, ast.Attribute)
-        and exponent.attr == "d"
-        and modulus.attr == "n"
-        and ast.dump(exponent.value) == ast.dump(modulus.value)
-    )
+    if modulus is None:
+        return False
+    if not (
+        isinstance(exponent, ast.Attribute) and exponent.attr in _PRIVATE_EXPONENTS
+    ):
+        return False
+    return not isinstance(modulus, ast.Attribute) or ast.dump(
+        exponent.value
+    ) == ast.dump(modulus.value)
 
 
 def _check_forbidden_calls(
@@ -673,18 +682,14 @@ def _check_forbidden_calls(
     block_decrypt_allowed = path.replace("\\", "/").endswith(
         _BLOCK_DECRYPT_ALLOWED_SUFFIXES
     )
+    private_pow_allowed = path.replace("\\", "/").endswith(
+        _PRIVATE_POW_ALLOWED_SUFFIXES
+    )
     # Attribute nodes serving as a call's callee are handled by the Call
     # branch; the leftovers are bare references (aliasing a clock
     # function dodges the rule just as effectively as calling it).
     call_callees = {
         id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)
-    }
-    # The CRT primitive itself lives on RsaPrivateKey.
-    rsa_key_class_nodes = {
-        id(inner)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ClassDef) and node.name == "RsaPrivateKey"
-        for inner in ast.walk(node)
     }
     for node in ast.walk(tree):
         # A call or a bare reference (aliasing dodges the rule as well).
@@ -725,19 +730,17 @@ def _check_forbidden_calls(
         if not isinstance(node, ast.Call):
             continue
         name = _dotted(node.func)
-        if (
-            _is_full_width_private_pow(node)
-            and id(node) not in rsa_key_class_nodes
-        ):
+        if _is_private_exponent_pow(node) and not private_pow_allowed:
             violations.append(
                 LintViolation(
                     rule="RSA005",
                     path=path,
                     line=node.lineno,
                     message=(
-                        "full-width private exponentiation `pow(_, .d, .n)` "
-                        "outside RsaPrivateKey; use its CRT primitive "
-                        "(raw_decrypt / pss_sign / oaep_decrypt)"
+                        "private-exponent `pow(_, .d/.dp/.dq, _)` outside "
+                        "repro.crypto.bignum; use RsaPrivateKey's CRT "
+                        "primitive (raw_decrypt / pss_sign / oaep_decrypt) "
+                        "or bignum.modexp"
                     ),
                 )
             )

@@ -7,8 +7,8 @@ class RsaPrivateKey:
         self.d = d
 
     def textbook(self, m):
-        # Inside RsaPrivateKey itself: allowed.
-        return pow(m, self.d, self.n)
+        # Through modexp, not pow: allowed.
+        return modexp(m, self.d, self.n)
 
 
 def slow_sign(key, em):

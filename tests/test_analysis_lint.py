@@ -51,10 +51,28 @@ class TestSeededFixtures:
 
     def test_rsa005_flags_positional_and_keyword_forms_only(self):
         violations = lint_file(_FIXTURE_BY_RULE["RSA005"])
-        # slow_sign and slow_sign_keywords; the method on RsaPrivateKey
-        # and the public-exponent pow are not flagged.
+        # slow_sign and slow_sign_keywords; the modexp call on
+        # RsaPrivateKey and the public-exponent pow are not flagged.
         assert [v.line for v in violations] == [15, 19]
         assert all(v.patch is None for v in violations)
+
+    def test_rsa005_flags_crt_exponents_inside_rsa_private_key(self):
+        violations = lint_file(FIXTURES / "rsa005_crt_exponent_pow.py")
+        # Both CRT halves on RsaPrivateKey and the bare-modulus pow; the
+        # modexp call, the two-argument pow and the public pow are not.
+        assert [(v.rule, v.line) for v in violations] == [
+            ("RSA005", 10),
+            ("RSA005", 11),
+            ("RSA005", 16),
+        ]
+        assert all("modexp" in v.message for v in violations)
+
+    def test_rsa005_allows_the_bignum_module_itself(self):
+        source = "def fallback(c, key):\n    return pow(c, key.dp, key.p)\n"
+        assert lint_source(source, path="src/repro/crypto/bignum.py") == []
+        assert [
+            v.rule for v in lint_source(source, path="src/repro/crypto/rsa.py")
+        ] == ["RSA005"]
 
     def test_rsa005_requires_the_same_key_object(self):
         source = "def f(a, b, m):\n    return pow(m, a.d, b.n)\n"

@@ -1,6 +1,8 @@
 """RSA keygen, OAEP and PSS: round trips, tamper rejection, determinism."""
 
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +369,11 @@ _GOLDEN_KEYS = {
     ("test-suite-2048", 2048):
     "b0687bf99ce27e54e5d497386eed251a366f911dcdcab37cb9a7c60d7ec25d15",
 }
+# The DRBG's next 16 bytes after minting the module fixtures' keys.
+_DRBG_AFTER_KEYGEN = {
+    "test-suite-1024": bytes.fromhex("678400b97cd259a46853a484e6fc7d4d"),
+    "test-suite-2048": bytes.fromhex("9b1e4bea8e1a19137bf53e1d12d0c6b4"),
+}
 # benchmarks/bench_crypto.py's uncached keygen label: drops one pair.
 _DISCARDING_LABEL = "bench-rsa-keygen/3"
 _DISCARDING_FINGERPRINT = (
@@ -434,3 +441,85 @@ class TestDeferredKeygen:
         assert (key.p, key.q) == (p2, q2)
         assert rng.candidates == [] and rng.draws == []
         assert (liar * q1).bit_length() == 84
+
+
+# --- exponentiation backends: libcrypto modexp vs pow ------------------
+
+
+@pytest.fixture(params=["native", "pow"])
+def backend(request, monkeypatch):
+    """Run a test once through modexp (libcrypto where it loads) and once
+    with rsa.py's exponentiations patched to the interpreter's pow."""
+    if request.param == "pow":
+        monkeypatch.setattr(rsa, "modexp", pow)
+    return request.param
+
+
+def _rsa_transcript(key: RsaPrivateKey) -> list[bytes]:
+    """Bytes of every padded and raw operation on *key*."""
+    out = []
+    rng = derive_rng(f"backend-transcript/{key.n.bit_length()}")
+    for c in [0, 1, key.p, key.n - 1, rng.randint_below(key.n)]:
+        out.append(key.raw_decrypt(c).to_bytes(key.byte_length, "big"))
+    for index, message in enumerate([b"", b"license request", bytes(190)]):
+        signature = pss_sign(key, message, rng=derive_rng(f"bt-pss/{index}"))
+        assert pss_verify(key.public, message, signature)
+        assert not pss_verify(key.public, message + b"!", signature)
+        ciphertext = oaep_encrypt(
+            key.public, message[:62], rng=derive_rng(f"bt-oaep/{index}")
+        )
+        assert oaep_decrypt(key, ciphertext) == message[:62]
+        out += [signature, ciphertext]
+    return out
+
+
+class TestModexpBackends:
+    """libcrypto and pow produce identical bytes everywhere."""
+
+    @pytest.mark.parametrize("fixture", ["key", "key2048"])
+    def test_operations_byte_identical(self, fixture, request, monkeypatch):
+        key = request.getfixturevalue(fixture)
+        native = _rsa_transcript(key)
+        monkeypatch.setattr(rsa, "modexp", pow)
+        assert _rsa_transcript(key) == native
+
+    @pytest.mark.parametrize(
+        "label,bits",
+        [("test-suite-1024", 1024), ("test-suite-2048", 2048)],
+    )
+    def test_keygen_golden_and_drbg_position(self, backend, label, bits):
+        rng = derive_rng(label)
+        key = generate_keypair(bits, rng=rng)
+        assert _fingerprint(key) == _GOLDEN_KEYS[label, bits]
+        assert rng.generate(16) == _DRBG_AFTER_KEYGEN[label]
+
+    def test_dropped_pair_label(self, backend):
+        key = generate_keypair(2048, rng=derive_rng(_DISCARDING_LABEL))
+        assert _fingerprint(key) == _DISCARDING_FINGERPRINT
+
+    def test_concurrent_raw_decrypt(self, key2048):
+        rng = derive_rng("backend-threads")
+        inputs = [rng.randint_below(key2048.n) for _ in range(8 * 6)]
+        expected = [key2048.raw_decrypt(c) for c in inputs]
+        assert expected[:2] == [pow(c, key2048.d, key2048.n) for c in inputs[:2]]
+        barrier = threading.Barrier(8)
+        results: dict[int, list[int]] = {}
+
+        def worker(index: int) -> None:
+            barrier.wait(timeout=30)
+            chunk = inputs[index::8]
+            results[index] = [key2048.raw_decrypt(c) for c in chunk * 3]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for index in range(8):
+            assert results[index] == expected[index::8] * 3

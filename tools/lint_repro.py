@@ -5,8 +5,9 @@
 
 Rules: REG001 (registry mutated outside its lock), RNG002 (process
 RNG), CLK003 (wall clock outside repro.android.clock), LRU004 (LRU
-cache without a lock), RSA005 (full-width ``pow(_, key.d, key.n)``
-outside RsaPrivateKey's CRT primitive), AES006 (one-block
+cache without a lock), RSA005 (three-argument ``pow`` with a private
+exponent ``key.d`` / ``key.dp`` / ``key.dq`` outside repro.crypto.bignum,
+whose ``modexp`` the CRT primitive uses), AES006 (one-block
 ``decrypt_block`` outside repro.crypto.aes).
 
 Defaults to ``src/repro`` relative to the repository root. Exits 0 when
