@@ -71,10 +71,10 @@ class MediaCodec:
         if self._crypto is None:
             raise CodecException("codec not configured with a MediaCrypto")
         device = self._crypto.device
-        device.obs.flow(
-            "Application", "Media Crypto", "queueSecureInputBuffer()"
+        device.obs.flows(
+            ("Application", "Media Crypto", "queueSecureInputBuffer()"),
+            ("Media Crypto", "CDM", "Decrypt()"),
         )
-        device.obs.flow("Media Crypto", "CDM", "Decrypt()")
 
         if info.mode == "unencrypted":
             clear = data

@@ -57,8 +57,7 @@ class CdnServer(VirtualServer):
         if self._require_token and url.query.get("token") != self.token_for(url.path):
             bus.count("cdn.token_rejections")
             return HttpResponse.forbidden("missing or invalid CDN token")
-        bus.count("cdn.segments_served")
-        bus.count("cdn.bytes_served", len(blob))
+        bus.count_many({"cdn.segments_served": 1, "cdn.bytes_served": len(blob)})
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},

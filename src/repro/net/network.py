@@ -90,11 +90,15 @@ class HttpClient:
         with self.obs.span(
             "http.request", method=request.method, host=parsed.host, path=parsed.path
         ):
-            self.obs.count("http.requests")
-            self.obs.count("http.bytes_out", len(request.body))
-            response = self._deliver(request, parsed.host)
-            self.obs.count("http.bytes_in", len(response.body))
-            self.obs.count(f"http.status.{response.status}")
+            counts = {"http.requests": 1, "http.bytes_out": len(request.body)}
+            try:
+                response = self._deliver(request, parsed.host)
+                counts["http.bytes_in"] = len(response.body)
+                counts[f"http.status.{response.status}"] = 1
+            finally:
+                # One bus call per request; a failed delivery (a pinning
+                # rejection, say) still counts as a request sent.
+                self.obs.count_many(counts)
         return response
 
     def _deliver(self, request: HttpRequest, host: str) -> HttpResponse:

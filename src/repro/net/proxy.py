@@ -75,8 +75,9 @@ class InterceptingProxy:
             self.flows.append(
                 Flow(host=request.parsed_url.host, request=request, response=response)
             )
-            bus.count("proxy.flows")
-            bus.count("proxy.bytes_captured", len(response.body))
+            bus.count_many(
+                {"proxy.flows": 1, "proxy.bytes_captured": len(response.body)}
+            )
         return response
 
     def flows_for(self, host_substring: str) -> list[Flow]:

@@ -14,6 +14,7 @@ from repro.net.tls import (
     TrustStore,
     issue_certificate,
 )
+from repro.obs.bus import ObservabilityBus
 
 
 class TestHttp:
@@ -220,6 +221,25 @@ class TestProxyInterception:
         client.trust_store.add_issuer(InterceptingProxy.CA_NAME)
         with pytest.raises(TlsError, match="pin mismatch"):
             client.get("https://s.example/")
+
+    def test_rejected_request_is_still_counted(self):
+        net, server, __, proxy = self._world()
+        bus = ObservabilityBus()
+        client = HttpClient(net, obs=bus)
+        client.pin_set.pin("s.example", server.certificate)
+        client.set_proxy(proxy)
+        client.trust_store.add_issuer(InterceptingProxy.CA_NAME)
+        with pytest.raises(TlsError, match="pin mismatch"):
+            client.post("https://s.example/", b"12345")
+        client.set_proxy(None)
+        client.get("https://s.example/")
+        assert bus.metrics.counters() == {
+            "http.bytes_in": len(b"payload"),
+            "http.bytes_out": 5,
+            "http.requests": 2,
+            "http.status.200": 1,
+        }
+        assert bus.metrics.histograms()["span.http.request"].count == 2
 
     def test_proxy_works_after_repinning(self):
         from repro.instrumentation.hooks import disable_ssl_pinning

@@ -128,6 +128,25 @@ class TestFlowArrows:
         assert seen == [("Application", "CDM", "Decrypt()")]
         assert bus.metrics.counters()["flow.arrows"] == 1
 
+    def test_flows_draw_in_order_and_count_each_arrow(self, bus):
+        seen: list[tuple[str, str, str]] = []
+        bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
+        arrows = [
+            ("Application", "Media Crypto", "queueSecureInputBuffer()"),
+            ("Media Crypto", "CDM", "Decrypt()"),
+        ]
+        with bus.span("playback.track") as track:
+            bus.flows(*arrows)
+            bus.flow("CDN", "Application", "Media")
+        assert seen == arrows + [("CDN", "Application", "Media")]
+        assert bus.metrics.counters()["flow.arrows"] == 3
+        recorded = [
+            (p.attrs["source"], p.attrs["target"], p.attrs["label"])
+            for p in track.points
+        ]
+        assert recorded == seen
+        assert [p.name for p in track.points] == ["flow"] * 3
+
     def test_disabled_bus_still_delivers_flows(self):
         """The pre-bus FlowTrace contract: Figure 1 regeneration works
         with observation off."""
@@ -240,6 +259,59 @@ class TestAbsorbEdgeCases:
         for stat in study.metrics.histograms().values():
             for _, span_id in stat.exemplars.values():
                 assert span_id in recorded_ids
+
+
+    def test_absorb_of_an_open_worker_tree_keeps_exemplar_links(self):
+        study = ObservabilityBus(clock=FakeClock())
+        with study.span("study.setup"):
+            pass
+        worker = ObservabilityBus(clock=FakeClock())
+        with worker.span("study.app", app="Hulu"):
+            with worker.span("license.exchange"):
+                pass
+            # The root is still open: its child's duration is pending.
+            study.absorb(worker)
+        recorded_ids = {s.span_id for s in study.spans}
+        stat = study.metrics.histograms()["span.license.exchange"]
+        assert stat.count == 1
+        assert {span_id for _, span_id in stat.exemplars.values()} <= recorded_ids
+
+
+class TestMetricsShorthands:
+    def test_count_many_adds_like_repeated_counts(self, bus):
+        bus.count("http.requests")
+        bus.count_many({"http.requests": 1, "http.bytes_out": 512})
+        bus.count_many({})
+        assert bus.metrics.counters() == {"http.bytes_out": 512, "http.requests": 2}
+
+    def test_count_many_on_a_disabled_bus_records_nothing(self):
+        disabled = ObservabilityBus(enabled=False)
+        disabled.count_many({"http.requests": 1})
+        assert disabled.metrics.counters() == {}
+
+    def test_histograms_read_inside_an_open_tree_include_closed_spans(self, bus):
+        with bus.span("study.app", app="Hulu"):
+            for _ in range(3):
+                with bus.span("http.request"):
+                    pass
+            stat = bus.metrics.histograms()["span.http.request"]
+            assert stat.count == 3
+            assert "span.study.app" not in bus.metrics.histograms()
+        assert bus.metrics.histograms()["span.study.app"].count == 1
+        assert stat.count == 3
+
+    def test_dropped_trees_still_fill_histograms(self):
+        from repro.obs.sampling import TraceSampler
+
+        sampled = ObservabilityBus(clock=FakeClock(), sampler=TraceSampler(10**6))
+        for app in ("Hulu", "Netflix", "Showtime"):
+            with sampled.span("study.app", app=app):
+                with sampled.span("http.request"):
+                    pass
+        stat = sampled.metrics.histograms()["span.http.request"]
+        dropped = sampled.sampling_snapshot()["dropped_roots"]
+        assert stat.count == 3
+        assert len(stat.exemplars) <= 3 - dropped
 
 
 class TestHistogramPercentiles:
