@@ -1,4 +1,4 @@
-"""Full-study macro-benchmarks: sequential vs. parallel, cold vs. warm.
+"""Full-study macro-benchmarks: cold vs. warm, in process vs. fleet.
 
 Times the whole reproduction (world construction + Q1-Q4 over all ten
 apps + the §IV-D sweep) along the optimisation trajectory this repo
@@ -9,8 +9,6 @@ ships:
   packager's segment cache. This is what a fresh interpreter pays.
 - **warm** — the same run again with caches populated, the steady state
   for repeated studies in one process (benchmarks, CI, notebooks).
-- **parallel** — the warm run fanned out over ``jobs=4`` worker
-  threads via :class:`~repro.core.parallel.ParallelStudyRunner`.
 - **fleet** — the same campaign through :mod:`repro.fleet`: cold
   (every cell computed into the content-addressed store), warm
   resubmit (zero cells computed, pure cache hits) and a
@@ -20,14 +18,8 @@ ships:
 
 ``test_bench_study_trajectory`` writes the measurements to
 ``BENCH_study.json`` at the repo root so the trajectory is a diffable
-artifact, and asserts the parallel artifact is byte-identical to the
-sequential one.
-
-Honest caveat, recorded in the artifact too: the pipeline is CPU-bound
-pure Python, so under the GIL thread fan-out mostly overlaps cache
-misses rather than adding cores — the wall-clock win comes from the
-cached crypto fast paths; ``jobs`` buys isolation-checked concurrency
-at roughly neutral cost.
+artifact, and asserts the warm and fleet artifacts are byte-identical
+to the cold one.
 """
 
 from __future__ import annotations
@@ -40,7 +32,6 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.core.parallel import ParallelStudyRunner
 from repro.core.study import WideLeakStudy
 from repro.fleet import Campaign, FleetScheduler
 from repro.ott.registry import ALL_PROFILES
@@ -65,11 +56,10 @@ def _clear_substrate_caches() -> None:
     clear_segment_cache()
 
 
-def _timed_study(jobs: int = 1) -> tuple[float, str]:
+def _timed_study() -> tuple[float, str]:
     """Construct the world and run the full study; (seconds, artifact)."""
     start = time.perf_counter()
-    runner = ParallelStudyRunner(WideLeakStudy.with_default_apps(), jobs=jobs)
-    result = runner.run()
+    result = WideLeakStudy.with_default_apps().run()
     elapsed = time.perf_counter() - start
     assert result.table.matches_paper
     return elapsed, result.to_json()
@@ -252,10 +242,9 @@ def _fleet_trajectory(expected_json: str) -> dict[str, object]:
         }
 
 
-def _timed_attacks(jobs: int = 1) -> float:
+def _timed_attacks() -> float:
     start = time.perf_counter()
-    runner = ParallelStudyRunner(WideLeakStudy.with_default_apps(), jobs=jobs)
-    outcomes = runner.run_all_attacks()
+    outcomes = WideLeakStudy.with_default_apps().run_all_attacks()
     elapsed = time.perf_counter() - start
     assert any(
         o.recovered is not None and o.recovered.succeeded
@@ -265,23 +254,20 @@ def _timed_attacks(jobs: int = 1) -> float:
 
 
 def test_bench_study_trajectory(capsys):
-    """Cold -> warm -> parallel, emitted as ``BENCH_study.json``."""
+    """Cold -> warm -> fleet, emitted as ``BENCH_study.json``."""
     _clear_substrate_caches()
-    cold_s, cold_json = _timed_study(jobs=1)
+    cold_s, cold_json = _timed_study()
     cold_cache = segment_cache_stats()
 
-    warm_s, warm_json = _timed_study(jobs=1)
+    warm_s, warm_json = _timed_study()
     warm_cache = segment_cache_stats()
 
-    parallel_s, parallel_json = _timed_study(jobs=4)
-    attacks_seq_s = _timed_attacks(jobs=1)
-    attacks_par_s = _timed_attacks(jobs=4)
+    attacks_s = _timed_attacks()
     observability = _obs_overhead()
     sampling_sweep = _sampling_sweep()
     fleet = _fleet_trajectory(cold_json)
 
     assert warm_json == cold_json
-    assert parallel_json == cold_json
     assert observability["overhead_pct"] < 10.0, observability
     # Recording fewer spans must not cost more than recording them all.
     # Sampled runs still observe every duration (the exactness
@@ -303,15 +289,9 @@ def test_bench_study_trajectory(capsys):
                 "seconds": round(warm_s, 3),
                 "note": "cipher/keystream/KDF/segment caches populated",
             },
-            {
-                "phase": "parallel-jobs4-warm",
-                "seconds": round(parallel_s, 3),
-                "note": "ThreadPoolExecutor fan-out, byte-identical output",
-            },
         ],
         "attacks": {
-            "sequential_seconds": round(attacks_seq_s, 3),
-            "parallel_jobs4_seconds": round(attacks_par_s, 3),
+            "sequential_seconds": round(attacks_s, 3),
         },
         "observability": {
             **observability,
@@ -329,12 +309,6 @@ def test_bench_study_trajectory(capsys):
             "after_warm_run": warm_cache,
         },
         "speedup_warm_over_cold": round(cold_s / warm_s, 2),
-        "parallel_matches_sequential": True,
-        "caveat": (
-            "CPU-bound pure Python under the GIL: the speedup comes from "
-            "the cached crypto fast paths; jobs>1 provides overlap and an "
-            "isolation check, not core scaling"
-        ),
     }
     _ARTIFACT.write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -342,10 +316,7 @@ def test_bench_study_trajectory(capsys):
         print(f"\n=== full-study trajectory (-> {_ARTIFACT.name}) ===")
         for point in payload["trajectory"]:
             print(f"{point['phase']:22s} {point['seconds']:>8.3f}s")
-        print(
-            f"{'attacks seq/par':22s} {attacks_seq_s:>8.3f}s /"
-            f" {attacks_par_s:.3f}s"
-        )
+        print(f"{'attacks':22s} {attacks_s:>8.3f}s")
         print(f"warm-over-cold speedup: {payload['speedup_warm_over_cold']}x")
         print(
             f"observability overhead: {observability['overhead_pct']}% "
@@ -391,25 +362,10 @@ def test_bench_sampling_overhead_smoke():
 
 def test_bench_sequential_study_warm(benchmark):
     """Steady-state sequential run (caches warm from prior iterations)."""
-    elapsed, _ = _timed_study(jobs=1)
-    del elapsed
+    _timed_study()
 
     def run():
-        return ParallelStudyRunner(
-            WideLeakStudy.with_default_apps(), jobs=1
-        ).run()
-
-    result = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert result.table.matches_paper
-
-
-def test_bench_parallel_study_jobs4(benchmark):
-    """Steady-state jobs=4 run; asserts Table I still matches."""
-
-    def run():
-        return ParallelStudyRunner(
-            WideLeakStudy.with_default_apps(), jobs=4
-        ).run()
+        return WideLeakStudy.with_default_apps().run()
 
     result = benchmark.pedantic(run, rounds=3, iterations=1)
     assert result.table.matches_paper

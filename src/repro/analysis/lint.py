@@ -1,9 +1,9 @@
 """Repo invariant linter: AST rules guarding the concurrency and
 determinism substrate.
 
-The parallel study runner's byte-identity contract rests on three
-conventions nothing used to enforce, and the licensing hot path on a
-fourth and fifth:
+The study's byte-identity contract (in process or through fleet worker
+processes) rests on three conventions nothing used to enforce, and the
+licensing hot path on a fourth and fifth:
 
 - shared mutable registries are mutated only under their lock
   (``REG001``), and hand-rolled LRU caches always *have* a lock

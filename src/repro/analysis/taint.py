@@ -261,7 +261,7 @@ class TaintAnalyzer:
         tainted: dict[str, dict[str, _Taint]] = {}
         tainted_fields: dict[str, dict[str, _Taint]] = {}
 
-        def absorb(
+        def add_fact(
             table: dict[str, dict[str, _Taint]], key: str, fact: _Taint
         ) -> bool:
             """Record *fact*; True if it added information (new source,
@@ -277,7 +277,7 @@ class TaintAnalyzer:
             for callee in bodies[node].calls:
                 for source in self.sources:
                     if source.matches(callee):
-                        absorb(
+                        add_fact(
                             tainted,
                             node,
                             _Taint(
@@ -306,7 +306,7 @@ class TaintAnalyzer:
                             path=fact.path + (callee,),
                             live=fact.live and callee in reachable,
                         )
-                        changed |= absorb(tainted, callee, step)
+                        changed |= add_fact(tainted, callee, step)
                     for field_name in body.field_writes:
                         step = _Taint(
                             source_id=fact.source_id,
@@ -314,7 +314,7 @@ class TaintAnalyzer:
                             path=fact.path + (f"[field {field_name}]",),
                             live=fact.live,
                         )
-                        changed |= absorb(tainted_fields, field_name, step)
+                        changed |= add_fact(tainted_fields, field_name, step)
             for node in sorted(bodies):
                 body = bodies[node]
                 for field_name in body.field_reads:
@@ -325,7 +325,7 @@ class TaintAnalyzer:
                             path=fact.path + (node,),
                             live=fact.live and node in reachable,
                         )
-                        changed |= absorb(tainted, node, step)
+                        changed |= add_fact(tainted, node, step)
 
         # Report: tainted method calling a sink API.
         findings: list[TaintFinding] = []

@@ -64,8 +64,8 @@ class AndroidDevice:
         self.clock = SimClock()
         # The device's observation spine: every playback-path component
         # emits spans/arrows through it. Callers that orchestrate many
-        # devices (the study, a parallel worker session) inject a shared
-        # bus so all observations land in one tree.
+        # devices (the study, a fleet cell's DeviceSession) inject a
+        # shared bus so all observations land in one tree.
         self.obs = obs if obs is not None else ObservabilityBus()
         self.trace = FlowTrace()
         self.obs.add_flow_consumer(self.trace.record)

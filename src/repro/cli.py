@@ -60,23 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    jobs_help = (
-        "worker threads for the per-app fan-out (default 1: the fully "
-        "sequential, reproducible reference path; any value produces "
-        "byte-identical results)"
-    )
-    table1 = sub.add_parser("table1", help="regenerate Table I and diff vs the paper")
-    table1.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N", help=jobs_help
-    )
+    sub.add_parser("table1", help="regenerate Table I and diff vs the paper")
     sub.add_parser("figure1", help="capture the Figure 1 message sequence")
     sub.add_parser("list-apps", help="list the evaluated OTT services")
-    attack_all = sub.add_parser(
-        "attack-all", help="run the §IV-D sweep over all apps"
-    )
-    attack_all.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N", help=jobs_help
-    )
+    sub.add_parser("attack-all", help="run the §IV-D sweep over all apps")
 
     audit = sub.add_parser("audit", help="run Q1–Q4 for one app")
     audit.add_argument("app", help='display name, e.g. "Netflix" or "Hulu"')
@@ -241,17 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="rows in the self-time table (default 15)",
     )
-    profile.add_argument(
-        "--jobs", type=_positive_int, default=1, metavar="N", help=jobs_help
-    )
 
     return parser
 
 
-def _cmd_table1(jobs: int = 1) -> int:
-    from repro.core.parallel import ParallelStudyRunner
-
-    result = ParallelStudyRunner(WideLeakStudy.with_default_apps(), jobs=jobs).run()
+def _cmd_table1() -> int:
+    result = WideLeakStudy.with_default_apps().run()
     print(result.table.render())
     print("\nStatic-vs-dynamic cross-check (§IV-B):")
     print(result.crosscheck_table().render())
@@ -455,7 +437,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.core.parallel import ParallelStudyRunner
     from repro.obs.profile import render_profile, write_flame_graph
 
     sampler = _sampler_or_none(args.rate, args.seed)
@@ -463,7 +444,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return 2
     study = WideLeakStudy.with_default_apps(sampler=sampler)
     if args.app is None:
-        ParallelStudyRunner(study, jobs=args.jobs).run()
+        study.run()
     else:
         profile = resolve_app(args.app)
         if profile is None:
@@ -583,12 +564,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_attack_all(jobs: int = 1) -> int:
-    from repro.core.parallel import ParallelStudyRunner
-
-    runner = ParallelStudyRunner(WideLeakStudy.with_default_apps(), jobs=jobs)
+def _cmd_attack_all() -> int:
+    outcomes = WideLeakStudy.with_default_apps().run_all_attacks()
     broken = []
-    for name, outcome in runner.run_all_attacks().items():
+    for name, outcome in outcomes.items():
         ok = outcome.recovered is not None and outcome.recovered.succeeded
         best = outcome.recovered.best_video_height if ok else "-"
         print(f"{name:22s} {'BROKEN' if ok else 'resisted':9s} best={best}")
@@ -601,7 +580,7 @@ def _cmd_attack_all(jobs: int = 1) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "table1":
-        return _cmd_table1(args.jobs)
+        return _cmd_table1()
     if args.command == "figure1":
         return _cmd_figure1()
     if args.command == "list-apps":
@@ -621,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "attack":
         return _cmd_attack(args.app)
     if args.command == "attack-all":
-        return _cmd_attack_all(args.jobs)
+        return _cmd_attack_all()
     return 2
 
 

@@ -59,6 +59,7 @@ __all__ = [
     "AppStudyResult",
     "AttackCellArtifact",
     "AttackStudyResult",
+    "DeviceSession",
     "StudyResult",
     "WideLeakStudy",
 ]
@@ -336,7 +337,7 @@ class StudyResult:
         cells = self.cell_artifacts()
         # Deterministic bus counters only — request/byte/flow/license
         # totals are functions of the study inputs, so they survive the
-        # byte-identity contract (sequential == parallel, cold == warm).
+        # byte-identity contract (in process == fleet, cold == warm).
         # Span *durations* are wall-clock and stay out of the artifact.
         observability: dict[str, object] = {}
         if self.obs is not None and self.obs.enabled:
@@ -408,6 +409,34 @@ class StudyResult:
         return json.dumps(payload, indent=2, sort_keys=True)
 
 
+class DeviceSession:
+    """A researcher-device pair booted against a study's world.
+
+    A current L1 Pixel 6 and the discontinued L3 Nexus 5, both rooted,
+    per the DRM threat model. The study boots its own pair on its own
+    bus; a fleet cell boots a fresh pair on a fresh bus (the default),
+    which shares the study's sampler, so keep/drop decisions match.
+    Serials match the study's pair, so the keybox authority sees the
+    same factory keyboxes (re-registration writes identical values) and
+    every derived key matches.
+    """
+
+    def __init__(
+        self, study: "WideLeakStudy", *, obs: ObservabilityBus | None = None
+    ):
+        self.obs = obs if obs is not None else ObservabilityBus(
+            enabled=study.obs.enabled, sampler=study.obs.sampler
+        )
+        self.l1_device: AndroidDevice = pixel_6(
+            study.network, study.authority, obs=self.obs
+        )
+        self.l1_device.rooted = True
+        self.legacy_device: AndroidDevice = nexus_5(
+            study.network, study.authority, obs=self.obs
+        )
+        self.legacy_device.rooted = True
+
+
 class WideLeakStudy:
     """One self-contained instance of the WideLeak experiment."""
 
@@ -419,11 +448,10 @@ class WideLeakStudy:
         sampler: TraceSampler | None = None,
     ):
         self.profiles = profiles if profiles is not None else ALL_PROFILES
-        # One bus for the whole (sequential) study: world construction,
-        # packaging, every per-app pipeline. The parallel runner gives
-        # each worker session its own bus — sharing this bus's sampler,
-        # so every worker makes identical keep/drop decisions — and
-        # merges them back here.
+        # One bus for the whole study: world construction, packaging,
+        # every per-app pipeline. Fleet cells run on DeviceSessions with
+        # their own buses (sharing this bus's sampler); the fleet adds
+        # up their counters at assembly.
         if obs is not None and sampler is not None:
             raise ValueError(
                 "pass either a bus (which carries its own sampler) or a "
@@ -438,15 +466,9 @@ class WideLeakStudy:
             )
             for profile in self.profiles
         }
-        # Researcher-controlled (rooted) devices, per the DRM threat model.
-        self.l1_device: AndroidDevice = pixel_6(
-            self.network, self.authority, obs=self.obs
-        )
-        self.l1_device.rooted = True
-        self.legacy_device: AndroidDevice = nexus_5(
-            self.network, self.authority, obs=self.obs
-        )
-        self.legacy_device.rooted = True
+        devices = DeviceSession(self, obs=self.obs)
+        self.l1_device: AndroidDevice = devices.l1_device
+        self.legacy_device: AndroidDevice = devices.legacy_device
 
     @classmethod
     def with_default_apps(
@@ -469,21 +491,20 @@ class WideLeakStudy:
     ) -> AppStudyResult:
         """Run Q1–Q4 for one app.
 
-        The device pair defaults to the study's shared devices; the
-        parallel runner injects per-worker sessions instead so
-        concurrent app studies never share mutable device state. Either
-        way the per-app results are identical: each pipeline stage is a
+        The device pair defaults to the study's shared devices; a fleet
+        cell injects a fresh :class:`DeviceSession` instead. Either way
+        the per-app results are identical: each pipeline stage is a
         deterministic function of the app's backend and a booted device,
         never of what other apps did to the device before (asserted by
-        the parallel-determinism tests).
+        the fleet's byte-identity tests).
         """
         l1_device = l1_device or self.l1_device
         legacy_device = legacy_device or self.legacy_device
         backend = self.backends[profile.service]
 
         # One root span per app, on the bus that travels with the
-        # executing worker's devices — the study's own bus when running
-        # sequentially, the session's bus under the parallel runner.
+        # executing devices — the study's own bus when running in
+        # process, the session's bus in a fleet cell.
         with l1_device.obs.span("study.app", app=profile.name):
             app_l1 = OttApp(profile, l1_device, backend)
             static = analyze_apk(app_l1.apk)

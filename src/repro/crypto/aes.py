@@ -537,8 +537,7 @@ def cipher_for(key: bytes) -> AES:
     constantly — every CMAC invocation, every CENC sample. Sharing one
     expanded :class:`AES` per key removes the key-schedule cost from
     those paths. ``lru_cache`` serialises cache updates internally, so
-    the cache is safe under the parallel study runner; :class:`AES`
-    instances themselves are immutable after construction and therefore
-    freely shareable across threads.
+    the cache is safe across threads; :class:`AES` instances themselves
+    are immutable after construction and therefore freely shareable.
     """
     return AES(key)

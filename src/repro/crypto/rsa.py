@@ -258,10 +258,9 @@ def generate_keypair(
     wall-clock and the simulation mints many devices.
 
     The cache is thread-safe with per-label in-flight tracking: when
-    parallel study workers provision devices with the same serial
-    simultaneously, one thread generates while the rest wait for the
-    result instead of duplicating the most expensive computation in the
-    whole substrate.
+    two threads provision devices with the same serial simultaneously,
+    one generates while the other waits for the result instead of
+    duplicating the most expensive computation in the whole substrate.
     """
     if rng is None:
         cache_key = (label.encode(), bits)

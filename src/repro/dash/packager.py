@@ -56,8 +56,8 @@ class _SegmentCache:
     benchmarks — therefore re-encrypt byte-identical segments; memoizing
     them removes that CPU cost from study construction.
 
-    Thread-safe: the parallel study runner may rebuild device worlds
-    concurrently with packaging still in flight elsewhere.
+    Thread-safe: the cache is process-wide, so two worlds built on two
+    threads share it without tearing an entry.
     """
 
     def __init__(self, max_entries: int = 8192):

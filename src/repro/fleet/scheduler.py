@@ -18,13 +18,13 @@ never carry a ``.json`` suffix, so the ``*.json`` scans (claims,
 steals, done counts, status) cannot observe a half-written ticket; any
 debris a crash left behind is swept on the next submit/resume.
 
-Workers are **processes**, not threads (``--jobs N``): each one builds
-its own :class:`~repro.core.study.WideLeakStudy` world and a fresh
-:class:`~repro.core.parallel.DeviceSession` per cell — the same
-isolation model the parallel runner uses, pushed across process
-boundaries. A worker whose own queue runs dry **steals** from the tail
-of the deepest sibling queue; claims are renames, so two thieves can
-never hold the same ticket.
+Workers are **processes** (``--jobs N``), the repo's one parallel
+engine: each one builds its own :class:`~repro.core.study.WideLeakStudy`
+world and boots a fresh :class:`~repro.core.study.DeviceSession` per
+cell, so no cell sees device state another cell left behind. A worker
+whose own queue runs dry **steals** from the tail of the deepest
+sibling queue; claims are renames, so two thieves can never hold the
+same ticket.
 
 Byte-identity contract
 ----------------------
@@ -36,9 +36,9 @@ or recovered across a crash. Two rules make this hold:
 
 - the **world cell** persists the deterministic counters world
   construction emits (packaging, provisioning); every audit cell
-  persists its own :class:`~repro.core.parallel.DeviceSession` bus
+  persists its own :class:`~repro.core.study.DeviceSession` bus
   counters. Their sum is exactly the sequential run's counter totals
-  (the same additivity the parallel runner's byte-identity rests on);
+  (counters add, and each cell's are a function of its inputs alone);
 - assembly replays those counters onto a **fresh** bus and builds the
   result from the persisted artifacts. Fleet telemetry (spans, steal /
   retry / cache-hit counters) lives on a *separate* bus exposed via
@@ -57,11 +57,11 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.core.parallel import DeviceSession
 from repro.core.report import TableOne
 from repro.core.study import (
     AppCellArtifact,
     AttackCellArtifact,
+    DeviceSession,
     StudyResult,
     WideLeakStudy,
 )
@@ -157,11 +157,11 @@ class _CellExecutor:
 
     The world — network, authority, ten backends, shared devices — is
     built once per worker and reused across its cells; each audit or
-    attack cell still gets a fresh :class:`DeviceSession`, exactly the
-    parallel runner's isolation model. The deterministic counters world
-    construction emits are captured immediately, before any cell runs,
-    so the ``world`` cell's payload is identical no matter which worker
-    happens to execute it.
+    attack cell still gets a fresh :class:`DeviceSession`, so its result
+    does not depend on which cells ran before it. The deterministic
+    counters world construction emits are captured immediately, before
+    any cell runs, so the ``world`` cell's payload is identical no
+    matter which worker happens to execute it.
     """
 
     def __init__(self, campaign: Campaign):

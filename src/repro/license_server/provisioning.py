@@ -42,11 +42,11 @@ class KeyboxAuthority:
     careful license service checks HD entitlements against (see the
     netflix-1080p episode, §V-C).
 
-    The registry is shared study-wide while the parallel runner boots
-    per-worker device sessions concurrently, so access is serialised
-    behind a lock. Registration is last-writer-wins, which is exactly
-    what re-booting a device with the same serial (same factory keybox)
-    needs.
+    The registry is shared study-wide, by the study's own devices and
+    every :class:`~repro.core.study.DeviceSession` booted against it,
+    so access is serialised behind a lock. Registration is
+    last-writer-wins, which is exactly what re-booting a device with
+    the same serial (same factory keybox) needs.
     """
 
     def __init__(self) -> None:

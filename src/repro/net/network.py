@@ -29,10 +29,10 @@ class Network:
     """Hostname → server registry plus optional per-client proxying.
 
     The registry is shared by every device and backend on the simulated
-    network, and the parallel study runner resolves hosts from many
-    worker threads at once — registration and lookup are serialised
-    behind a lock (lookups return the server object, whose handling is
-    per-service state touched by one study worker at a time).
+    network, so registration and lookup are serialised behind a lock
+    and a caller on any thread sees a host either registered or not
+    (lookups return the server object, whose handling is per-service
+    state).
     """
 
     def __init__(self) -> None:

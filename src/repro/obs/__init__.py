@@ -8,9 +8,9 @@ gives the reproduction a single spine for all of them:
 - :mod:`repro.obs.span` — hierarchical spans with attributes and point
   events;
 - :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
-  (p50/p95/p99 with exemplar span ids), merge-safe;
+  (p50/p95/p99 with exemplar span ids);
 - :mod:`repro.obs.bus` — the :class:`ObservabilityBus` every layer
-  emits through (explicitly propagated, one per worker, no
+  emits through (explicitly propagated, one per device session, no
   thread-locals);
 - :mod:`repro.obs.sampling` — deterministic head-based sampling per
   root span (keep 1-in-N app trees whole; counters stay exact);

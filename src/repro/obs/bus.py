@@ -14,13 +14,13 @@ proxy captures, DRM API observations — now emits through one
 - ``bus.count`` / ``bus.count_many`` / ``bus.observe`` feed the
   metrics registry.
 
-Context is propagated *explicitly*: a bus travels with the worker that
-owns it (the study's bus sequentially; one fresh bus per
-``DeviceSession`` under ``ParallelStudyRunner``), and crosses the
-client/server seam as ``HttpRequest.obs``. There are no thread-locals,
-so nothing can leak between workers; per-worker buses are merged into
-the study's in profile order with :meth:`absorb`, keeping every
-artifact byte-identical to the sequential run.
+Context is propagated *explicitly*: a bus travels with the devices
+that own it (the study's bus in process; one fresh bus per
+``DeviceSession`` in a fleet cell), and crosses the client/server seam
+as ``HttpRequest.obs``. There are no thread-locals, so nothing can leak
+between sessions. A fleet cell persists its bus's counters, and fleet
+assembly replays them onto a fresh bus, so the artifact stays
+byte-identical to the in-process run.
 
 A disabled bus (``ObservabilityBus(enabled=False)``) is a no-op: spans
 return the shared :data:`~repro.obs.span.NULL_SPAN`, events and metrics
@@ -62,9 +62,9 @@ class ObservabilityBus:
         sampler: TraceSampler | None = None,
     ):
         self.enabled = enabled
-        # Head-based sampler, shared (not copied) by every worker bus so
-        # all buses compute identical per-root decisions. None = record
-        # every tree.
+        # Head-based sampler, shared (not copied) by every session bus
+        # so all buses compute identical per-root decisions. None =
+        # record every tree.
         self.sampler = sampler
         # Span timing is wall-clock by design: traces measure where real
         # time goes. Determinism holds structurally — tests compare span
@@ -148,10 +148,10 @@ class ObservabilityBus:
     def _observe_closed(self) -> None:
         """Fold the durations of the spans closed since the last fold
         into their histograms, in close order. Runs when a root span
-        closes and before the registry's histograms are read or merged,
-        so no reader sees a histogram without them. One pass over a
-        finished tree keeps the histograms warm in cache, where an
-        update per close found them cold. Caller holds the lock.
+        closes and before the registry's histograms are read, so no
+        reader sees a histogram without them. One pass over a finished
+        tree keeps the histograms warm in cache, where an update per
+        close found them cold. Caller holds the lock.
         """
         histograms = self._span_histograms
         for span in self._closed:
@@ -302,42 +302,6 @@ class ObservabilityBus:
             self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
             self._span_histograms = {}
             self._closed.clear()
-
-    def absorb(self, other: "ObservabilityBus") -> None:
-        """Fold a finished worker bus into this one.
-
-        Span ids are remapped past this bus's id space so trees stay
-        intact; called in profile order by the parallel runner, which
-        keeps the merged artifact deterministic. Histogram exemplars
-        are shifted by the same offset, and the worker's sampling tally
-        is added so the merged export still reports every dropped span.
-        """
-        if other is self:
-            return
-        with other._lock:
-            # Fold pending durations while their exemplars still carry
-            # the worker's span ids (the merge shifts them below).
-            other._observe_closed()
-            spans = list(other._spans)
-            events = list(other._events)
-            id_span = other._next_id
-            sampled_roots = other._sampled_roots
-            dropped_roots = other._dropped_roots
-            dropped_spans = other._dropped_spans
-        with self._lock:
-            offset = self._next_id - 1
-            for span in spans:
-                span.span_id += offset
-                if span.parent_id is not None:
-                    span.parent_id += offset
-                span._bus = self
-            self._spans.extend(spans)
-            self._events.extend(events)
-            self._next_id = id_span + offset
-            self._sampled_roots += sampled_roots
-            self._dropped_roots += dropped_roots
-            self._dropped_spans += dropped_spans
-        self.metrics.merge(other.metrics, exemplar_offset=offset)
 
 
 NULL_BUS = ObservabilityBus(enabled=False)

@@ -6,7 +6,7 @@ Two instrument kinds cover what the study needs:
   bytes moved, licenses granted, flow arrows drawn). Counter values are
   a deterministic function of the pipeline, so a stable subset is wired
   into ``StudyResult.summary()`` and must come out byte-identical across
-  sequential, parallel, cold, warm — and sampled — runs; the benchmarks
+  in-process, fleet, cold, warm — and sampled — runs; the benchmarks
   assert it.
 - **histograms** — value distributions (span durations in nanoseconds,
   payload sizes). Durations are real time and therefore *excluded* from
@@ -14,18 +14,15 @@ Two instrument kinds cover what the study needs:
 
 Histograms bucket every observation against **fixed power-of-two
 boundaries** (bucket *i* holds values in ``(2^(i-1), 2^i]``; bucket 0
-holds values ``<= 1``). Fixed boundaries make the merge exact and
-order-independent — bucket counts simply add — so p50/p95/p99 computed
-after a parallel merge equal the sequential run's, whatever order the
-worker registries were folded in. Buckets can carry an **exemplar**: the
-span id of the largest observation that landed in them, linking a
-latency outlier in the metrics table straight to its span in the
-recorded trace (only sampled spans donate exemplars, so the link never
-dangles).
+holds values ``<= 1``). Fixed boundaries keep percentiles independent
+of observation order — bucket counts simply add. Buckets can carry an
+**exemplar**: the span id of the largest observation that landed in
+them, linking a latency outlier in the metrics table straight to its
+span in the recorded trace (only sampled spans donate exemplars, so the
+link never dangles).
 
-Registries are lock-guarded (the parallel runner's per-worker buses are
-merged through :meth:`MetricsRegistry.merge`, and a server handler runs
-on whatever worker thread carried the request in).
+Registries are lock-guarded, so counters and histograms stay exact
+whichever thread emits into them.
 """
 
 from __future__ import annotations
@@ -71,8 +68,8 @@ class HistogramStat:
     # bucket index -> observation count; sparse, fixed boundaries.
     buckets: dict[int, int] = field(default_factory=dict)
     # bucket index -> (value, span_id) of the largest exemplar-bearing
-    # observation in that bucket. Merge keeps the max value (ties: the
-    # lower span id), which is commutative and associative.
+    # observation in that bucket (ties: the lower span id), whatever
+    # the observation order.
     exemplars: dict[int, tuple[float, int]] = field(default_factory=dict)
 
     def observe(self, value: float, *, exemplar: int | None = None) -> None:
@@ -109,9 +106,8 @@ class HistogramStat:
 
         Walks the cumulative bucket counts to the target rank, then
         interpolates linearly inside the bucket; clamped to the exact
-        observed [min, max]. Deterministic and merge-exact: the same
-        bucket counts give the same answer regardless of observation
-        or merge order.
+        observed [min, max]. Deterministic: the same bucket counts give
+        the same answer regardless of observation order.
         """
         if self.count == 0:
             return 0.0
@@ -133,38 +129,6 @@ class HistogramStat:
         for index in sorted(self.exemplars, reverse=True):
             return self.exemplars[index]
         return None
-
-    def merge(self, other: "HistogramStat") -> None:
-        self.count += other.count
-        self.total += other.total
-        for bound in (other.minimum, other.maximum):
-            if bound is None:
-                continue
-            self.minimum = bound if self.minimum is None else min(self.minimum, bound)
-            self.maximum = bound if self.maximum is None else max(self.maximum, bound)
-        for index, in_bucket in other.buckets.items():
-            self.buckets[index] = self.buckets.get(index, 0) + in_bucket
-        for index, (value, span_id) in other.exemplars.items():
-            self._offer_exemplar(index, value, span_id)
-
-    def copy(self) -> "HistogramStat":
-        return HistogramStat(
-            count=self.count,
-            total=self.total,
-            minimum=self.minimum,
-            maximum=self.maximum,
-            buckets=dict(self.buckets),
-            exemplars=dict(self.exemplars),
-        )
-
-    def shift_exemplars(self, offset: int) -> None:
-        """Remap exemplar span ids by *offset* (the bus merge remaps
-        worker span ids the same way, so trace links stay valid)."""
-        if offset:
-            self.exemplars = {
-                index: (value, span_id + offset)
-                for index, (value, span_id) in self.exemplars.items()
-            }
 
     def to_dict(self) -> dict[str, Any]:
         exemplar = self.max_exemplar()
@@ -191,7 +155,7 @@ class MetricsRegistry:
     *lock* guards every counter and histogram. A bus passes its own
     (re-entrant) lock, so its span records and metrics share one, and a
     *before_read* hook, called with the lock held before histograms are
-    read or merged out, that folds in the durations of closed spans.
+    read, that folds in the durations of closed spans.
     """
 
     def __init__(
@@ -261,30 +225,3 @@ class MetricsRegistry:
                 name: stat.to_dict() for name, stat in self.histograms().items()
             },
         }
-
-    # -- merging -----------------------------------------------------------
-
-    def merge(self, other: "MetricsRegistry", *, exemplar_offset: int = 0) -> None:
-        """Fold another registry (a finished worker's) into this one.
-
-        ``exemplar_offset`` is the span-id offset the bus merge applied
-        to the worker's spans; exemplars are shifted by the same amount
-        so they keep pointing at the remapped span records.
-        """
-        with other._lock:
-            if other._before_read is not None:
-                other._before_read()
-            counters = dict(other._counters)
-            histograms = {
-                name: stat.copy() for name, stat in other._histograms.items()
-            }
-        with self._lock:
-            for name, value in counters.items():
-                self._counters[name] = self._counters.get(name, 0) + value
-            for name, incoming in histograms.items():
-                incoming.shift_exemplars(exemplar_offset)
-                stat = self._histograms.get(name)
-                if stat is None:
-                    self._histograms[name] = incoming
-                else:
-                    stat.merge(incoming)

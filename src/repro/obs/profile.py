@@ -174,7 +174,7 @@ def to_collapsed_stacks(bus: ObservabilityBus) -> str:
         parent_id = span.parent_id
         while parent_id is not None:
             parent = by_id.get(parent_id)
-            if parent is None:  # orphaned by a partial merge; root here
+            if parent is None:  # parent not recorded; root here
                 break
             frames.append(parent.name)
             parent_id = parent.parent_id

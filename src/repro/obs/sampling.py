@@ -15,8 +15,9 @@ byte-identity contract:
   ``(seed, rate, root identity)`` — a SHA-256 of the root span's name
   and sorted attributes — never of arrival order or a shared counter.
   Re-running the study with the same seed and rate keeps the *same*
-  app trees; so does fanning it out over workers, because every
-  worker's bus computes the identical decision for the identical root.
+  app trees; so does running its cells on fresh device sessions,
+  because every session's bus computes the identical decision for the
+  identical root.
 - **Exactness-preserving.** Sampling drops *span records*, nothing
   else: counters still count, histograms still observe every closed
   span's duration (dropped or kept), flow arrows still reach their
@@ -56,8 +57,8 @@ class TraceSampler:
     """Deterministic keep-1-in-N decision maker for root spans.
 
     Instances are immutable and shareable: the study's bus and every
-    per-worker bus hold the *same* sampler, which is what makes the
-    parallel merge reproduce the sequential run's kept set exactly.
+    :class:`~repro.core.study.DeviceSession` bus hold the *same*
+    sampler, so a cell keeps the trees the in-process run keeps.
     """
 
     __slots__ = ("denominator", "seed")

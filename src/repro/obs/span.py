@@ -130,8 +130,8 @@ def structural_tree(spans: list[Span]) -> list[tuple]:
     """The timestamp-free projection of a span list: nested
     ``(name, sorted-attrs, children)`` tuples in start order.
 
-    Two runs of the same pipeline — sequential or fanned out over
-    workers — must produce equal structural trees per app; the
+    Two runs of the same pipeline — traced in full or sampled — must
+    produce equal structural trees for every app both keep; the
     equivalence tests compare exactly this.
     """
     children: dict[int | None, list[Span]] = {}

@@ -6,7 +6,7 @@ from repro.android.device import DeviceSpec, nexus_5, pixel_6
 from repro.android.packages import Apk, decompile
 from repro.android.process import MemoryRegion, Process
 from repro.android.safetynet import attest
-from repro.android.trace import FlowTrace
+from repro.android.trace import FlowEvent, FlowTrace
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 
@@ -160,10 +160,17 @@ class TestFlowTrace:
         assert trace.labels() == [("A", "B", "hello()")]
         assert "A -> B: hello()" in trace.render()
 
-    def test_disabled_trace_records_nothing(self):
-        trace = FlowTrace(enabled=False)
-        trace.record("A", "B", "x")
-        assert trace.events == []
+    def test_events_are_immutable_named_arrows(self):
+        trace = FlowTrace()
+        trace.record("A", "B", "hello()")
+        (event,) = trace.events
+        assert event == FlowEvent("A", "B", "hello()")
+        assert type(event) is FlowEvent
+        assert (event.source, event.target, event.label) == ("A", "B", "hello()")
+        assert str(event) == "A -> B: hello()"
+        assert repr(event) == "FlowEvent(source='A', target='B', label='hello()')"
+        with pytest.raises(AttributeError):
+            event.label = "other()"
 
     def test_clear(self):
         trace = FlowTrace()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.study import WideLeakStudy
+from repro.core.study import AttackCellArtifact, DeviceSession, WideLeakStudy
 from repro.fleet import Campaign, FleetError, FleetScheduler, ResultStore
 from repro.fleet.job import profile_fingerprint
 from repro.ott.registry import ALL_PROFILES
@@ -192,6 +192,18 @@ class TestResultStore:
 # ---------------------------------------------------------------------------
 
 
+class TestDeviceSession:
+    def test_device_session_mirrors_shared_serials(self):
+        """A cell's session boots the same device identities as the
+        study's shared pair, so the keybox authority resolves
+        identically."""
+        study = WideLeakStudy.with_default_apps()
+        session = DeviceSession(study)
+        assert session.l1_device.serial == study.l1_device.serial
+        assert session.legacy_device.serial == study.legacy_device.serial
+        assert session.l1_device.rooted and session.legacy_device.rooted
+
+
 class TestIncrementalRuns:
     def test_cold_fleet_run_matches_sequential_byte_for_byte(self, tmp_path):
         outcome = FleetScheduler(tmp_path).submit(Campaign(profiles=SMALL))
@@ -240,6 +252,29 @@ class TestIncrementalRuns:
         assert outcome.result.to_json() == sequential_json(SMALL)
         assert set(outcome.attacks) == {p.name for p in SMALL}
         assert outcome.attacks["Netflix"].device_model
+
+    @pytest.fixture(scope="class")
+    def sequential_attacks(self):
+        return {
+            name: AttackCellArtifact.from_result(result)
+            for name, result in WideLeakStudy(profiles=SMALL)
+            .run_all_attacks()
+            .items()
+        }
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_attack_cells_match_the_sequential_sweep(
+        self, tmp_path, sequential_attacks, jobs
+    ):
+        """Attack cells run on fresh DeviceSessions, inline or in worker
+        processes, yet recover exactly what the in-process sweep on the
+        study's shared devices recovers: keys, notes, media."""
+        outcome = FleetScheduler(tmp_path).submit(
+            Campaign(profiles=SMALL, include_attacks=True), jobs=jobs
+        )
+        assert set(outcome.attacks) == set(sequential_attacks)
+        for name, expected in sequential_attacks.items():
+            assert outcome.attacks[name] == expected, name
 
     def test_fleet_telemetry_rides_a_separate_bus(self, tmp_path):
         outcome = FleetScheduler(tmp_path).submit(Campaign(profiles=SMALL))

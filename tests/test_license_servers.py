@@ -1,6 +1,8 @@
 """Provisioning and license servers: grants, denials, revocation,
 signature checks — exercised over real protocol bytes."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.bmff.pssh import WidevinePsshData
@@ -237,3 +239,41 @@ class TestLicenseServer:
                 world.license_server.register_packaged_title(packaged, world.title)
             finally:
                 packaged.content_keys[kid] = original
+
+
+# --- thread safety of the shared keybox registry ------------------------------
+
+
+def test_keybox_authority_concurrent_provisioning():
+    """Concurrent registration + lookup across 64 distinct devices, plus
+    re-registration of the same serial (a DeviceSession boots the
+    study's serials again), never loses or mixes up an entry."""
+    authority = KeyboxAuthority()
+    serials = [f"DEV-{i:03d}" for i in range(64)]
+    keyboxes = {serial: issue_keybox(serial) for serial in serials}
+
+    def provision(serial: str) -> bytes:
+        keybox = keyboxes[serial]
+        level = "L1" if int(serial[4:]) % 2 == 0 else "L3"
+        authority.register(keybox, security_level=level)
+        # Re-register, as a second session booting the same serial would.
+        authority.register(keybox, security_level=level)
+        assert authority.knows(keybox.device_id)
+        return authority.device_key_for(keybox.device_id)
+
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        device_keys = list(pool.map(provision, serials))
+
+    for serial, device_key in zip(serials, device_keys):
+        keybox = keyboxes[serial]
+        assert device_key == keybox.device_key
+        expected_level = "L1" if int(serial[4:]) % 2 == 0 else "L3"
+        assert authority.attested_level_for(keybox.device_id) == expected_level
+
+
+def test_keybox_authority_unknown_device_still_raises():
+    authority = KeyboxAuthority()
+    with pytest.raises(LookupError):
+        authority.device_key_for(bytes(32))
+    with pytest.raises(LookupError):
+        authority.attested_level_for(bytes(32))

@@ -1,5 +1,7 @@
 """Network substrate: HTTP model, TLS pinning matrix, proxy, CDN."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from repro.net.cdn import CdnServer
@@ -335,3 +337,44 @@ class TestCdn:
     def test_url_for_unknown_asset(self):
         with pytest.raises(KeyError):
             CdnServer("cdn.example").url_for("/missing")
+
+
+# --- thread safety of the shared registry --------------------------------------
+
+
+def test_network_concurrent_register_and_lookup():
+    """Registration from many threads never corrupts the registry or
+    lets a lookup observe a half-registered host."""
+    network = Network()
+    hosts = [f"host-{i}.example" for i in range(64)]
+
+    def register_then_resolve(hostname: str) -> str:
+        network.register(VirtualServer(hostname))
+        # Resolve every host registered so far, from every thread.
+        return network.server_for(hostname).hostname
+
+    with ThreadPoolExecutor(max_workers=16) as pool:
+        resolved = list(pool.map(register_then_resolve, hosts))
+
+    assert resolved == hosts
+    for hostname in hosts:
+        assert network.server_for(hostname).hostname == hostname
+
+
+def test_network_duplicate_registration_raced():
+    """Exactly one of N racing registrations for the same host wins."""
+    network = Network()
+    server = VirtualServer("raced.example")
+
+    def attempt(_: int) -> bool:
+        try:
+            network.register(VirtualServer("raced.example"))
+            return True
+        except ValueError:
+            return False
+
+    network.register(server)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        wins = list(pool.map(attempt, range(32)))
+    assert not any(wins)
+    assert network.server_for("raced.example") is server

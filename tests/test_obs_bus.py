@@ -1,5 +1,5 @@
 """The observability bus: span nesting, ordering determinism, flow
-fan-out, merging, and the zero-overhead disabled mode."""
+fan-out, histograms, and the zero-overhead disabled mode."""
 
 from __future__ import annotations
 
@@ -184,29 +184,7 @@ class TestDisabledBusIsFree:
         }
 
 
-class TestMergeAndLifecycle:
-    def test_absorb_remaps_ids_and_keeps_trees(self):
-        study = ObservabilityBus(clock=FakeClock())
-        with study.span("study.setup"):
-            pass
-        worker_trees = []
-        workers = []
-        for app in ("Netflix", "Hulu"):
-            worker = ObservabilityBus(clock=FakeClock())
-            with worker.span("study.app", app=app):
-                with worker.span("license.exchange"):
-                    pass
-            worker_trees.extend(worker.trees())
-            workers.append(worker)
-        for worker in workers:
-            study.absorb(worker)
-        assert study.trees() == [("study.setup", (), ())] + worker_trees
-        ids = [s.span_id for s in study.spans]
-        assert len(ids) == len(set(ids)) == 5
-        assert study.metrics.histograms()["span.license.exchange"].count == 2
-        study.absorb(study)  # self-absorb is a no-op
-        assert len(study.spans) == 5
-
+class TestLifecycle:
     def test_clear_drops_data_but_keeps_consumers(self, bus):
         seen: list[tuple[str, str, str]] = []
         bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
@@ -217,64 +195,6 @@ class TestMergeAndLifecycle:
         assert bus.events == []
         bus.flow("d", "e", "f")
         assert seen == [("a", "b", "c"), ("d", "e", "f")]
-
-
-class TestAbsorbEdgeCases:
-    def test_absorbing_an_empty_worker_bus_is_harmless(self):
-        study = ObservabilityBus(clock=FakeClock())
-        with study.span("study.setup"):
-            pass
-        before_trees = study.trees()
-        before_metrics = study.metrics.snapshot()
-        study.absorb(ObservabilityBus(clock=FakeClock()))
-        assert study.trees() == before_trees
-        assert study.metrics.snapshot() == before_metrics
-        assert study.sampling_snapshot()["recorded_spans"] == 1
-
-    def test_absorbing_a_disabled_worker_bus_is_harmless(self):
-        study = ObservabilityBus(clock=FakeClock())
-        with study.span("study.setup"):
-            study.count("worlds.built")
-        disabled = ObservabilityBus(enabled=False)
-        with disabled.span("invisible"):
-            disabled.count("never")
-        study.absorb(disabled)
-        assert study.span_names() == ["study.setup"]
-        assert study.metrics.counters() == {"worlds.built": 1}
-        # The id space stays intact for the next real worker merge.
-        with study.span("study.next"):
-            pass
-        assert [s.span_id for s in study.spans] == [1, 2]
-
-    def test_absorb_shifts_exemplars_with_the_span_ids(self):
-        study = ObservabilityBus(clock=FakeClock())
-        with study.span("study.setup"):
-            pass
-        worker = ObservabilityBus(clock=FakeClock())
-        with worker.span("study.app", app="Hulu"):
-            with worker.span("license.exchange"):
-                pass
-        study.absorb(worker)
-        recorded_ids = {s.span_id for s in study.spans}
-        for stat in study.metrics.histograms().values():
-            for _, span_id in stat.exemplars.values():
-                assert span_id in recorded_ids
-
-
-    def test_absorb_of_an_open_worker_tree_keeps_exemplar_links(self):
-        study = ObservabilityBus(clock=FakeClock())
-        with study.span("study.setup"):
-            pass
-        worker = ObservabilityBus(clock=FakeClock())
-        with worker.span("study.app", app="Hulu"):
-            with worker.span("license.exchange"):
-                pass
-            # The root is still open: its child's duration is pending.
-            study.absorb(worker)
-        recorded_ids = {s.span_id for s in study.spans}
-        stat = study.metrics.histograms()["span.license.exchange"]
-        assert stat.count == 1
-        assert {span_id for _, span_id in stat.exemplars.values()} <= recorded_ids
 
 
 class TestMetricsShorthands:
@@ -328,26 +248,6 @@ class TestHistogramPercentiles:
         )
         assert stat.minimum <= p50 <= p95 <= p99 <= stat.maximum
         assert p50 < 100  # half the stream sits at or below 5
-
-    def test_merge_is_exact_and_order_independent(self):
-        from repro.obs.metrics import HistogramStat
-
-        def filled(values, base_id):
-            stat = HistogramStat()
-            for offset, value in enumerate(values):
-                stat.observe(value, exemplar=base_id + offset)
-            return stat
-
-        left_values, right_values = [1, 50, 900, 3], [7, 7, 2048]
-        ab = filled(left_values, 10)
-        ab.merge(filled(right_values, 20))
-        ba = filled(right_values, 20)
-        ba.merge(filled(left_values, 10))
-        assert ab.to_dict() == ba.to_dict()
-        assert ab.buckets == ba.buckets
-        assert ab.exemplars == ba.exemplars
-        for q in (50, 95, 99):
-            assert ab.percentile(q) == ba.percentile(q)
 
     def test_exemplar_tracks_the_bucket_maximum(self):
         from repro.obs.metrics import HistogramStat
