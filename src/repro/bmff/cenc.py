@@ -71,7 +71,7 @@ def _ctr_keystream(key: bytes, iv: bytes, length: int) -> bytes:
     decryption derive identical runs, so the second side is a cache hit.
     """
     if len(iv) not in (8, 16):
-        raise ValueError("CENC IV must be 8 or 16 bytes")
+        raise CencDecryptError("CENC IV must be 8 or 16 bytes")
     return ctr_keystream(key, iv, length)
 
 
@@ -212,7 +212,7 @@ def _cbcs_transform_range(
     if crypt_blocks < 1 or skip_blocks < 0:
         raise ValueError(f"bad cbcs pattern {pattern}")
     if len(iv) != BLOCK_SIZE:
-        raise ValueError("cbcs IV must be 16 bytes")
+        raise CencDecryptError("cbcs IV must be 16 bytes")
     # The crypt blocks of the range form one CBC chain, with the skipped
     # blocks and any partial trailing block left clear.
     crypt = crypt_blocks * BLOCK_SIZE

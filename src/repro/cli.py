@@ -400,14 +400,27 @@ def _cmd_trace_diff(old: str, new: str, threshold: float) -> int:
     return 1 if diff.regressions() else 0
 
 
-def _sampler_or_none(rate: str, seed: int):
+def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
+    """Run the study, or its ``--app`` alone, under a ``--rate`` sampler.
+
+    None (after printing why) for a bad rate or an unknown app.
+    """
     from repro.obs.sampling import TraceSampler
 
     try:
-        return TraceSampler.from_rate(rate, seed=seed)
+        sampler = TraceSampler.from_rate(args.rate, seed=args.seed)
     except ValueError as exc:
         print(f"--rate: {exc}", file=sys.stderr)
         return None
+    study = WideLeakStudy.with_default_apps(sampler=sampler)
+    if args.app is None:
+        study.run()
+    else:
+        profile = resolve_app(args.app)
+        if profile is None:
+            return None
+        study.study_app(profile)
+    return study
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
@@ -416,17 +429,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.diff is not None:
         return _cmd_trace_diff(args.diff[0], args.diff[1], args.threshold)
 
-    sampler = _sampler_or_none(args.rate, args.seed)
-    if sampler is None:
+    study = _sampled_study(args)
+    if study is None:
         return 2
-    study = WideLeakStudy.with_default_apps(sampler=sampler)
-    if args.app is None:
-        study.run()
-    else:
-        profile = resolve_app(args.app)
-        if profile is None:
-            return 2
-        study.study_app(profile)
     path = write_chrome_trace(study.obs, args.out)
     spans = len(study.obs.spans)
     print(f"wrote {path} ({spans} spans) — load in chrome://tracing or Perfetto")
@@ -439,17 +444,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import render_profile, write_flame_graph
 
-    sampler = _sampler_or_none(args.rate, args.seed)
-    if sampler is None:
+    study = _sampled_study(args)
+    if study is None:
         return 2
-    study = WideLeakStudy.with_default_apps(sampler=sampler)
-    if args.app is None:
-        study.run()
-    else:
-        profile = resolve_app(args.app)
-        if profile is None:
-            return 2
-        study.study_app(profile)
     print(render_profile(study.obs, top=args.top))
     print()
     print(_describe_sampling(study.obs.sampling_snapshot()))
@@ -542,7 +539,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
     print(
         f"\ncampaign {outcome.campaign_dir.name}: {stats['cells']} cells — "
         f"{stats['computed']} computed, {stats['cache_hits']} cache hits, "
-        f"{stats['steals']} steals, {stats['retries']} retries "
+        f"{stats['retries']} retries "
         f"({stats['workers']} worker(s))"
     )
     print(f"artifact: {outcome.campaign_dir / 'result.json'}")

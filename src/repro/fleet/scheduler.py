@@ -4,8 +4,8 @@ Everything the scheduler knows lives on the filesystem, under
 ``<root>/campaigns/<campaign_id>/``::
 
     campaign.json          the campaign manifest (rebuildable Campaign)
-    queue/w<i>/NNNN-<cell>.json   pending tickets, per assigned worker
-    claimed/w<i>/<cell>.json      tickets a worker is executing
+    queue/<cell>.json      pending tickets, one shared queue
+    claimed/w<i>/<cell>.json   tickets a worker is executing
     done/<cell>.json       completion markers (the checkpoint log)
     result.json            the assembled StudyResult artifact
 
@@ -14,17 +14,18 @@ so a ``kill -9`` at any instant leaves the campaign in a state
 :meth:`FleetScheduler.resume` can reconcile: *done* cells stay done,
 *claimed* tickets of dead workers are re-queued with one more attempt
 and an exponential backoff, *queued* tickets are untouched. Temp files
-never carry a ``.json`` suffix, so the ``*.json`` scans (claims,
-steals, done counts, status) cannot observe a half-written ticket; any
-debris a crash left behind is swept on the next submit/resume.
+never carry a ``.json`` suffix, so the ``*.json`` scans (claims, done
+counts, status) cannot observe a half-written ticket; any debris a
+crash left behind is swept on the next submit/resume.
 
 Workers are **processes** (``--jobs N``), the repo's one parallel
 engine: each one builds its own :class:`~repro.core.study.WideLeakStudy`
 world and boots a fresh :class:`~repro.core.study.DeviceSession` per
-cell, so no cell sees device state another cell left behind. A worker
-whose own queue runs dry **steals** from the tail of the deepest
-sibling queue; claims are renames, so two thieves can never hold the
-same ticket.
+cell, so no cell sees device state another cell left behind. Every
+worker claims the first due ticket of the sorted shared queue by
+renaming it into its own ``claimed/`` directory; the rename is the
+lock, so two workers can never hold the same ticket, and an idle
+worker simply takes the next one.
 
 Byte-identity contract
 ----------------------
@@ -40,8 +41,8 @@ or recovered across a crash. Two rules make this hold:
   counters. Their sum is exactly the sequential run's counter totals
   (counters add, and each cell's are a function of its inputs alone);
 - assembly replays those counters onto a **fresh** bus and builds the
-  result from the persisted artifacts. Fleet telemetry (spans, steal /
-  retry / cache-hit counters) lives on a *separate* bus exposed via
+  result from the persisted artifacts. Fleet telemetry (spans, retry /
+  cache-hit counters) lives on a *separate* bus exposed via
   :attr:`FleetOutcome.obs`, so ``repro profile`` and ``repro trace``
   work on fleet runs without ever contaminating the artifact.
 """
@@ -96,11 +97,6 @@ class FleetError(RuntimeError):
 class _InjectedCrash(Exception):
     """In-process stand-in for a worker death (inline ``jobs=1`` mode)."""
 
-    def __init__(self, claimed_path: Path, ticket: dict):
-        super().__init__(f"injected crash on {ticket['cell_id']}")
-        self.claimed_path = claimed_path
-        self.ticket = ticket
-
 
 def _backoff(attempt: int) -> float:
     """Exponential backoff before re-running a cell whose worker died."""
@@ -115,8 +111,8 @@ _TMP_SEQ = itertools.count()
 def _write_text_atomic(path: Path, text: str) -> None:
     # The temp name must NOT end in ".json": every queue/claimed/done
     # scan globs "*.json", and a kill -9 between write and replace must
-    # leave only debris those scans (and ticket-name parsing, steal
-    # renames, done counts) never see. _sweep_tmp clears it on resume.
+    # leave only debris those scans (claims, requeues, done counts)
+    # never see. _sweep_tmp clears it on resume.
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{next(_TMP_SEQ)}"
     tmp.write_text(text)
@@ -145,6 +141,44 @@ def _read_json(path: Path) -> dict | None:
         return json.loads(path.read_text())
     except (FileNotFoundError, json.JSONDecodeError):
         return None
+
+
+def _enqueue(
+    campaign_dir: Path, cell: CellSpec, *, attempt: int, not_before: float = 0.0
+) -> None:
+    _write_json_atomic(
+        campaign_dir / "queue" / f"{cell.cell_id}.json",
+        {"cell_id": cell.cell_id, "attempt": attempt, "not_before": not_before},
+    )
+
+
+def _requeue_claims(campaign: Campaign, campaign_dir: Path, worker_id: str) -> None:
+    """Put the tickets a dead worker held back on the queue.
+
+    *worker_id* names one worker's ``claimed/`` directory, or ``"*"`` for
+    every worker's. A claim whose cell already has a done marker is
+    dropped; any other is re-queued with one more attempt and a backoff
+    window, and a cell past :data:`MAX_ATTEMPTS` fails the campaign.
+    """
+    done_dir = campaign_dir / "done"
+    for claimed in sorted((campaign_dir / "claimed").glob(f"{worker_id}/*.json")):
+        ticket = _read_json(claimed) or {}
+        claimed.unlink(missing_ok=True)
+        if (done_dir / claimed.name).exists():
+            continue
+        attempt = int(ticket.get("attempt", 1)) + 1
+        if attempt > MAX_ATTEMPTS:
+            raise FleetError(
+                f"cell {claimed.stem!r} failed {MAX_ATTEMPTS} attempts; "
+                "giving up on the campaign"
+            )
+        _enqueue(
+            campaign_dir,
+            campaign.cell_by_id(claimed.stem),
+            attempt=attempt,
+            # lint: allow(CLK003) retry backoff deadline is scheduling state, never artifact data
+            not_before=time.time() + _backoff(attempt),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +244,7 @@ class _CellExecutor:
 
 
 class _Worker:
-    """One queue consumer: claim → execute → checkpoint, stealing when dry."""
+    """One queue consumer: claim → execute → checkpoint."""
 
     def __init__(
         self,
@@ -231,56 +265,25 @@ class _Worker:
         self.claimed_dir = campaign_dir / "claimed" / worker_id
         self.claimed_dir.mkdir(parents=True, exist_ok=True)
 
-    # -- filesystem views --------------------------------------------------
-
     def _done_count(self) -> int:
         return len(list((self.dir / "done").glob("*.json")))
 
-    def _queue_dirs(self) -> list[Path]:
-        return sorted(
-            d for d in (self.dir / "queue").iterdir() if d.is_dir()
-        )
-
-    # -- claiming ----------------------------------------------------------
-
-    def _try_claim(
-        self, ticket_path: Path, *, steal: bool
-    ) -> tuple[Path, dict] | None:
-        ticket = _read_json(ticket_path)
-        if ticket is None:
-            return None
-        # lint: allow(CLK003) backoff deadline is scheduling state, never artifact data
-        if ticket.get("not_before", 0.0) > time.time():
-            return None
-        target = self.claimed_dir / f"{ticket['cell_id']}.json"
-        try:
-            os.rename(ticket_path, target)
-        except FileNotFoundError:
-            return None  # another worker won the rename race
-        if steal:
-            ticket["stolen"] = True
-        ticket["owner"] = self.worker_id
-        _write_json_atomic(target, ticket)
-        return target, ticket
-
     def _claim(self) -> tuple[Path, dict] | None:
-        own = self.dir / "queue" / self.worker_id
-        if own.is_dir():
-            for ticket_path in sorted(own.glob("*.json")):
-                claim = self._try_claim(ticket_path, steal=False)
-                if claim is not None:
-                    return claim
-        # Own queue dry: steal from the tail of the deepest sibling queue.
-        victims = sorted(
-            (d for d in self._queue_dirs() if d.name != self.worker_id),
-            key=lambda d: len(list(d.glob("*.json"))),
-            reverse=True,
-        )
-        for victim in victims:
-            for ticket_path in sorted(victim.glob("*.json"), reverse=True):
-                claim = self._try_claim(ticket_path, steal=True)
-                if claim is not None:
-                    return claim
+        """Rename the first due ticket of the shared queue into ours."""
+        # lint: allow(CLK003) backoff deadline is scheduling state, never artifact data
+        now = time.time()
+        for ticket_path in sorted((self.dir / "queue").glob("*.json")):
+            ticket = _read_json(ticket_path)
+            if ticket is None or ticket.get("not_before", 0.0) > now:
+                continue
+            target = self.claimed_dir / ticket_path.name
+            try:
+                os.rename(ticket_path, target)
+            except FileNotFoundError:
+                continue  # another worker won the rename race
+            # Re-read: the ticket may have been re-queued under the same
+            # name between our read and the rename.
+            return target, _read_json(target) or ticket
         return None
 
     # -- execution ---------------------------------------------------------
@@ -295,7 +298,7 @@ class _Worker:
         if attempt <= self.campaign.faults.get(cell.cell_id, 0):
             # Test hook: die exactly like a kill -9 mid-cell.
             if self.inline:
-                raise _InjectedCrash(claimed_path, ticket)
+                raise _InjectedCrash(cell.cell_id)
             os._exit(_FAULT_EXIT_CODE)
         # lint: allow(CLK003) per-cell wall time is fleet telemetry, never artifact data
         started = time.perf_counter()
@@ -311,7 +314,6 @@ class _Worker:
                 "key": cell.key,
                 "computed": computed,
                 "cache_hit": not computed,
-                "stolen": bool(ticket.get("stolen", False)),
                 "attempt": attempt,
                 "worker": self.worker_id,
                 # lint: allow(CLK003) same telemetry stopwatch as above
@@ -367,7 +369,7 @@ class FleetOutcome:
     attacks: dict[str, AttackCellArtifact]
     stats: dict[str, int]
     campaign_dir: Path
-    # Fleet telemetry bus (spans + steal/retry/cache counters) — kept
+    # Fleet telemetry bus (spans + retry/cache counters) — kept
     # separate from result.obs so the artifact stays byte-identical.
     obs: ObservabilityBus = field(repr=False)
 
@@ -430,15 +432,12 @@ class FleetScheduler:
             for round_ in range(2):
                 with telemetry.span("fleet.reconcile"):
                     pending = self._reconcile(
-                        campaign,
-                        campaign_dir,
-                        jobs,
-                        refresh_markers=round_ == 0,
+                        campaign, campaign_dir, refresh_markers=round_ == 0
                     )
                 if pending:
                     with telemetry.span("fleet.execute", pending=pending):
                         self._execute(campaign, campaign_dir, jobs)
-                missing = self._missing_keys(campaign, campaign_dir)
+                missing = self._missing_keys(campaign)
                 if not missing:
                     break
                 for cell in missing:
@@ -451,7 +450,7 @@ class FleetScheduler:
                     "raise the store bound (repro fleet gc --max-bytes)"
                 )
             stats = self._stats(campaign, campaign_dir, jobs)
-            for name in ("computed", "cache_hits", "steals", "retries"):
+            for name in ("computed", "cache_hits", "retries"):
                 telemetry.count(f"fleet.{name}", stats[name])
             telemetry.count("fleet.cells.total", stats["cells"])
             with telemetry.span("fleet.assemble"):
@@ -496,7 +495,7 @@ class FleetScheduler:
                 continue
             total = len(manifest.get("cells", []))
             done = len(list((campaign_dir / "done").glob("*.json")))
-            queued = len(list((campaign_dir / "queue").glob("w*/*.json")))
+            queued = len(list((campaign_dir / "queue").glob("*.json")))
             claimed = len(list((campaign_dir / "claimed").glob("w*/*.json")))
             rows.append(
                 {
@@ -540,41 +539,26 @@ class FleetScheduler:
         self,
         campaign: Campaign,
         campaign_dir: Path,
-        jobs: int,
         *,
         refresh_markers: bool = False,
     ) -> int:
         """Bring queue/claimed/done into agreement with the store.
 
-        Returns how many cells still need a worker. With
-        ``refresh_markers`` (the first round of a submission), done
-        markers inherited from earlier runs are rewritten as cache
-        hits, so stats report what *this* invocation computed.
+        Returns how many cells still need a worker. No worker runs
+        while this does, so every claim belongs to a dead one and goes
+        back on the queue. With ``refresh_markers`` (the first round of
+        a submission), done markers inherited from earlier runs are
+        rewritten as cache hits, so stats report what *this* invocation
+        computed.
         """
+        _requeue_claims(campaign, campaign_dir, "*")
         done_dir = campaign_dir / "done"
-        queued_ids = {
-            _stem_cell_id(p)
-            for p in (campaign_dir / "queue").glob("w*/*.json")
-        }
-        next_ticket = 1 + max(
-            (
-                int(p.name.split("-", 1)[0])
-                for p in (campaign_dir / "queue").glob("w*/*.json")
-            ),
-            default=0,
-        )
+        queued_ids = {p.stem for p in (campaign_dir / "queue").glob("*.json")}
         pending = 0
-        lane = 0
         for cell in campaign.cells():
             done_path = done_dir / f"{cell.cell_id}.json"
             marker = _read_json(done_path)
             if marker is not None and self.store.contains(marker["key"]):
-                # Done and still stored: nothing to do; drop any stale
-                # claimed file a crash left behind next to the marker.
-                for stale in (campaign_dir / "claimed").glob(
-                    f"w*/{cell.cell_id}.json"
-                ):
-                    stale.unlink(missing_ok=True)
                 if refresh_markers:
                     _write_json_atomic(
                         done_path, _cache_hit_marker(cell)
@@ -582,26 +566,6 @@ class FleetScheduler:
                 continue
             if marker is not None:
                 done_path.unlink(missing_ok=True)  # store evicted it
-            claimed = sorted(
-                (campaign_dir / "claimed").glob(f"w*/{cell.cell_id}.json")
-            )
-            if claimed:
-                # A dead (or previous-process) worker held it: requeue
-                # with one more attempt and a backoff window.
-                ticket = _read_json(claimed[0]) or {"attempt": 1}
-                for path in claimed:
-                    path.unlink(missing_ok=True)
-                self._requeue(
-                    campaign_dir,
-                    cell,
-                    attempt=int(ticket.get("attempt", 1)) + 1,
-                    seq=next_ticket,
-                    lane=f"w{lane % jobs}",
-                )
-                next_ticket += 1
-                lane += 1
-                pending += 1
-                continue
             if cell.cell_id in queued_ids:
                 pending += 1
                 continue
@@ -609,61 +573,9 @@ class FleetScheduler:
                 # Warm cell: checkpoint it directly, no worker round-trip.
                 _write_json_atomic(done_path, _cache_hit_marker(cell))
                 continue
-            self._enqueue(
-                campaign_dir,
-                cell,
-                attempt=1,
-                seq=next_ticket,
-                lane=f"w{lane % jobs}",
-            )
-            next_ticket += 1
-            lane += 1
+            _enqueue(campaign_dir, cell, attempt=1)
             pending += 1
         return pending
-
-    def _enqueue(
-        self,
-        campaign_dir: Path,
-        cell: CellSpec,
-        *,
-        attempt: int,
-        seq: int,
-        lane: str,
-        not_before: float = 0.0,
-    ) -> None:
-        _write_json_atomic(
-            campaign_dir / "queue" / lane / f"{seq:04d}-{cell.cell_id}.json",
-            {
-                "cell_id": cell.cell_id,
-                "attempt": attempt,
-                "not_before": not_before,
-                "stolen": False,
-            },
-        )
-
-    def _requeue(
-        self,
-        campaign_dir: Path,
-        cell: CellSpec,
-        *,
-        attempt: int,
-        seq: int,
-        lane: str,
-    ) -> None:
-        if attempt > MAX_ATTEMPTS:
-            raise FleetError(
-                f"cell {cell.cell_id!r} failed {MAX_ATTEMPTS} attempts; "
-                "giving up on the campaign"
-            )
-        self._enqueue(
-            campaign_dir,
-            cell,
-            attempt=attempt,
-            seq=seq,
-            lane=lane,
-            # lint: allow(CLK003) retry backoff deadline is scheduling state, never artifact data
-            not_before=time.time() + _backoff(attempt),
-        )
 
     def _execute(
         self, campaign: Campaign, campaign_dir: Path, jobs: int
@@ -677,22 +589,11 @@ class FleetScheduler:
         worker = _Worker(
             campaign, self.store, campaign_dir, "w0", inline=True
         )
-        next_ticket = 9000  # requeue tickets sort after initial ones
         while True:
             try:
                 code = worker.run()
-            except _InjectedCrash as crash:
-                crash.claimed_path.unlink(missing_ok=True)
-                cell = campaign.cell_by_id(crash.ticket["cell_id"])
-                self._requeue(
-                    campaign_dir,
-                    cell,
-                    attempt=int(crash.ticket.get("attempt", 1)) + 1,
-                    seq=next_ticket,
-                    lane="w0",
-                )
-                next_ticket += 1
-                time.sleep(_backoff(int(crash.ticket.get("attempt", 1)) + 1))
+            except _InjectedCrash:
+                _requeue_claims(campaign, campaign_dir, "w0")
                 continue
             if code != 0:
                 raise FleetError(
@@ -723,28 +624,13 @@ class FleetScheduler:
 
         procs = {f"w{i}": spawn(f"w{i}") for i in range(jobs)}
         try:
-            next_ticket = 9000
             while len(list(done_dir.glob("*.json"))) < total:
                 for worker_id, proc in list(procs.items()):
                     if proc.is_alive():
                         continue
                     # Dead worker: put its claimed cells back on the
                     # queue with a retry, then give it a fresh process.
-                    claimed_dir = campaign_dir / "claimed" / worker_id
-                    for claimed in sorted(claimed_dir.glob("*.json")):
-                        ticket = _read_json(claimed) or {"attempt": 1}
-                        claimed.unlink(missing_ok=True)
-                        cell_id = claimed.stem
-                        if (done_dir / f"{cell_id}.json").exists():
-                            continue
-                        self._requeue(
-                            campaign_dir,
-                            campaign.cell_by_id(cell_id),
-                            attempt=int(ticket.get("attempt", 1)) + 1,
-                            seq=next_ticket,
-                            lane=worker_id,
-                        )
-                        next_ticket += 1
+                    _requeue_claims(campaign, campaign_dir, worker_id)
                     if len(list(done_dir.glob("*.json"))) < total:
                         procs[worker_id] = spawn(worker_id)
                 time.sleep(0.02)
@@ -755,9 +641,7 @@ class FleetScheduler:
                     proc.terminate()
                     proc.join()
 
-    def _missing_keys(
-        self, campaign: Campaign, campaign_dir: Path
-    ) -> list[CellSpec]:
+    def _missing_keys(self, campaign: Campaign) -> list[CellSpec]:
         return [
             cell
             for cell in campaign.cells()
@@ -776,7 +660,6 @@ class FleetScheduler:
             "cells": len(campaign.cells()),
             "computed": sum(1 for m in markers if m["computed"]),
             "cache_hits": sum(1 for m in markers if m["cache_hit"]),
-            "steals": sum(1 for m in markers if m.get("stolen")),
             "retries": sum(max(0, m.get("attempt", 1) - 1) for m in markers),
             "workers": jobs,
         }
@@ -844,18 +727,12 @@ class FleetScheduler:
         )
 
 
-def _stem_cell_id(ticket_path: Path) -> str:
-    """``NNNN-<cell_id>.json`` → ``<cell_id>``."""
-    return ticket_path.stem.split("-", 1)[1]
-
-
 def _cache_hit_marker(cell: CellSpec) -> dict:
     return {
         "cell_id": cell.cell_id,
         "key": cell.key,
         "computed": False,
         "cache_hit": True,
-        "stolen": False,
         "attempt": 1,
         "worker": "reconcile",
         "seconds": 0.0,

@@ -124,7 +124,7 @@ class ObservabilityBus:
             # ``**attrs`` is a fresh dict per call: the span can own it.
             # Positional: keywords cost a third of the constructor.
             span = Span(
-                name, span_id, parent_id, track, now, None, attrs, [], sampled, self
+                name, span_id, parent_id, track, now, None, attrs, (), sampled, self
             )
             if sampled:
                 self._spans.append(span)
@@ -188,7 +188,7 @@ class ObservabilityBus:
             return
         point = make_point((name, self._clock(), attrs))
         with self._lock:
-            span.points.append(point)
+            span._add_points([point])
 
     def current_span(self) -> Span | None:
         with self._lock:
@@ -204,7 +204,10 @@ class ObservabilityBus:
         point = make_point((name, self._clock(), attrs))
         with self._lock:
             stack = self._stack
-            (stack[-1].points if stack else self._events).append(point)
+            if stack:
+                stack[-1]._add_points([point])
+            else:
+                self._events.append(point)
 
     # -- flow arrows -------------------------------------------------------
 
@@ -235,7 +238,10 @@ class ObservabilityBus:
             with self._lock:
                 self.metrics.count("flow.arrows", len(points))
                 stack = self._stack
-                (stack[-1].points if stack else self._events).extend(points)
+                if stack:
+                    stack[-1]._add_points(points)
+                else:
+                    self._events.extend(points)
 
     # -- metrics shorthands ------------------------------------------------
 

@@ -53,7 +53,9 @@ class Span:
     start_ns: int
     end_ns: int | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-    points: list[SpanPoint] = field(default_factory=list)
+    # The shared empty tuple until the first point: ~95% of spans never
+    # get one, and an empty list per span is a GC-tracked allocation.
+    points: list[SpanPoint] | tuple[()] = ()
     # Head-based sampling verdict, inherited from the root: a dropped
     # span still times its work (histograms stay exact) but is never
     # recorded, so a tree is either exported whole or not at all.
@@ -90,6 +92,14 @@ class Span:
         """Attach a point event to this span."""
         if self._bus is not None:
             self._bus._point(self, name, attrs)
+
+    def _add_points(self, points: list[SpanPoint]) -> None:
+        """Append *points*, a list the span may keep as its own. Caller
+        holds the bus lock."""
+        if self.points:
+            self.points.extend(points)
+        else:
+            self.points = points
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -238,12 +238,22 @@ class TestIncrementalRuns:
         assert outcome.stats["cache_hits"] == len(SMALL) - 1
         assert outcome.result.to_json() == sequential_json(bumped)
 
-    def test_multiprocess_run_is_byte_identical_and_steals(self, tmp_path):
-        outcome = FleetScheduler(tmp_path).submit(
-            Campaign(profiles=SMALL), jobs=2
-        )
+    def test_multiprocess_run_is_byte_identical_and_drains_the_queue(
+        self, tmp_path
+    ):
+        campaign = Campaign(profiles=SMALL)
+        outcome = FleetScheduler(tmp_path).submit(campaign, jobs=2)
         assert outcome.result.to_json() == sequential_json(SMALL)
         assert outcome.stats["workers"] == 2
+        campaign_dir = outcome.campaign_dir
+        markers = sorted((campaign_dir / "done").glob("*.json"))
+        assert [p.stem for p in markers] == sorted(
+            c.cell_id for c in campaign.cells()
+        )
+        for path in markers:
+            assert json.loads(path.read_text())["worker"] in {"w0", "w1"}
+        assert not list((campaign_dir / "queue").iterdir())
+        assert not list((campaign_dir / "claimed").glob("*/*"))
 
     def test_attack_cells_ride_along_without_touching_the_artifact(self, tmp_path):
         outcome = FleetScheduler(tmp_path).submit(
@@ -305,6 +315,78 @@ class TestCrashRecovery:
         outcome = FleetScheduler(tmp_path).submit(campaign, jobs=2)
         assert outcome.stats["retries"] >= 1
         assert outcome.result.to_json() == sequential_json(SMALL)
+
+    def test_requeue_claims_drops_done_and_retries_the_rest(self, tmp_path):
+        from repro.fleet.scheduler import MAX_ATTEMPTS, _requeue_claims
+
+        campaign = Campaign(profiles=SMALL)
+        campaign_dir = tmp_path / "campaign"
+        claimed = campaign_dir / "claimed" / "w3"
+        claimed.mkdir(parents=True)
+        (campaign_dir / "done").mkdir()
+        (campaign_dir / "done" / "world.json").write_text("{}")
+        for cell_id in ("world", "audit-netflix"):
+            (claimed / f"{cell_id}.json").write_text(
+                json.dumps({"cell_id": cell_id, "attempt": 2})
+            )
+        before = time.time()
+        _requeue_claims(campaign, campaign_dir, "*")
+        assert not list(claimed.iterdir())
+        queued = sorted((campaign_dir / "queue").glob("*.json"))
+        assert [p.name for p in queued] == ["audit-netflix.json"]
+        ticket = json.loads(queued[0].read_text())
+        assert ticket["attempt"] == 3
+        assert ticket["not_before"] > before
+
+        (claimed / "audit-disneyplus.json").write_text(
+            json.dumps({"cell_id": "audit-disneyplus", "attempt": MAX_ATTEMPTS})
+        )
+        with pytest.raises(FleetError, match="attempts"):
+            _requeue_claims(campaign, campaign_dir, "w3")
+
+    def test_racing_workers_claim_each_shared_ticket_exactly_once(
+        self, tmp_path
+    ):
+        """More claimers than cores, switching often: the rename is the
+        only lock, so no ticket may be lost or claimed twice."""
+        from repro.fleet.scheduler import _Worker
+
+        campaign_dir = tmp_path / "campaign"
+        queue = campaign_dir / "queue"
+        queue.mkdir(parents=True)
+        tickets = {f"cell-{i:03d}" for i in range(200)}
+        for cell_id in tickets:
+            (queue / f"{cell_id}.json").write_text(
+                json.dumps({"cell_id": cell_id, "attempt": 1, "not_before": 0.0})
+            )
+        workers = [
+            _Worker(Campaign(profiles=SMALL), ResultStore(tmp_path / "store"),
+                    campaign_dir, f"w{i}")
+            for i in range(6)
+        ]
+        claims: dict[str, list[str]] = {w.worker_id: [] for w in workers}
+
+        def drain(worker):
+            while (claim := worker._claim()) is not None:
+                claims[worker.worker_id].append(claim[1]["cell_id"])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drain, args=(w,)) for w in workers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        claimed = [cell_id for ids in claims.values() for cell_id in ids]
+        assert sorted(claimed) == sorted(tickets)
+        assert not list(queue.glob("*.json"))
+        for worker_id, ids in claims.items():
+            held = campaign_dir / "claimed" / worker_id
+            assert sorted(p.stem for p in held.glob("*.json")) == sorted(ids)
 
     def test_cell_out_of_retries_fails_the_campaign(self, tmp_path):
         campaign = Campaign(profiles=SMALL, faults={"audit-netflix": 99})
@@ -369,11 +451,11 @@ class TestCrashRecovery:
         campaign_dir = scheduler.campaign_dir(campaign)
         debris = [
             # Current naming: "<name>.tmp-<pid>-<n>" — no .json suffix.
-            campaign_dir / "queue" / "w0" / "0007-audit-x.json.tmp-99-0",
+            campaign_dir / "queue" / "audit-x.json.tmp-99-0",
             # Dot-prefixed naming of earlier revisions DID match
             # glob("*.json"); planted in every scanned directory, the
             # old reconcile died on int("tmp") / cell_by_id("tmp...").
-            campaign_dir / "queue" / "w0" / ".tmp-99-0007-audit-x.json",
+            campaign_dir / "queue" / ".tmp-99-audit-x.json",
             campaign_dir / "claimed" / "w0" / ".tmp-99-audit-x.json",
             campaign_dir / "done" / ".tmp-99-world.json",
         ]
@@ -385,6 +467,22 @@ class TestCrashRecovery:
         assert outcome.stats["computed"] == 0  # debris is not work
         for path in debris:
             assert not path.exists(), f"{path.name} survived the sweep"
+
+    def test_ticket_lanes_of_the_earlier_layout_are_ignored(self, tmp_path):
+        """A campaign interrupted under per-worker lanes (queue/w<i>/)
+        needs no migration: its cells are simply queued again."""
+        scheduler = FleetScheduler(tmp_path)
+        campaign = Campaign(profiles=SMALL)
+        lane = scheduler.campaign_dir(campaign) / "queue" / "w0"
+        lane.mkdir(parents=True)
+        (lane / "0001-audit-netflix.json").write_text(
+            json.dumps({"cell_id": "audit-netflix", "attempt": 1,
+                        "not_before": 0.0, "stolen": False})
+        )
+        outcome = scheduler.submit(campaign)
+        assert outcome.result.to_json() == sequential_json(SMALL)
+        assert outcome.stats["computed"] == len(SMALL) + 1
+        assert scheduler.status()[0]["queued"] == 0
 
     def test_atomic_write_temp_names_are_invisible_to_json_globs(
         self, tmp_path

@@ -8,10 +8,11 @@ import dataclasses
 import pytest
 
 from repro.bmff.boxes import SencEntry, SubsampleRange
-from repro.bmff.builder import build_media_segment
+from repro.bmff.builder import build_init_segment, build_media_segment, read_track_info
 from repro.bmff.cenc import CencSample
 from repro.core.media_recovery import MediaRecoveryPipeline
 from repro.license_server.provisioning import KeyboxAuthority
+from repro.net.http import HttpRequest
 from repro.net.network import Network
 from repro.ott.backend import OttBackend
 from repro.ott.registry import profile_by_name
@@ -108,3 +109,46 @@ def test_undecryptable_sample_fails_only_its_track(title):
     assert not broken.decrypted and not broken.playable
     assert "subsample map covers 2 bytes" in broken.note
     _assert_others_intact(recovered, intact, "v720")
+
+
+@pytest.mark.parametrize(
+    "iv_size, scheme, error",
+    [
+        (0, "cenc", "CENC IV must be 8 or 16 bytes"),
+        (8, "cbcs", "cbcs IV must be 16 bytes"),
+    ],
+)
+def test_iv_size_unfit_for_the_scheme_fails_only_its_track(
+    title, iv_size, scheme, error
+):
+    """The track's assets are replaced by ones that parse, but whose
+    ``tenc`` IV size the scheme cannot use."""
+    cdn, base, recover = title
+    intact = recover()
+    init_path = f"{base}/v540/init.mp4"
+    init = cdn.handle(HttpRequest("GET", cdn.url_for(init_path))).body
+    info = read_track_info(init)
+    cdn.put(
+        init_path,
+        build_init_segment(
+            kind=info.kind,
+            codec=info.codec,
+            default_kid=info.default_kid,
+            iv_size=iv_size,
+            scheme=scheme,
+        ),
+    )
+    sample = CencSample(
+        data=bytes(64),
+        entry=SencEntry(iv=bytes(iv_size), subsamples=[SubsampleRange(16, 48)]),
+    )
+    for index in range(len(_by_rep(intact)["v540"].clear_segments)):
+        cdn.put(
+            f"{base}/v540/seg-{index:04d}.m4s",
+            build_media_segment(index + 1, [sample], iv_size=iv_size),
+        )
+    recovered = recover()
+    broken = _by_rep(recovered)["v540"]
+    assert not broken.decrypted and not broken.playable
+    assert broken.note == f"asset unusable: {error}"
+    _assert_others_intact(recovered, intact, "v540")

@@ -81,6 +81,19 @@ class TestSpanNesting:
             "on-current-span",
         ]
 
+    def test_points_list_exists_only_once_a_point_arrives(self, bus):
+        with bus.span("quiet"):
+            pass
+        with bus.span("busy") as busy:
+            bus.flows(("app", "cdm", "a"), ("cdm", "app", "b"))
+            busy.event("frame")
+        quiet, loud = bus.spans
+        assert quiet.points == () and quiet.to_dict()["points"] == []
+        assert [p.name for p in loud.points] == ["flow", "flow", "frame"]
+        assert [p["name"] for p in loud.to_dict()["points"]] == [
+            "flow", "flow", "frame"
+        ]
+
     def test_root_event_without_open_span(self, bus):
         bus.event("orphan", reason="no span open")
         assert [e.name for e in bus.events] == ["orphan"]
