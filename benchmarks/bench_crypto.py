@@ -1,8 +1,9 @@
 """Crypto substrate micro-benchmarks.
 
 Not a paper artefact — these quantify the simulation's own primitives
-(pure-Python AES/CMAC/RSA/CENC) so regressions in the substrate are
-visible independently of the pipeline benches.
+(AES through libcrypto and its pure-Python reference, the modes, CMAC,
+the KDF, RSA, CENC) so regressions in the substrate are visible
+independently of the pipeline benches.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import hashlib
 import pytest
 
 from repro.bmff.cenc import decrypt_sample, encrypt_sample
-from repro.crypto.aes import AES
-from repro.crypto.cmac import aes_cmac, aes_cmac_many
+from repro.crypto.aes import AES, cipher_for
+from repro.crypto.cmac import aes_cmac
 from repro.crypto.kdf import derive_session_keys
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_transform
 from repro.crypto.rng import HmacDrbg, derive_rng
@@ -24,9 +25,15 @@ _IV = bytes(range(16))
 
 
 def test_bench_aes_block(benchmark):
-    cipher = AES(_KEY)
+    # One block through cipher_for, the call every mode makes.
     block = bytes(16)
-    out = benchmark(cipher.encrypt_block, block)
+    out = benchmark(cipher_for(_KEY).encrypt_blocks, block)
+    assert out == AES(_KEY).encrypt_block(block)
+
+
+def test_bench_aes_block_python_reference(benchmark):
+    # The T-table fallback, for the native-vs-reference ratio.
+    out = benchmark(AES(_KEY).encrypt_block, bytes(16))
     assert len(out) == 16
 
 
@@ -36,36 +43,35 @@ def test_bench_ctr_4kb(benchmark):
     assert len(out) == 4096
 
 
-# CENC run lengths (in blocks) that media recovery decrypts. AES.keystream
-# has no cache, so unlike test_bench_ctr_4kb (whose ctr_transform hits the
-# keystream LRU after its first round) every round here runs the
-# multi-block AES kernel.
+# CENC run lengths (in blocks) that media recovery decrypts. Unlike
+# test_bench_ctr_4kb (whose ctr_transform hits the keystream LRU after
+# its first round), every round here generates the runs: ECB over the
+# counter blocks, as a keystream LRU miss does.
 _RECOVERY_RUN_BLOCKS = (5, 18, 23, 35)
 
 
+def _counter_blocks(first: int, count: int) -> bytes:
+    return b"".join(c.to_bytes(16, "big") for c in range(first, first + count))
+
+
 def test_bench_keystream_recovery_runs(benchmark):
-    cipher = AES(_KEY)
-    runs = [
-        list(range(i << 64, (i << 64) + n))
-        for i, n in enumerate(_RECOVERY_RUN_BLOCKS)
-    ]
+    cipher = cipher_for(_KEY)
+    runs = [_counter_blocks(i << 64, n) for i, n in enumerate(_RECOVERY_RUN_BLOCKS)]
 
     def keystreams():
-        return [cipher.keystream(counters) for counters in runs]
+        return [cipher.encrypt_blocks(counters) for counters in runs]
 
     out = benchmark(keystreams)
     assert [len(ks) for ks in out] == [16 * n for n in _RECOVERY_RUN_BLOCKS]
-    assert out[0] == b"".join(
-        cipher.encrypt_block(c.to_bytes(16, "big")) for c in runs[0]
-    )
+    assert out[0] == AES(_KEY).encrypt_blocks(runs[0])
 
 
 def test_bench_keystream_64kb(benchmark):
-    cipher = AES(_KEY)
-    counters = list(range(65536 // 16))
-    out = benchmark(cipher.keystream, counters)
+    cipher = cipher_for(_KEY)
+    counters = _counter_blocks(0, 65536 // 16)
+    out = benchmark(cipher.encrypt_blocks, counters)
     assert len(out) == 65536
-    assert out[-16:] == cipher.encrypt_block(counters[-1].to_bytes(16, "big"))
+    assert out[-16:] == AES(_KEY).encrypt_block(counters[-16:])
 
 
 def test_bench_cbc_4kb(benchmark):
@@ -80,8 +86,8 @@ _STORAGE_BLOB = bytes(range(256)) * 3 + bytes(range(20))
 
 
 def test_bench_cbc_decrypt_storage_blob(benchmark):
-    # cbc_decrypt keeps no memo: every round is one 50-block pass of
-    # the inverse kernel.
+    # cbc_decrypt keeps no memo: every round is one 50-block ECB
+    # decryption.
     ct = cbc_encrypt(_KEY, _IV, _STORAGE_BLOB)
     assert len(ct) == 50 * 16
     out = benchmark(cbc_decrypt, _KEY, _IV, ct)
@@ -111,12 +117,16 @@ def test_bench_session_key_derivation(benchmark):
     assert len(keys.encryption) == 16
 
 
-def test_bench_cmac_many_8(benchmark):
-    # The batch shape of one session-key derivation: eight chains of
-    # ~32 blocks in lockstep, the AUTHENTICATION ones 4 bytes longer.
+def test_bench_cmac_session_8(benchmark):
+    # The eight CMACs of one session-key derivation: ~32 blocks each,
+    # the AUTHENTICATION ones 4 bytes longer.
     messages = [bytes([n]) + _LICENSE_CONTEXT + bytes(4 * (n < 4)) for n in range(8)]
-    tags = benchmark(aes_cmac_many, _KEY, messages)
-    assert tags == [aes_cmac(_KEY, m) for m in messages]
+
+    def tags():
+        return [aes_cmac(_KEY, m) for m in messages]
+
+    out = benchmark(tags)
+    assert len(out) == 8 and all(len(tag) == 16 for tag in out)
 
 
 def test_bench_hmac_drbg(benchmark):

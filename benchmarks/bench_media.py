@@ -4,7 +4,7 @@ the §IV-D DRM-free rebuild.
 Not a paper artefact — these time the fragmented-MP4 readers and writer
 (:mod:`repro.bmff.builder`), the URL parse every HTTP hop performs, and
 one :meth:`MediaRecoveryPipeline.recover` hot (keystream-cached) and
-cold (every keystream run generated, a track per batch), so a
+cold (every keystream run generated), so a
 regression in the media plane shows up apart from the crypto substrate.
 """
 

@@ -16,10 +16,11 @@ licensing hot path on a fourth and fifth:
   ``key.dp``, ``key.dq``) outside :mod:`repro.crypto.bignum`: private
   operations go through ``modexp`` (libcrypto, ~11x faster than
   ``pow``) inside ``RsaPrivateKey``'s CRT primitive (``RSA005``);
-- no one-block ``AES.decrypt_block`` outside :mod:`repro.crypto.aes`:
-  decryption goes through the whole-buffer inverse kernel
-  (``decrypt_blocks`` and the modes built on it), which is several
-  times faster from two blocks up (``AES006``).
+- no one-block ``encrypt_block`` / ``decrypt_block`` outside
+  :mod:`repro.crypto.aes`: they are the pure-Python reference and
+  fallback; everything else goes through ``cipher_for``'s whole-buffer
+  calls (``encrypt_blocks``, ``decrypt_blocks``, ``cbc_encrypt``) and
+  the modes built on them, which run in libcrypto (``AES006``).
 
 Each rule is pure stdlib ``ast`` — no third-party linter dependency —
 and is self-tested against seeded-violation fixtures in
@@ -70,9 +71,10 @@ RULE_IDS = ("REG001", "RNG002", "CLK003", "LRU004", "RSA005", "AES006")
 # Modules allowed to read the wall clock: the simulation's one clock
 # abstraction. Everything else must take a SimClock.
 _WALL_CLOCK_ALLOWED_SUFFIXES = ("repro/android/clock.py",)
-# The one module that may use the one-block inverse cipher: it defines
-# it, as the reference the inverse kernel is tested against.
-_BLOCK_DECRYPT_ALLOWED_SUFFIXES = ("repro/crypto/aes.py",)
+# The one module that may use the one-block AES calls: it defines them,
+# as the pure-Python reference and fallback.
+_ONE_BLOCK_AES_ALLOWED_SUFFIXES = ("repro/crypto/aes.py",)
+_ONE_BLOCK_AES = frozenset({"encrypt_block", "decrypt_block"})
 # The one module that may exponentiate with a private exponent through
 # ``pow``: it wraps libcrypto's exponentiation and falls back to ``pow``.
 _PRIVATE_POW_ALLOWED_SUFFIXES = ("repro/crypto/bignum.py",)
@@ -679,8 +681,8 @@ def _check_forbidden_calls(
     clock_allowed = path.replace("\\", "/").endswith(
         _WALL_CLOCK_ALLOWED_SUFFIXES
     )
-    block_decrypt_allowed = path.replace("\\", "/").endswith(
-        _BLOCK_DECRYPT_ALLOWED_SUFFIXES
+    one_block_aes_allowed = path.replace("\\", "/").endswith(
+        _ONE_BLOCK_AES_ALLOWED_SUFFIXES
     )
     private_pow_allowed = path.replace("\\", "/").endswith(
         _PRIVATE_POW_ALLOWED_SUFFIXES
@@ -695,8 +697,8 @@ def _check_forbidden_calls(
         # A call or a bare reference (aliasing dodges the rule as well).
         if (
             isinstance(node, ast.Attribute)
-            and node.attr == "decrypt_block"
-            and not block_decrypt_allowed
+            and node.attr in _ONE_BLOCK_AES
+            and not one_block_aes_allowed
         ):
             violations.append(
                 LintViolation(
@@ -704,9 +706,10 @@ def _check_forbidden_calls(
                     path=path,
                     line=node.lineno,
                     message=(
-                        "one-block `decrypt_block` outside repro.crypto.aes; "
-                        "decrypt through AES.decrypt_blocks or the modes "
-                        "(ecb_decrypt / cbc_decrypt)"
+                        f"one-block `{node.attr}` (the Python reference) "
+                        "outside repro.crypto.aes; go through cipher_for's "
+                        "encrypt_blocks / decrypt_blocks / cbc_encrypt or "
+                        "the modes"
                     ),
                 )
             )

@@ -356,13 +356,12 @@ class PsshBox(FullBox):
 
 
 def _encode_saiz(sample_sizes: list[int]) -> bytes:
-    uniform = len(set(sample_sizes)) == 1 if sample_sizes else True
-    default_size = sample_sizes[0] if uniform and sample_sizes else 0
-    out = bytearray(struct.pack(">BI", default_size, len(sample_sizes)))
-    if not uniform:
-        out[0:1] = b"\x00"
-        out.extend(bytes(sample_sizes))
-    return bytes(out)
+    # One size shared by every sample goes in default_sample_info_size.
+    # A default of 0 means a per-sample table follows, so sizes that are
+    # all 0 (no IV, no subsamples) are written as a table too.
+    if len(set(sample_sizes)) == 1 and sample_sizes[0]:
+        return struct.pack(">BI", sample_sizes[0], len(sample_sizes))
+    return struct.pack(">BI", 0, len(sample_sizes)) + bytes(sample_sizes)
 
 
 def _decode_saiz(data, start, end, version, flags, iv_size) -> dict:

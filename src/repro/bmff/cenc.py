@@ -8,14 +8,12 @@ with the CTR keystream running continuously across the protected ranges
 of one sample — the detail real decryptors must get right, and the one
 this module is property-tested on.
 
-:func:`encrypt_samples` and :func:`decrypt_samples` handle many samples
-under one key: they declare every sample's keystream run to
-:func:`repro.crypto.modes.ctr_batch` and then run the one-sample function
-on each, so the runs the keystream LRU misses come out of one kernel
-pass instead of one per sample. ``cbcs`` decryption gathers each
-subsample's crypt blocks into one inverse-kernel pass (through
-:func:`repro.crypto.modes.cbc_decrypt`); ``cbcs`` encryption chains
-them one block at a time.
+:func:`encrypt_samples` and :func:`decrypt_samples` run the one-sample
+functions over a track's samples under one key; each sample's keystream
+is one cached :func:`repro.crypto.modes.ctr_keystream` run. ``cbcs``
+gathers the crypt blocks of each protected range into one
+:func:`repro.crypto.modes.cbc_decrypt` or
+:func:`repro.crypto.modes.cbc_encrypt` call.
 """
 
 from __future__ import annotations
@@ -24,13 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.bmff.boxes import SencEntry, SubsampleRange
 from repro.crypto.aes import BLOCK_SIZE
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_batch,
-    ctr_keystream,
-    xor_bytes,
-)
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_keystream, xor_bytes
 from repro.crypto.rng import HmacDrbg
 
 __all__ = [
@@ -135,14 +127,6 @@ def decrypt_sample(sample: CencSample, key: bytes) -> bytes:
     return _transform(sample.data, key, sample.entry)
 
 
-def _ctr_run(iv: bytes, protected_len: int) -> tuple[bytes, int] | None:
-    """The ``(iv, nblocks)`` keystream run of one sample, for a batch;
-    None where the sample's own call will reject the IV."""
-    if len(iv) not in (8, 16):
-        return None
-    return iv, (protected_len + BLOCK_SIZE - 1) // BLOCK_SIZE
-
-
 def encrypt_samples(
     samples: list[bytes],
     key: bytes,
@@ -150,36 +134,16 @@ def encrypt_samples(
     *,
     clear_header: int = 0,
 ) -> list[CencSample]:
-    """:func:`encrypt_sample` on each sample with its IV, as one
-    keystream batch (see :func:`repro.crypto.modes.ctr_batch`)."""
-    runs = (
-        _ctr_run(iv, len(sample) - clear_header) for sample, iv in zip(samples, ivs)
-    )
-    with ctr_batch(key, filter(None, runs)):
-        return [
-            encrypt_sample(sample, key, iv, clear_header=clear_header)
-            for sample, iv in zip(samples, ivs)
-        ]
+    """:func:`encrypt_sample` on each sample with its IV."""
+    return [
+        encrypt_sample(sample, key, iv, clear_header=clear_header)
+        for sample, iv in zip(samples, ivs)
+    ]
 
 
 def decrypt_samples(samples: list[CencSample], key: bytes) -> list[bytes]:
-    """:func:`decrypt_sample` on each sample, as one keystream batch.
-
-    Byte-identical to decrypting the samples one at a time, with the
-    same keystream LRU hits and misses; the runs that miss are generated
-    together (see :func:`repro.crypto.modes.ctr_batch`).
-    """
-    runs = (
-        _ctr_run(
-            sample.entry.iv,
-            sum(sub.protected_bytes for sub in sample.entry.subsamples)
-            if sample.entry.subsamples
-            else len(sample.data),
-        )
-        for sample in samples
-    )
-    with ctr_batch(key, filter(None, runs)):
-        return [decrypt_sample(sample, key) for sample in samples]
+    """:func:`decrypt_sample` on each sample."""
+    return [decrypt_sample(sample, key) for sample in samples]
 
 
 def iv_sequence(seed: bytes, count: int, *, iv_size: int = 8) -> list[bytes]:

@@ -15,8 +15,8 @@ quality lands at 960x540 (qHD), the paper's headline limitation.
 Each track is recovered on its own: a failed download or an unparsable
 or undecryptable asset marks that track, with a note, and the rest of
 the title still recovers. All the ``cenc`` samples of a track, across
-its segments, are decrypted as one keystream batch
-(:func:`repro.bmff.cenc.decrypt_samples`).
+its segments, are decrypted in one
+:func:`repro.bmff.cenc.decrypt_samples` call.
 """
 
 from __future__ import annotations
@@ -198,9 +198,8 @@ class MediaRecoveryPipeline:
 def _decrypt_segments(segments: list[bytes], info, key: bytes) -> list[bytes]:
     """Clear copies of a protected track's media segments.
 
-    Every protected sample of the track goes to the decryptor at once,
-    so its ``cenc`` keystream runs form one batch; segments that carry
-    no protection pass through unchanged.
+    Every protected sample of the track goes to the decryptor at once;
+    segments that carry no protection pass through unchanged.
     """
     parsed = [read_samples(segment, iv_size=info.iv_size) for segment in segments]
     protected = [

@@ -1,15 +1,24 @@
 """Cryptographic substrate: AES, modes, CMAC, RSA (OAEP/PSS), KDF, DRBG.
 
-Everything is implemented from primary specifications in pure Python —
-the environment ships no third-party crypto — and validated against
-published test vectors in the test suite. The one exception is RSA's
-modular exponentiation (:mod:`repro.crypto.bignum`), which calls the
-libcrypto that ``ctypes.util.find_library`` locates, once it has
-checked a known answer against ``pow``.
+The protocols (modes, CMAC, the SP 800-108 KDF, OAEP/PSS, key
+generation, the HMAC-DRBG) are implemented from primary specifications
+in Python and validated against published test vectors. Two primitives
+run in OpenSSL's libcrypto, bound through ``ctypes`` by
+:mod:`repro.crypto.libcrypto` on first use (never at import):
+
+- the AES block cipher (:mod:`repro.crypto.aes`): ECB and CBC through
+  ``EVP_aes_*``, with every mode built on them; the pure-Python T-table
+  cipher is the fallback and the tests' reference;
+- RSA's modular exponentiation (:mod:`repro.crypto.bignum`):
+  ``BN_mod_exp_mont_consttime``, with ``pow`` as the fallback.
+
+Each binding is used only after it reproduces known answers, and falls
+back on its own where the library is missing, a symbol is absent or an
+answer is wrong; outputs are byte-identical either way.
 """
 
 from repro.crypto.aes import AES, BLOCK_SIZE
-from repro.crypto.cmac import aes_cmac, aes_cmac_many, cmac_verify
+from repro.crypto.cmac import aes_cmac, cmac_verify
 from repro.crypto.kdf import (
     LABEL_AUTHENTICATION,
     LABEL_ENCRYPTION,
@@ -43,7 +52,6 @@ __all__ = [
     "AES",
     "BLOCK_SIZE",
     "aes_cmac",
-    "aes_cmac_many",
     "cmac_verify",
     "LABEL_AUTHENTICATION",
     "LABEL_ENCRYPTION",

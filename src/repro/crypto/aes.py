@@ -1,66 +1,51 @@
-"""Pure-Python AES block cipher (FIPS 197).
+"""AES block cipher (FIPS 197): libcrypto's EVP interface, or pure Python.
 
-Implements the raw 128-bit block transform for AES-128/192/256. Modes of
-operation live in :mod:`repro.crypto.modes`. There are two paths in each
-direction, one per shape of work:
+Every mode in :mod:`repro.crypto.modes` and :mod:`repro.crypto.cmac`
+gets its cipher from :func:`cipher_for`, which returns an object with
+three calls (see :class:`Cipher`): ECB encryption
+(:meth:`~Cipher.encrypt_blocks`), ECB decryption
+(:meth:`~Cipher.decrypt_blocks`) and CBC encryption without padding
+(:meth:`~Cipher.cbc_encrypt`). The CTR keystream, CBC decryption and
+CMAC are built on those three. Which backend stands behind them is
+chosen once per process by :func:`backend`:
 
-* **One block at a time** (:meth:`AES.encrypt_block`,
-  :meth:`AES.decrypt_block`): the round function operates on four
-  32-bit column words through fused SubBytes/ShiftRows/MixColumns
-  lookup tables (the classic "T-table" formulation). CBC encryption and
-  a single CMAC chain feed each block into the next, so they can only
-  ever use the encryption side. Both are also the references the
-  multi-block kernels are tested against; nothing else in the package
-  decrypts one block at a time (lint rule ``AES006``).
-* **Many independent blocks**: a whole-buffer "SWAR" (SIMD within a
-  register) kernel. The N blocks are one 16N-byte big integer, and
-  every round step transforms all of them at once with a fixed number
-  of C-level operations. :meth:`AES.kernel` encrypts, with
-  :meth:`AES.encrypt_blocks` and :meth:`AES.keystream` / ECB on top of
-  it and the lockstep CMAC chains of :mod:`repro.crypto.cmac` stepping
-  one kernel once per block: SubBytes (and SubBytes times 2 in GF(2^8))
-  is one ``bytes.translate`` each, ShiftRows seven masked shifts,
-  MixColumns three masked byte-rotations inside each 4-byte column plus
-  XORs, AddRoundKey one XOR with the round key repeated N times.
-  :meth:`AES.decrypt_kernel` is its mirror, with
-  :meth:`AES.decrypt_blocks` (ECB and CBC decryption, ``cbcs``) on top:
-  InvShiftRows seven masked shifts, InvSubBytes fused with each of the
-  InvMixColumns multiples 9, 11, 13 and 14 as one ``bytes.translate``
-  each, InvMixColumns three column rotations, in the equivalent inverse
-  cipher's order so that the translations can share one byte string. A
-  kernel's cost is about 50 big-integer operations per round whatever
-  N is, so it overtakes the T-table loop from two or three blocks
-  upward and runs several times faster on runs of a few dozen blocks
-  and more.
+* **libcrypto** (the usual case): ``EVP_aes_{128,192,256}_{ecb,cbc}``
+  through ``ctypes``, in the library :mod:`repro.crypto.libcrypto`
+  loads for the RSA binding too. Each call allocates its own
+  ``EVP_CIPHER_CTX``, runs one ``EVP_CipherUpdate`` over the whole
+  buffer and frees the context, so no native state is shared between
+  threads or outlives a call. A call costs ~4-10 µs from one block to a
+  few hundred. The binding is trusted only after it reproduces known
+  answers: FIPS 197 C.1-C.3 and SP 800-38A F.1 (ECB, both directions),
+  SP 800-38A F.2.1 (CBC) and RFC 4493's subkey block and empty-message
+  tag.
+* **Python** (:class:`AES`), where no library is found, a symbol is
+  absent or a known answer is wrong: the round function operates on
+  four 32-bit column words through fused SubBytes/ShiftRows/MixColumns
+  lookup tables (the classic "T-table" formulation), one block at a
+  time, ~13 µs a block to encrypt and ~25 µs to decrypt. :meth:`AES.encrypt_block` and
+  :meth:`AES.decrypt_block` are also the FIPS 197 reference the tests
+  compare the native backend with; lint rule ``AES006`` keeps every
+  other module off them.
 
-The kernels keep no per-length state: :meth:`AES.kernel` and
-:meth:`AES.decrypt_kernel` build the repeated round keys and masks on
-each call, and the caller keeps the result only as long as it steps the
-same lanes. Caching them would multiply the size of every cached cipher
-(see :func:`cipher_for`) for a cost that is small next to the rounds.
-The one per-key addition is the equivalent inverse cipher's round keys
-(InvMixColumns of the middle ones), 16 bytes a round, built on a
-cipher's first decryption.
+The Widevine key ladder reproduced in :mod:`repro.widevine.keyladder`
+needs real AES so that recovered keys actually decrypt real ciphertext;
+both backends give byte-identical output.
 
-This module is self-contained on purpose: the execution environment has
-no third-party crypto packages, and the Widevine key ladder reproduced
-in :mod:`repro.widevine.keyladder` needs real AES so that recovered keys
-actually decrypt real ciphertext.
-
-Because key expansion is itself a measurable cost on the hot paths
-(CENC packaging re-keys constantly with a small working set of content
-keys), :func:`cipher_for` maintains a process-wide LRU cache of
-expanded ciphers. All mode helpers route through it; callers that want
-an uncached instance can still construct :class:`AES` directly.
+:func:`cipher_for` keeps a process-wide LRU of ciphers, keyed by key
+bytes: it saves the Python key schedule on the fallback, and its
+``cache_info()`` is the cipher hit ratio perfbench reports.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
-from functools import lru_cache
-from typing import Callable
+from typing import Callable, Protocol
 
-__all__ = ["AES", "BLOCK_SIZE", "cipher_for"]
+from repro.crypto.libcrypto import libcrypto
+
+__all__ = ["AES", "BLOCK_SIZE", "Cipher", "backend", "cipher_for"]
 
 BLOCK_SIZE = 16
 
@@ -171,56 +156,14 @@ def _build_dec_tables() -> tuple[tuple[int, ...], ...]:
 _T0, _T1, _T2, _T3 = _build_enc_tables()
 _U0, _U1, _U2, _U3 = _build_dec_tables()
 
-# --- whole-buffer kernel constants -------------------------------------
-#
-# The kernel holds N blocks as one big-endian integer, so state byte i
-# of block j sits at byte offset 16j + i (i = row + 4 * column, FIPS 197
-# order) and a left shift moves bytes towards the start of a block.
-# These are one-block patterns; each call repeats them N times.
-
-# SubBytes fused with multiplication by 2, for MixColumns.
-_SBOX2 = bytes(_MUL2[s] for s in _SBOX)
-
-
-# InvSubBytes fused with the four InvMixColumns multiples.
-_INV_SBOX9 = bytes(_MUL9[s] for s in _INV_SBOX)
-_INV_SBOX11 = bytes(_MUL11[s] for s in _INV_SBOX)
-_INV_SBOX13 = bytes(_MUL13[s] for s in _INV_SBOX)
-_INV_SBOX14 = bytes(_MUL14[s] for s in _INV_SBOX)
-
-
-def _build_shift_rows_masks(direction: int) -> dict[int, bytes]:
-    # ShiftRows (direction 1) takes output byte r + 4c from input byte
-    # r + 4((c+r) % 4), InvShiftRows (direction -1) from r + 4((c-r) % 4):
-    # a shift by seven distinct byte distances, one mask per distance.
-    masks: dict[int, bytearray] = {}
-    for col in range(4):
-        for row in range(4):
-            dest = row + 4 * col
-            distance = row + 4 * ((col + direction * row) % 4) - dest
-            masks.setdefault(distance, bytearray(BLOCK_SIZE))[dest] = 0xFF
-    return {distance: bytes(mask) for distance, mask in masks.items()}
-
-
-_SHIFT_ROWS_MASKS = _build_shift_rows_masks(1)
-_INV_SHIFT_ROWS_MASKS = _build_shift_rows_masks(-1)
-# Byte-rotation of each 4-byte column by one, two and three rows: the
-# bytes that move up within their column, and the ones that wrap to its
-# end.
-_ROT1_UP = b"\xff\xff\xff\x00" * 4
-_ROT1_WRAP = b"\x00\x00\x00\xff" * 4
-_ROT2_UP = b"\xff\xff\x00\x00" * 4
-_ROT2_WRAP = b"\x00\x00\xff\xff" * 4
-_ROT3_UP = b"\xff\x00\x00\x00" * 4
-_ROT3_WRAP = b"\x00\xff\xff\xff" * 4
-
 _ROUNDS_BY_KEY_LEN = {16: 10, 24: 12, 32: 14}
 
 _PACK4 = struct.Struct(">4I")
 
 
 class AES:
-    """Raw AES block transform bound to one expanded key.
+    """The pure-Python AES cipher bound to one expanded key: the
+    reference, and the fallback backend of :func:`cipher_for`.
 
     >>> cipher = AES(bytes(16))
     >>> cipher.decrypt_block(cipher.encrypt_block(b"sixteen byte msg"))
@@ -239,7 +182,6 @@ class AES:
         self._round_key_words: list[tuple[int, int, int, int]] = [
             _PACK4.unpack(bytes(rk)) for rk in self._round_keys
         ]
-        self._inverse_keys: list[bytes] | None = None
 
     @property
     def key(self) -> bytes:
@@ -342,202 +284,239 @@ class AES:
             ((inv[w3 >> 24] << 24) | (inv[(w2 >> 16) & 0xFF] << 16) | (inv[(w1 >> 8) & 0xFF] << 8) | inv[w0 & 0xFF]) ^ k3,
         )
 
-    def kernel(self, lanes: int) -> Callable[[int], int]:
-        """The whole-buffer round function for *lanes* blocks at a time.
-
-        Builds the round keys and masks repeated *lanes* times once, and
-        returns ``encrypt(state) -> state``: the kernel described in the
-        module docstring, with the blocks as one big-endian integer
-        (block 0 in the most significant 16 bytes) in and out. The
-        blocks travel through every round together, so the Python-level
-        work per round does not grow with their number. A caller that
-        steps the same lanes many times (CMAC chains run in lockstep)
-        pays the build once; :meth:`encrypt_blocks` is a build plus one
-        call.
-        """
-        size = BLOCK_SIZE * lanes
-        from_bytes = int.from_bytes
-        keys = [from_bytes(bytes(rk) * lanes, "big") for rk in self._round_keys]
-        keep, up4, up8, up12, down4, down8, down12 = (
-            from_bytes(_SHIFT_ROWS_MASKS[distance] * lanes, "big")
-            for distance in (0, 4, 8, 12, -4, -8, -12)
-        )
-        rot1_up = from_bytes(_ROT1_UP * lanes, "big")
-        rot1_wrap = from_bytes(_ROT1_WRAP * lanes, "big")
-        rot2_up = from_bytes(_ROT2_UP * lanes, "big")
-        rot2_wrap = from_bytes(_ROT2_WRAP * lanes, "big")
-        sbox, sbox2 = _SBOX, _SBOX2
-        last = self._rounds
-        first_key, last_key = keys[0], keys[last]
-
-        def encrypt(state: int) -> int:
-            state ^= first_key
-            for rnd in range(1, last + 1):
-                # ShiftRows first: it only moves bytes, so it commutes
-                # with SubBytes, and shifting the input saves shifting S
-                # and 2S.
-                state = (
-                    (state & keep)
-                    | ((state << 32) & up4) | ((state << 64) & up8) | ((state << 96) & up12)
-                    | ((state >> 32) & down4) | ((state >> 64) & down8) | ((state >> 96) & down12)
-                )
-                raw = state.to_bytes(size, "big")
-                sub = from_bytes(raw.translate(sbox), "big")
-                if rnd == last:
-                    break
-                sub2 = from_bytes(raw.translate(sbox2), "big")
-                # MixColumns gives row r of column a (rows mod 4)
-                #   2a[r] ^ 3a[r+1] ^ a[r+2] ^ a[r+3]
-                # and a[r+2] ^ a[r+3] is row r+2 of pair = a ^ (a moved
-                # up one row), so three column rotations cover all four
-                # terms.
-                sub3 = sub2 ^ sub
-                pair = sub ^ (((sub << 8) & rot1_up) | ((sub >> 24) & rot1_wrap))
-                state = (
-                    sub2
-                    ^ (((sub3 << 8) & rot1_up) | ((sub3 >> 24) & rot1_wrap))
-                    ^ (((pair << 16) & rot2_up) | ((pair >> 16) & rot2_wrap))
-                    ^ keys[rnd]
-                )
-            # Final round: no MixColumns.
-            return sub ^ last_key
-
-        return encrypt
-
     def encrypt_blocks(self, data: bytes) -> bytes:
-        """Encrypt block-aligned *data* as independent blocks (ECB).
-
-        One pass of :meth:`kernel` over all the blocks. Output is
-        byte-identical to :meth:`encrypt_block` on each 16-byte block in
-        turn.
-        """
-        size = len(data)
-        if size % BLOCK_SIZE:
-            raise ValueError(f"data must be block aligned, got {size} bytes")
-        encrypt = self.kernel(size // BLOCK_SIZE)
-        return encrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
-
-    def _inverse_round_keys(self) -> list[bytes]:
-        """Round keys of the equivalent inverse cipher, built on first use.
-
-        The middle rounds' keys pass through InvMixColumns once, so that
-        the state's InvMixColumns can run before AddRoundKey. Two threads
-        that race here build the same list.
-        """
-        keys = self._inverse_keys
-        if keys is None:
-            u0, u1, u2, u3 = _U0, _U1, _U2, _U3
-            keys = [bytes(self._round_keys[0])]
-            for words in self._round_key_words[1 : self._rounds]:
-                keys.append(
-                    _PACK4.pack(
-                        *[
-                            u0[w >> 24] ^ u1[(w >> 16) & 0xFF] ^ u2[(w >> 8) & 0xFF] ^ u3[w & 0xFF]
-                            for w in words
-                        ]
-                    )
-                )
-            keys.append(bytes(self._round_keys[self._rounds]))
-            self._inverse_keys = keys
-        return keys
-
-    def decrypt_kernel(self, lanes: int) -> Callable[[int], int]:
-        """The whole-buffer inverse round function for *lanes* blocks.
-
-        The mirror of :meth:`kernel`, in the equivalent inverse cipher's
-        round order (FIPS 197 §5.3.5): each round is InvShiftRows as
-        seven masked shifts, InvSubBytes fused with the four
-        InvMixColumns multiples as one ``bytes.translate`` each (S, 9S,
-        11S, 13S, 14S of the same bytes), InvMixColumns as three column
-        rotations, and AddRoundKey with InvMixColumns of the round key.
-        Returns ``decrypt(state) -> state`` over the blocks as one
-        big-endian integer.
-        """
-        size = BLOCK_SIZE * lanes
-        from_bytes = int.from_bytes
-        last = self._rounds
-        keys = [from_bytes(rk * lanes, "big") for rk in self._inverse_round_keys()]
-        keep, up4, up8, up12, down4, down8, down12 = (
-            from_bytes(_INV_SHIFT_ROWS_MASKS[distance] * lanes, "big")
-            for distance in (0, 4, 8, 12, -4, -8, -12)
-        )
-        rot1_up = from_bytes(_ROT1_UP * lanes, "big")
-        rot1_wrap = from_bytes(_ROT1_WRAP * lanes, "big")
-        rot2_up = from_bytes(_ROT2_UP * lanes, "big")
-        rot2_wrap = from_bytes(_ROT2_WRAP * lanes, "big")
-        rot3_up = from_bytes(_ROT3_UP * lanes, "big")
-        rot3_wrap = from_bytes(_ROT3_WRAP * lanes, "big")
-        inv, inv9, inv11, inv13, inv14 = (
-            _INV_SBOX, _INV_SBOX9, _INV_SBOX11, _INV_SBOX13, _INV_SBOX14
-        )
-        first_key, last_key = keys[last], keys[0]
-
-        def decrypt(state: int) -> int:
-            state ^= first_key
-            for rnd in range(last - 1, -1, -1):
-                # InvShiftRows commutes with InvSubBytes, as ShiftRows
-                # does with SubBytes in the forward kernel.
-                state = (
-                    (state & keep)
-                    | ((state << 32) & up4) | ((state << 64) & up8) | ((state << 96) & up12)
-                    | ((state >> 32) & down4) | ((state >> 64) & down8) | ((state >> 96) & down12)
-                )
-                raw = state.to_bytes(size, "big")
-                if rnd == 0:
-                    break
-                # InvMixColumns gives row r of column a (rows mod 4)
-                #   14a[r] ^ 11a[r+1] ^ 13a[r+2] ^ 9a[r+3]
-                # with a the InvSubBytes output.
-                m11 = from_bytes(raw.translate(inv11), "big")
-                m13 = from_bytes(raw.translate(inv13), "big")
-                m9 = from_bytes(raw.translate(inv9), "big")
-                state = (
-                    from_bytes(raw.translate(inv14), "big")
-                    ^ (((m11 << 8) & rot1_up) | ((m11 >> 24) & rot1_wrap))
-                    ^ (((m13 << 16) & rot2_up) | ((m13 >> 16) & rot2_wrap))
-                    ^ (((m9 << 24) & rot3_up) | ((m9 >> 8) & rot3_wrap))
-                    ^ keys[rnd]
-                )
-            # Final round: no InvMixColumns.
-            return from_bytes(raw.translate(inv), "big") ^ last_key
-
-        return decrypt
+        """ECB encryption of block-aligned *data*, one block at a time."""
+        encrypt = self.encrypt_block
+        blocks = range(0, _aligned(data), BLOCK_SIZE)
+        return b"".join([encrypt(data[at : at + BLOCK_SIZE]) for at in blocks])
 
     def decrypt_blocks(self, data: bytes) -> bytes:
-        """Decrypt block-aligned *data* as independent blocks (ECB).
+        """ECB decryption of block-aligned *data*, one block at a time."""
+        decrypt = self.decrypt_block
+        blocks = range(0, _aligned(data), BLOCK_SIZE)
+        return b"".join([decrypt(data[at : at + BLOCK_SIZE]) for at in blocks])
 
-        One pass of :meth:`decrypt_kernel` over all the blocks. Output
-        is byte-identical to :meth:`decrypt_block` on each 16-byte block
-        in turn.
-        """
-        size = len(data)
-        if size % BLOCK_SIZE:
-            raise ValueError(f"data must be block aligned, got {size} bytes")
-        decrypt = self.decrypt_kernel(size // BLOCK_SIZE)
-        return decrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
-
-    def keystream(self, counters: "list[int]") -> bytes:
-        """Encrypt a run of 128-bit counter-block integers.
-
-        The CTR hot path: the whole run goes through
-        :meth:`encrypt_blocks` in one call. Counter values must already
-        be reduced mod 2^128.
-        """
-        return self.encrypt_blocks(
-            b"".join([counter.to_bytes(BLOCK_SIZE, "big") for counter in counters])
-        )
+    def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
+        """CBC encryption of block-aligned *data* under *iv*, no padding."""
+        size = _aligned(data)
+        previous = int.from_bytes(_checked_iv(iv), "big")
+        encrypt = self.encrypt_block
+        out = []
+        for at in range(0, size, BLOCK_SIZE):
+            block = encrypt(
+                (int.from_bytes(data[at : at + BLOCK_SIZE], "big") ^ previous).to_bytes(
+                    BLOCK_SIZE, "big"
+                )
+            )
+            previous = int.from_bytes(block, "big")
+            out.append(block)
+        return b"".join(out)
 
 
-@lru_cache(maxsize=512)
-def cipher_for(key: bytes) -> AES:
-    """Process-wide LRU cache of expanded ciphers, keyed by key bytes.
+def _aligned(data: bytes) -> int:
+    """The length of *data*, which must be a whole number of blocks."""
+    size = len(data)
+    if size % BLOCK_SIZE:
+        raise ValueError(f"data must be block aligned, got {size} bytes")
+    return size
+
+
+def _checked_iv(iv: bytes) -> bytes:
+    if len(iv) != BLOCK_SIZE:
+        raise ValueError("CBC IV must be 16 bytes")
+    return iv
+
+
+class Cipher(Protocol):
+    """What :func:`cipher_for` returns, on either backend."""
+
+    key: bytes
+
+    def encrypt_blocks(self, data: bytes) -> bytes: ...
+
+    def decrypt_blocks(self, data: bytes) -> bytes: ...
+
+    def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes: ...
+
+
+_MODES = ("ecb", "cbc")
+
+
+def _load_native() -> Callable[[bytes], Cipher] | None:
+    """Bind AES-ECB/CBC from libcrypto's EVP interface, or None.
+
+    Returns the class of native ciphers, built per key like :class:`AES`.
+    """
+    lib = libcrypto()
+    if lib is None:
+        return None
+    import ctypes
+
+    try:
+        ctx_new = lib.EVP_CIPHER_CTX_new
+        ctx_free = lib.EVP_CIPHER_CTX_free
+        init = lib.EVP_CipherInit_ex
+        set_padding = lib.EVP_CIPHER_CTX_set_padding
+        update = lib.EVP_CipherUpdate
+        getters = {
+            key_len: [getattr(lib, f"EVP_aes_{8 * key_len}_{mode}") for mode in _MODES]
+            for key_len in _ROUNDS_BY_KEY_LEN
+        }
+    except AttributeError:
+        return None
+    ptr, c_int, c_char_p = ctypes.c_void_p, ctypes.c_int, ctypes.c_char_p
+    ctx_new.argtypes, ctx_new.restype = [], ptr
+    ctx_free.argtypes, ctx_free.restype = [ptr], None
+    init.argtypes = [ptr, ptr, ptr, c_char_p, c_char_p, c_int]
+    init.restype = c_int
+    set_padding.argtypes, set_padding.restype = [ptr, c_int], c_int
+    update.argtypes = [ptr, c_char_p, ctypes.POINTER(c_int), c_char_p, c_int]
+    update.restype = c_int
+    modes: dict[int, tuple[int, int]] = {}
+    for key_len, pair in getters.items():
+        for getter in pair:
+            getter.argtypes, getter.restype = [], ptr
+        ecb, cbc = (getter() for getter in pair)
+        if not (ecb and cbc):
+            return None
+        modes[key_len] = (ecb, cbc)
+    buffer, byref = ctypes.create_string_buffer, ctypes.byref
+
+    def run(cipher: int, key: bytes, iv: bytes | None, data: bytes, enc: int) -> bytes:
+        size = _aligned(data)
+        if not size:
+            return b""
+        out = buffer(size + BLOCK_SIZE)
+        written = c_int()
+        ctx = ctx_new()
+        if not ctx:
+            raise MemoryError("libcrypto could not allocate a cipher context")
+        try:
+            if not (
+                init(ctx, cipher, None, key, iv, enc)
+                and set_padding(ctx, 0)
+                and update(ctx, out, byref(written), data, size)
+            ):
+                raise ValueError("EVP_CipherUpdate failed")
+        finally:
+            ctx_free(ctx)
+        if written.value != size:
+            raise ValueError(f"EVP_CipherUpdate wrote {written.value} of {size} bytes")
+        return out.raw[:size]
+
+    class EvpAES:
+        """AES-ECB/CBC through libcrypto, bound to one key."""
+
+        __slots__ = ("key", "_ecb", "_cbc")
+
+        def __init__(self, key: bytes):
+            if len(key) not in modes:
+                raise ValueError(f"AES key must be 16, 24 or 32 bytes, got {len(key)}")
+            self.key = bytes(key)
+            self._ecb, self._cbc = modes[len(key)]
+
+        def encrypt_blocks(self, data: bytes) -> bytes:
+            return run(self._ecb, self.key, None, data, 1)
+
+        def decrypt_blocks(self, data: bytes) -> bytes:
+            return run(self._ecb, self.key, None, data, 0)
+
+        def cbc_encrypt(self, iv: bytes, data: bytes) -> bytes:
+            return run(self._cbc, self.key, _checked_iv(iv), data, 1)
+
+    return EvpAES
+
+
+# Known answers a binding must reproduce before it is trusted, as
+# (key, plaintext, ciphertext) hex: FIPS 197 C.1-C.3 and SP 800-38A
+# F.1.1 ECB-AES128 (checked both ways), then SP 800-38A F.2.1
+# CBC-AES128, and RFC 4493's AES-128(K, 0) and the tag of the empty
+# message (one zero-IV CBC block: 0x80 0x00... XOR K2).
+_FIPS197_PLAINTEXT = "00112233445566778899aabbccddeeff"
+_SP800_38A_KEY = "2b7e151628aed2a6abf7158809cf4f3c"  # also RFC 4493's
+_SP800_38A_PLAINTEXT = (
+    "6bc1bee22e409f96e93d7e117393172aae2d8a571e03ac9c9eb76fac45af8e51"
+    "30c81c46a35ce411e5fbc1191a0a52eff69f2445df4f9b17ad2b417be66c3710"
+)
+_ECB_ANSWERS = (
+    (
+        "000102030405060708090a0b0c0d0e0f",
+        _FIPS197_PLAINTEXT,
+        "69c4e0d86a7b0430d8cdb78070b4c55a",
+    ),
+    (
+        "000102030405060708090a0b0c0d0e0f1011121314151617",
+        _FIPS197_PLAINTEXT,
+        "dda97ca4864cdfe06eaf70a0ec0d7191",
+    ),
+    (
+        "000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f",
+        _FIPS197_PLAINTEXT,
+        "8ea2b7ca516745bfeafc49904b496089",
+    ),
+    (
+        _SP800_38A_KEY,
+        _SP800_38A_PLAINTEXT,
+        "3ad77bb40d7a3660a89ecaf32466ef97f5d3d58503b9699de785895a96fdbaaf"
+        "43b1cd7f598ece23881b00e3ed0306887b0c785e27e8ad3f8223207104725dd4",
+    ),
+)
+_CBC_ANSWER = (
+    "000102030405060708090a0b0c0d0e0f",
+    "7649abac8119b246cee98e9b12e9197d5086cb9b507219ee95db113a917678b2"
+    "73bed6b8e3c1743b7116e69e222295163ff1caa1681fac09120eca307586e1a7",
+)
+_RFC4493_L = "7df76b0c1ab899b33e42f047b91b546f"
+_RFC4493_K2 = "f7ddac306ae266ccf90bc11ee46d513b"
+_RFC4493_EMPTY_TAG = "bb1d6929e95937287fa37d129b756746"
+
+
+def _known_answers_hold(make: Callable[[bytes], Cipher]) -> bool:
+    """Whether ciphers built by *make* reproduce every known answer."""
+    h = bytes.fromhex
+    for key, plaintext, ciphertext in _ECB_ANSWERS:
+        cipher = make(h(key))
+        if cipher.encrypt_blocks(h(plaintext)) != h(ciphertext):
+            return False
+        if cipher.decrypt_blocks(h(ciphertext)) != h(plaintext):
+            return False
+    cipher = make(h(_SP800_38A_KEY))
+    iv, ciphertext = _CBC_ANSWER
+    k2 = int.from_bytes(h(_RFC4493_K2), "big")
+    last = (k2 ^ (0x80 << 120)).to_bytes(BLOCK_SIZE, "big")
+    return (
+        cipher.cbc_encrypt(h(iv), h(_SP800_38A_PLAINTEXT)) == h(ciphertext)
+        and cipher.encrypt_blocks(bytes(BLOCK_SIZE)) == h(_RFC4493_L)
+        and cipher.cbc_encrypt(bytes(BLOCK_SIZE), last) == h(_RFC4493_EMPTY_TAG)
+    )
+
+
+@functools.cache
+def backend() -> Callable[[bytes], Cipher]:
+    """What :func:`cipher_for` builds its ciphers with: the libcrypto
+    binding, or :class:`AES` where it cannot be loaded or fails its
+    known answers. Chosen on first use, once per process."""
+    native = _load_native()
+    if native is None:
+        return AES
+    import ctypes
+
+    try:
+        if _known_answers_hold(native):
+            return native
+    except (ctypes.ArgumentError, MemoryError, OSError, ValueError):
+        pass  # a binding that raises has failed its check too
+    return AES
+
+
+@functools.lru_cache(maxsize=512)
+def cipher_for(key: bytes) -> Cipher:
+    """The process-wide cipher for *key*, from :func:`backend`.
 
     The simulation's working set of AES keys is small (content keys,
     session keys, keybox device keys), while the call sites re-key
-    constantly — every CMAC invocation, every CENC sample. Sharing one
-    expanded :class:`AES` per key removes the key-schedule cost from
-    those paths. ``lru_cache`` serialises cache updates internally, so
-    the cache is safe across threads; :class:`AES` instances themselves
-    are immutable after construction and therefore freely shareable.
+    constantly. ``lru_cache`` serialises its updates, so the cache is
+    safe across threads, and the ciphers of both backends are immutable
+    after construction and therefore freely shareable.
     """
-    return AES(key)
+    return backend()(key)

@@ -5,16 +5,13 @@ operation about eleven times faster than the interpreter's generic
 three-argument ``pow``. :func:`modexp` reaches it through ``ctypes``;
 this module's one job is wrapping that foreign code.
 
-- The library is the one ``ctypes.util.find_library("crypto")`` names.
-  That need not be the copy ``hashlib`` has mapped: it can be another
-  soname, or none where the platform has no ldconfig cache or compiler
-  to search with. On Linux the search runs ``ldconfig`` in a subprocess
-  once per process (a few milliseconds, and the ``subprocess`` import).
-- The library is bound on the first call, not at import, so a process
-  that never exponentiates (a media-only workload) never imports
-  ``ctypes``. The binding then checks one known answer against ``pow``;
-  if no library is found, a symbol is absent or the answer is wrong,
-  :func:`backend` is ``pow`` itself for the rest of the process.
+- The library is the one :func:`repro.crypto.libcrypto.libcrypto`
+  loads, shared with the AES binding of :mod:`repro.crypto.aes`.
+- The functions are bound on the first call, not at import, so a
+  process that never exponentiates never imports ``ctypes`` for it. The
+  binding then checks one known answer against ``pow``; if no library
+  is found, a symbol is absent or the answer is wrong, :func:`backend`
+  is ``pow`` itself for the rest of the process.
 - Inputs that Montgomery arithmetic cannot take also go to ``pow``: an
   even modulus, a modulus ``<= 1`` or a negative exponent.
 - Every call allocates its own ``BN_CTX`` and ``BIGNUM``\\ s and frees them
@@ -31,6 +28,8 @@ from __future__ import annotations
 
 import functools
 from typing import Callable
+
+from repro.crypto.libcrypto import libcrypto
 
 __all__ = ["backend", "modexp"]
 
@@ -71,14 +70,12 @@ def backend() -> ModExp:
 
 def _load_native() -> ModExp | None:
     """Bind the seven ``BN_*`` functions :func:`modexp` needs, or None."""
-    import ctypes
-    import ctypes.util
-
-    name = ctypes.util.find_library("crypto")
-    if name is None:
+    lib = libcrypto()
+    if lib is None:
         return None
+    import ctypes
+
     try:
-        lib = ctypes.CDLL(name)
         ctx_new = lib.BN_CTX_new
         bn_new = lib.BN_new
         bin2bn = lib.BN_bin2bn
@@ -86,7 +83,7 @@ def _load_native() -> ModExp | None:
         bn2binpad = lib.BN_bn2binpad
         clear_free = lib.BN_clear_free
         ctx_free = lib.BN_CTX_free
-    except (OSError, AttributeError):
+    except AttributeError:
         return None
     ptr = ctypes.c_void_p
     ctx_new.argtypes, ctx_new.restype = [], ptr

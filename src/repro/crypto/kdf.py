@@ -17,22 +17,20 @@ Three derivations hang off each session:
 - ``GENERIC`` — keys for the non-DASH generic crypto API (the "secure
   channel" Netflix uses for its URI manifests).
 
-Every output block of every derivation is its own CMAC chain over the
-whole context (for a license, the serialized request: ~35 blocks), and
-the chains do not depend on each other. :func:`derive_session_keys`
-therefore hands all eight chains of a session's derivations to
-:func:`repro.crypto.cmac.aes_cmac_many` as one batch, which steps them
-together through the whole-buffer AES kernel, and :func:`derive_key`
-does the same with its own counter blocks. Both are memoized: a session
-as one entry (the license server and the CDM derive the same keys), a
-standalone derivation as another.
+Every output block of every derivation is one CMAC over the whole
+context (for a license, the serialized request: ~35 blocks), so a
+derivation is one :func:`repro.crypto.cmac.aes_cmac` call per counter
+message: on libcrypto a few microseconds each, whatever the context
+length. Both entry points are memoized: a session as one entry (the
+license server and the CDM derive the same keys), a standalone
+derivation as another.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.crypto.cmac import aes_cmac_many
+from repro.crypto.cmac import aes_cmac
 
 __all__ = [
     "LABEL_ENCRYPTION",
@@ -63,19 +61,18 @@ def _counter_messages(label: bytes, context: bytes, bits: int) -> list[bytes]:
 def derive_key(base_key: bytes, label: bytes, context: bytes, bits: int) -> bytes:
     """SP 800-108 counter-mode KDF with AES-CMAC as the PRF.
 
-    The output blocks are independent CMAC chains, so they run as one
-    :func:`aes_cmac_many` batch. Memoized: the derivation is a pure
+    One CMAC per output block. Memoized: the derivation is a pure
     function of its inputs, and the deterministic simulation re-derives
     the same keys whenever a study world is rebuilt (every benchmark
-    round, most tests), so the CMAC chains only ever run once per
-    distinct derivation.
+    round, most tests), so the CMACs only ever run once per distinct
+    derivation.
     """
     messages = _counter_messages(label, context, bits)
-    return b"".join(aes_cmac_many(base_key, messages))[: bits // 8]
+    return b"".join([aes_cmac(base_key, message) for message in messages])[: bits // 8]
 
 
 # The four derivations of a session, as (label, context suffix, bits).
-# Their batch holds AUTHENTICATION in tags 0-3, ENCRYPTION in 4, the
+# Their tags hold AUTHENTICATION in 0-3, ENCRYPTION in 4, the
 # GENERIC encryption key in 5 and the GENERIC signing key in 6-7.
 _SESSION_DERIVATIONS = (
     (LABEL_AUTHENTICATION, b"", 512),
@@ -89,8 +86,8 @@ _SESSION_DERIVATIONS = (
 def _session_key_material(base_key: bytes, context: bytes) -> tuple[bytes, ...]:
     """The five keys of :class:`SessionKeys`, in its field order.
 
-    All eight CMAC chains of the session's four derivations run as one
-    batch. Memoized per session, like :func:`derive_key` per derivation:
+    One CMAC per output block of the session's four derivations, eight
+    in all. Memoized per session, like :func:`derive_key` per derivation:
     the license server and the CDM derive the same keys from the same
     request, and the second derivation is one lookup. 1024 sessions is
     what :func:`derive_key`'s 4096 entries held at four derivations per
@@ -101,7 +98,7 @@ def _session_key_material(base_key: bytes, context: bytes) -> tuple[bytes, ...]:
     messages: list[bytes] = []
     for label, suffix, bits in _SESSION_DERIVATIONS:
         messages += _counter_messages(label, context + suffix, bits)
-    tags = aes_cmac_many(base_key, messages)
+    tags = [aes_cmac(base_key, message) for message in messages]
     auth = b"".join(tags[0:4])
     return (tags[4], auth[:32], auth[32:], tags[5], tags[6] + tags[7])
 

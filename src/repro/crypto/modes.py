@@ -1,37 +1,26 @@
 """Block-cipher modes of operation and padding.
 
-Provides ECB, CBC and CTR over the raw AES transform, plus PKCS#7
-padding. CTR is the mode CENC's ``cenc`` protection scheme uses
-(ISO/IEC 23001-7), with the 16-byte counter block formed from an 8- or
-16-byte IV; the helpers here accept both layouts.
+Provides ECB, CBC and CTR over the AES cipher of
+:func:`repro.crypto.aes.cipher_for`, plus PKCS#7 padding. CTR is the
+mode CENC's ``cenc`` protection scheme uses (ISO/IEC 23001-7), with the
+16-byte counter block formed from an 8- or 16-byte IV; the helpers here
+accept both layouts.
 
-All helpers obtain their cipher through :func:`repro.crypto.aes.cipher_for`,
-so repeated calls under the same key skip key expansion. Every mode whose
-blocks are independent hands the whole message to one pass of a
-whole-buffer kernel: ECB encryption and the CTR keystream to
-:meth:`repro.crypto.aes.AES.encrypt_blocks`, ECB and CBC decryption to
-:meth:`repro.crypto.aes.AES.decrypt_blocks` (CBC decryption is the
-decrypted blocks XOR ``iv || C[:-16]``). Only CBC encryption, which
-chains each block into the next, stays on the one-block path. Keystream
-and data XOR run over whole buffers as wide integers rather than
-per-byte Python loops.
+Every mode is one call into the cipher over the whole message, on
+libcrypto or on the Python fallback alike (see :mod:`repro.crypto.aes`):
+ECB and CBC encryption directly, CBC decryption as ECB decryption XOR
+``iv || C[:-16]``, and the CTR keystream as ECB encryption of the
+counter blocks of :func:`ctr_counters`. Keystream and data XOR run over
+whole buffers as wide integers rather than per-byte Python loops.
 
 CTR keystream runs are memoized per ``(key, iv, initial_block, nblocks)``
-in a process-wide LRU. A caller about to request many runs under one key
-(a track of CENC samples) declares them up front with :func:`ctr_batch`:
-the first run that misses the LRU is then generated together with every
-later run of the batch that the LRU does not hold, in one kernel pass.
-The extra runs wait with the batch and enter the LRU only when their own
-request arrives, so hit and miss counts and eviction order are those of
-the same requests made without a batch.
+in a process-wide ``functools.lru_cache``: packaging and playback derive
+the same runs, so the second side is one lookup in C.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict, namedtuple
-from contextlib import contextmanager
-from typing import Iterable, Iterator
+from functools import lru_cache
 
 from repro.crypto.aes import BLOCK_SIZE, cipher_for
 
@@ -44,7 +33,6 @@ __all__ = [
     "cbc_decrypt",
     "ctr_transform",
     "ctr_keystream",
-    "ctr_batch",
     "xor_bytes",
 ]
 
@@ -106,23 +94,15 @@ def cbc_encrypt(key: bytes, iv: bytes, plaintext: bytes, *, pad: bool = True) ->
         plaintext = pkcs7_pad(plaintext)
     elif len(plaintext) % BLOCK_SIZE:
         raise ValueError("unpadded CBC input must be block aligned")
-    cipher = cipher_for(key)
-    encrypt_block = cipher.encrypt_block
-    out = bytearray()
-    previous = iv
-    for i in range(0, len(plaintext), BLOCK_SIZE):
-        block = xor_bytes(plaintext[i : i + BLOCK_SIZE], previous)
-        previous = encrypt_block(block)
-        out.extend(previous)
-    return bytes(out)
+    return cipher_for(key).cbc_encrypt(iv, plaintext)
 
 
 def cbc_decrypt(key: bytes, iv: bytes, ciphertext: bytes, *, pad: bool = True) -> bytes:
     """Inverse of :func:`cbc_encrypt`.
 
-    Every block decrypts independently, so the whole message is one
-    :meth:`~repro.crypto.aes.AES.decrypt_blocks` pass, XORed with the
-    block before each one (the IV before the first).
+    Every block decrypts independently, so the whole message is one ECB
+    decryption, XORed with the block before each one (the IV before the
+    first).
     """
     if len(iv) != BLOCK_SIZE:
         raise ValueError("CBC IV must be 16 bytes")
@@ -142,7 +122,8 @@ def ctr_counters(iv: bytes, initial_block: int, nblocks: int) -> list[int]:
     modulo 2^128 (the CENC layout); an 8-byte IV occupies the high half,
     with a 64-bit big-endian block counter in the low half that wraps
     modulo 2^64 without carrying into the IV. This is the one
-    implementation of both layouts, shared with :mod:`repro.bmff.cenc`.
+    implementation of both layouts; :mod:`repro.bmff.cenc` reaches it
+    through :func:`ctr_keystream`.
     """
     if len(iv) == 16:
         start = int.from_bytes(iv, "big") + initial_block
@@ -156,148 +137,13 @@ def ctr_counters(iv: bytes, initial_block: int, nblocks: int) -> list[int]:
     raise ValueError("CTR IV must be 8 or 16 bytes")
 
 
-_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
-
-
-class _KeystreamLru:
-    """The keystream LRU: ``functools.lru_cache`` semantics plus a peek.
-
-    Called as ``(key, iv, initial_block, nblocks)``, it counts hits and
-    misses and evicts the least recently used run exactly as an
-    ``lru_cache(maxsize)`` over the same function would, and keeps its
-    ``cache_info()`` / ``cache_clear()``. What it adds is :meth:`held`,
-    a membership test that neither counts nor reorders: a batch asks it
-    which of its later runs it still has to generate.
-    """
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self._entries: OrderedDict[tuple, bytes] = OrderedDict()
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-
-    def __call__(
-        self, key: bytes, iv: bytes, initial_block: int, nblocks: int
-    ) -> bytes:
-        run = (key, iv, initial_block, nblocks)
-        with self._lock:
-            blocks = self._entries.get(run)
-            if blocks is not None:
-                self._entries.move_to_end(run)
-                self._hits += 1
-                return blocks
-            self._misses += 1
-        batch = getattr(_local, "batch", None)
-        if batch is not None and batch.key == key:
-            blocks = batch.take(run, self)
-        else:
-            blocks = cipher_for(key).keystream(ctr_counters(iv, initial_block, nblocks))
-        with self._lock:
-            # Like lru_cache, a run another thread stored meanwhile stays
-            # where it is.
-            if run not in self._entries:
-                self._entries[run] = blocks
-                if len(self._entries) > self.maxsize:
-                    self._entries.popitem(last=False)
-        return blocks
-
-    def held(self, runs: list[tuple]) -> set[tuple]:
-        """The runs among *runs* the cache holds, without touching them."""
-        with self._lock:
-            return {run for run in runs if run in self._entries}
-
-    def cache_info(self) -> _CacheInfo:
-        with self._lock:
-            return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._entries))
-
-    def cache_clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._hits = 0
-            self._misses = 0
-
-
-_keystream_blocks = _KeystreamLru(maxsize=4096)
-
-# The innermost open ctr_batch of each thread.
-_local = threading.local()
-
-
-class _KeystreamBatch:
-    """The CTR runs one caller is about to request under one key.
-
-    *runs* is read once, at the first LRU miss under the batch's key, so
-    a batch whose requests all hit costs nothing beyond opening it.
-    """
-
-    def __init__(self, key: bytes, runs: Iterable[tuple[bytes, int]]):
-        self.key = key
-        self._runs: Iterable[tuple[bytes, int]] | None = runs
-        self._order: list[tuple] = []
-        self._next = 0  # where the search for the next request starts
-        self._parked: dict[tuple, bytes] = {}
-
-    def take(self, run: tuple, cache: _KeystreamLru) -> bytes:
-        """The blocks of *run*, which just missed *cache*.
-
-        A parked run is handed over as it is. Any other run is generated
-        in one kernel pass with every later run of the batch that is
-        neither held by *cache* nor parked; those later runs are parked.
-        """
-        blocks = self._parked.pop(run, None)
-        if blocks is not None:
-            return blocks
-        if self._runs is not None:
-            self._order = [(self.key, iv, 0, nblocks) for iv, nblocks in self._runs]
-            self._runs = None
-        wanted = [run]
-        try:
-            index = self._order.index(run, self._next)
-        except ValueError:
-            pass  # not declared: a batch of one
-        else:
-            self._next = index + 1
-            later = self._order[index + 1 :]
-            skip = cache.held(later)
-            skip.update(self._parked)
-            skip.add(run)
-            for other in later:
-                if other not in skip:
-                    skip.add(other)
-                    wanted.append(other)
-        counters: list[int] = []
-        for _, iv, initial_block, nblocks in wanted:
-            counters += ctr_counters(iv, initial_block, nblocks)
-        keystream = cipher_for(self.key).keystream(counters)
-        offset = run[3] * BLOCK_SIZE
-        for other in wanted[1:]:
-            end = offset + other[3] * BLOCK_SIZE
-            self._parked[other] = keystream[offset:end]
-            offset = end
-        return keystream[: run[3] * BLOCK_SIZE]
-
-
-@contextmanager
-def ctr_batch(key: bytes, runs: Iterable[tuple[bytes, int]]) -> Iterator[None]:
-    """Declare the CTR runs about to be requested under *key*.
-
-    *runs* are ``(iv, nblocks)`` pairs at initial block 0, in the order
-    the caller will request them through :func:`ctr_keystream` inside
-    the ``with`` block; the iterable is read at most once, at the first
-    LRU miss. Requests still go through the LRU one by one, with the
-    same hits, misses and evictions as without the batch; a miss makes
-    one kernel pass for itself and every later run the LRU does not
-    hold (see :class:`_KeystreamBatch`). The batch belongs to the
-    calling thread, and a batch opened inside another replaces it until
-    it closes.
-    """
-    outer = getattr(_local, "batch", None)
-    _local.batch = _KeystreamBatch(key, runs)
-    try:
-        yield
-    finally:
-        _local.batch = outer
+@lru_cache(maxsize=4096)
+def _keystream_blocks(key: bytes, iv: bytes, initial_block: int, nblocks: int) -> bytes:
+    """The keystream of one counter run: ECB over its counter blocks."""
+    counters = ctr_counters(iv, initial_block, nblocks)
+    return cipher_for(key).encrypt_blocks(
+        b"".join([counter.to_bytes(BLOCK_SIZE, "big") for counter in counters])
+    )
 
 
 def ctr_keystream(
@@ -311,8 +157,6 @@ def ctr_keystream(
     during the playback audits and media recovery, and the deterministic
     world rebuilds in tests and benchmarks repeat the exact derivations.
     Caching the block run turns all of those into a single wide XOR.
-    Inside a :func:`ctr_batch` under *key*, a miss generates the rest of
-    the batch alongside.
     """
     nblocks = (length + BLOCK_SIZE - 1) // BLOCK_SIZE
     return _keystream_blocks(key, iv, initial_block, nblocks)[:length]

@@ -634,6 +634,12 @@ class FleetScheduler:
                     if len(list(done_dir.glob("*.json"))) < total:
                         procs[worker_id] = spawn(worker_id)
                 time.sleep(0.02)
+        except BaseException:
+            # A cell out of retries, or an interrupt: the survivors would
+            # only leave on their idle watchdog, so stop them now.
+            for proc in procs.values():
+                proc.terminate()
+            raise
         finally:
             for proc in procs.values():
                 proc.join(timeout=_IDLE_TIMEOUT_S)

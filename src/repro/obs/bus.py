@@ -236,7 +236,7 @@ class ObservabilityBus:
                 for source, target, label in arrows
             ]
             with self._lock:
-                self.metrics.count("flow.arrows", len(points))
+                self.metrics.count_locked("flow.arrows", len(points))
                 stack = self._stack
                 if stack:
                     stack[-1]._add_points(points)

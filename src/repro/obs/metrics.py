@@ -172,6 +172,11 @@ class MetricsRegistry:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + value
 
+    def count_locked(self, name: str, value: int = 1) -> None:
+        """:meth:`count` for a caller that already holds the registry's
+        lock (a bus, whose lock it is), without taking it again."""
+        self._counters[name] = self._counters.get(name, 0) + value
+
     def count_many(self, counts: dict[str, int]) -> None:
         """Add to several counters under one lock acquisition."""
         with self._lock:

@@ -74,6 +74,30 @@ class ServiceWorld:
 
 
 @pytest.fixture
+def python_aes(monkeypatch):
+    """Run a test with ``cipher_for`` on the pure-Python fallback, the
+    backend of a process whose libcrypto is missing or fails its known
+    answers. Every AES-derived memo is emptied before and after, so
+    nothing computed on one backend is served on the other."""
+    from repro.crypto import aes, cmac, kdf, modes
+
+    memos = (
+        aes.cipher_for,
+        modes._keystream_blocks,
+        cmac._subkeys_for,
+        kdf.derive_key,
+        kdf._session_key_material,
+    )
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(aes, "backend", lambda: aes.AES)
+    assert type(aes.cipher_for(bytes(16))) is aes.AES
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+@pytest.fixture
 def world() -> ServiceWorld:
     return ServiceWorld()
 

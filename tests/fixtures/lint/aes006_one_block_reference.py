@@ -1,4 +1,4 @@
-"""Seeded AES006 violations: one-block AES decryption outside aes.py."""
+"""Seeded AES006 violations: one-block AES calls outside aes.py."""
 
 
 def unwrap(cipher, blob):
@@ -12,9 +12,13 @@ def aliased(cipher, blob):
     return step(blob[:16])
 
 
+def chained(cipher, block):
+    return cipher.encrypt_block(block)
+
+
 def whole_buffer_is_fine(cipher, blob):
     return cipher.decrypt_blocks(blob)
 
 
-def encryption_is_fine(cipher, block):
-    return cipher.encrypt_block(block)
+def cbc_is_fine(cipher, iv, blob):
+    return cipher.encrypt_blocks(blob) + cipher.cbc_encrypt(iv, blob)

@@ -27,7 +27,7 @@ _FIXTURE_BY_RULE = {
     "CLK003": FIXTURES / "clk003_wall_clock.py",
     "LRU004": FIXTURES / "lru004_unlocked_cache.py",
     "RSA005": FIXTURES / "rsa005_full_width_private_pow.py",
-    "AES006": FIXTURES / "aes006_per_block_decrypt.py",
+    "AES006": FIXTURES / "aes006_one_block_reference.py",
 }
 
 
@@ -90,16 +90,25 @@ class TestSeededFixtures:
 
     def test_aes006_flags_calls_and_aliases_only(self):
         violations = lint_file(_FIXTURE_BY_RULE["AES006"])
-        # The call in unwrap and the alias in aliased; decrypt_blocks
-        # and encrypt_block are not flagged.
-        assert [v.line for v in violations] == [6, 11]
+        # The calls in unwrap and chained and the alias in aliased; the
+        # whole-buffer calls are not flagged.
+        assert [v.line for v in violations] == [6, 11, 16]
+        assert [v.message.split("`")[1] for v in violations] == [
+            "decrypt_block",
+            "decrypt_block",
+            "encrypt_block",
+        ]
         assert all(v.patch is None for v in violations)
 
     def test_aes006_allows_the_aes_module_itself(self):
-        source = "def reference(cipher, block):\n    return cipher.decrypt_block(block)\n"
+        source = (
+            "def reference(cipher, block):\n"
+            "    return cipher.decrypt_block(cipher.encrypt_block(block))\n"
+        )
         assert lint_source(source, path="src/repro/crypto/aes.py") == []
-        assert [v.rule for v in lint_source(source, path="src/repro/bmff/cenc.py")] == [
-            "AES006"
+        assert [v.rule for v in lint_source(source, path="src/repro/crypto/cmac.py")] == [
+            "AES006",
+            "AES006",
         ]
 
     def test_aes006_honours_suppressions(self):

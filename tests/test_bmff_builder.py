@@ -115,6 +115,22 @@ class TestMediaSegment:
         assert parsed[0].entry.subsamples[0].clear_bytes == 8
         assert [s.entry.iv for s in parsed] == ivs
 
+    def test_protected_round_trip_without_iv_or_subsamples(self):
+        # Every auxiliary-info size is 0, so saiz must carry its table:
+        # a default size of 0 announces one.
+        samples = [
+            CencSample(data=bytes([i]) * (20 + i), entry=SencEntry(iv=b"", subsamples=[]))
+            for i in range(3)
+        ]
+        segment = build_media_segment(4, samples, iv_size=0)
+        tree = parse_boxes(segment, iv_size_hint=0)
+        assert find_first(tree, b"moof", b"traf", b"saiz").sample_sizes == [0, 0, 0]
+        parsed, protected = read_samples(segment, iv_size=0)
+        assert protected
+        assert [(s.data, s.entry.iv, s.entry.subsamples) for s in parsed] == [
+            (s.data, b"", []) for s in samples
+        ]
+
     def test_empty_segment_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
             build_media_segment(1, [])

@@ -59,8 +59,8 @@ class TestRoundTrip:
 
 
 class TestManySamples:
-    """encrypt_samples / decrypt_samples: one keystream batch, the same
-    bytes as the one-sample functions."""
+    """encrypt_samples / decrypt_samples: the same bytes as the
+    one-sample functions."""
 
     @given(
         samples=st.lists(st.binary(min_size=0, max_size=200), max_size=12),

@@ -1,4 +1,9 @@
-"""AES block cipher: FIPS 197 known-answer tests and properties."""
+"""AES block cipher: FIPS 197 known-answer tests and properties.
+
+``AES`` is the pure-Python T-table reference; ``cipher_for`` returns the
+cipher every mode uses, libcrypto's unless ``python_aes`` is in effect
+(see ``tests/test_crypto_aes_on_python.py``).
+"""
 
 import threading
 
@@ -7,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.aes import AES, BLOCK_SIZE, cipher_for
-from repro.crypto.modes import ctr_transform
+from repro.crypto.modes import ctr_keystream, ctr_transform
 
 # FIPS 197 Appendix C vectors: (key, plaintext, ciphertext).
 _FIPS_VECTORS = [
@@ -31,21 +36,24 @@ _FIPS_VECTORS = [
 
 @pytest.mark.parametrize("key_hex,pt_hex,ct_hex", _FIPS_VECTORS)
 def test_fips197_encrypt(key_hex, pt_hex, ct_hex):
-    cipher = AES(bytes.fromhex(key_hex))
-    assert cipher.encrypt_block(bytes.fromhex(pt_hex)).hex() == ct_hex
+    key, pt = bytes.fromhex(key_hex), bytes.fromhex(pt_hex)
+    assert AES(key).encrypt_block(pt).hex() == ct_hex
+    assert cipher_for(key).encrypt_blocks(pt).hex() == ct_hex
 
 
 @pytest.mark.parametrize("key_hex,pt_hex,ct_hex", _FIPS_VECTORS)
 def test_fips197_decrypt(key_hex, pt_hex, ct_hex):
-    cipher = AES(bytes.fromhex(key_hex))
-    assert cipher.decrypt_block(bytes.fromhex(ct_hex)).hex() == pt_hex
+    key, ct = bytes.fromhex(key_hex), bytes.fromhex(ct_hex)
+    assert AES(key).decrypt_block(ct).hex() == pt_hex
+    assert cipher_for(key).decrypt_blocks(ct).hex() == pt_hex
 
 
 def test_sp800_38a_ecb_vector():
     # SP 800-38A F.1.1 first block.
-    cipher = AES(bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c"))
+    key = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
     pt = bytes.fromhex("6bc1bee22e409f96e93d7e117393172a")
-    assert cipher.encrypt_block(pt).hex() == "3ad77bb40d7a3660a89ecaf32466ef97"
+    assert AES(key).encrypt_block(pt).hex() == "3ad77bb40d7a3660a89ecaf32466ef97"
+    assert cipher_for(key).encrypt_blocks(pt).hex() == "3ad77bb40d7a3660a89ecaf32466ef97"
 
 
 @pytest.mark.parametrize("key_len,rounds", [(16, 10), (24, 12), (32, 14)])
@@ -57,6 +65,8 @@ def test_round_counts(key_len, rounds):
 def test_rejects_bad_key_lengths(bad_len):
     with pytest.raises(ValueError, match="key must be"):
         AES(bytes(bad_len))
+    with pytest.raises(ValueError, match="key must be"):
+        cipher_for(bytes(bad_len))
 
 
 @pytest.mark.parametrize("bad_len", [0, 15, 17, 32])
@@ -75,6 +85,8 @@ def test_rejects_bad_block_lengths(bad_len):
 def test_decrypt_inverts_encrypt_128(key, block):
     cipher = AES(key)
     assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+    shared = cipher_for(key)
+    assert shared.decrypt_blocks(shared.encrypt_blocks(block)) == block
 
 
 @given(
@@ -84,6 +96,8 @@ def test_decrypt_inverts_encrypt_128(key, block):
 def test_decrypt_inverts_encrypt_256(key, block):
     cipher = AES(key)
     assert cipher.decrypt_block(cipher.encrypt_block(block)) == block
+    shared = cipher_for(key)
+    assert shared.decrypt_blocks(shared.encrypt_blocks(block)) == block
 
 
 @given(key=st.binary(min_size=16, max_size=16))
@@ -105,7 +119,7 @@ def test_different_keys_different_ciphertexts():
     ).encrypt_block(block)
 
 
-# --- multi-block kernel --------------------------------------------------
+# --- whole-buffer calls against the one-block reference --------------------
 
 
 def _per_block(cipher, data):
@@ -125,52 +139,53 @@ def _per_block(cipher, data):
     ),
 )
 def test_encrypt_blocks_matches_per_block(key, data):
-    cipher = AES(key)
-    assert cipher.encrypt_blocks(data) == _per_block(cipher, data)
+    assert cipher_for(key).encrypt_blocks(data) == _per_block(AES(key), data)
+    assert AES(key).encrypt_blocks(data) == _per_block(AES(key), data)
 
 
 @given(
     key=st.sampled_from([16, 24, 32]).flatmap(
         lambda n: st.binary(min_size=n, max_size=n)
     ),
-    counters=st.lists(st.integers(0, (1 << 128) - 1), max_size=70),
+    iv=st.binary(min_size=16, max_size=16),
+    initial_block=st.integers(0, (1 << 64) - 1),
+    nblocks=st.integers(0, 70),
 )
-def test_keystream_matches_per_block(key, counters):
-    cipher = AES(key)
-    expected = b"".join(
-        cipher.encrypt_block(counter.to_bytes(BLOCK_SIZE, "big"))
-        for counter in counters
+def test_keystream_matches_per_block(key, iv, initial_block, nblocks):
+    # The CTR keystream is ECB over the counter blocks, which wrap at
+    # 2^128 (the 8-byte IV layout is in test_crypto_modes).
+    start = int.from_bytes(iv, "big") + initial_block
+    counters = b"".join(
+        ((start + i) % (1 << 128)).to_bytes(BLOCK_SIZE, "big") for i in range(nblocks)
     )
-    assert cipher.keystream(counters) == expected
+    keystream = ctr_keystream(key, iv, BLOCK_SIZE * nblocks, initial_block=initial_block)
+    assert keystream == _per_block(AES(key), counters)
 
 
-@given(
-    key=st.sampled_from([16, 24, 32]).flatmap(
-        lambda n: st.binary(min_size=n, max_size=n)
-    ),
-    steps=st.integers(1, 9).flatmap(
-        lambda lanes: st.lists(
-            st.binary(min_size=16 * lanes, max_size=16 * lanes),
-            min_size=1,
-            max_size=4,
-        )
-    ),
-)
-def test_kernel_steps_match_per_block(key, steps):
-    # One kernel built once and stepped repeatedly, as the lockstep CMAC
-    # chains use it: every step equals encrypt_block on each lane.
-    cipher = AES(key)
-    size = len(steps[0])
-    encrypt = cipher.kernel(size // BLOCK_SIZE)
-    for data in steps:
-        out = encrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
-        assert out == _per_block(cipher, data)
+def test_cbc_encrypt_matches_per_block_chain():
+    key, iv = bytes(range(32)), bytes(range(100, 116))
+    data = bytes(range(256)) * 2
+    reference, previous = AES(key), iv
+    expected = b""
+    for at in range(0, len(data), BLOCK_SIZE):
+        block = bytes(a ^ b for a, b in zip(data[at : at + BLOCK_SIZE], previous))
+        previous = reference.encrypt_block(block)
+        expected += previous
+    assert cipher_for(key).cbc_encrypt(iv, data) == expected
+    assert reference.cbc_encrypt(iv, data) == expected
+    for cipher in (cipher_for(key), reference):
+        assert cipher.cbc_encrypt(iv, b"") == b""
+        with pytest.raises(ValueError, match="IV must be 16"):
+            cipher.cbc_encrypt(iv[:8], data)
 
 
 @pytest.mark.parametrize("bad_len", [1, 15, 17, 33])
 def test_encrypt_blocks_rejects_unaligned(bad_len):
-    with pytest.raises(ValueError, match="block aligned"):
-        AES(bytes(16)).encrypt_blocks(bytes(bad_len))
+    for cipher in (AES(bytes(16)), cipher_for(bytes(16))):
+        with pytest.raises(ValueError, match="block aligned"):
+            cipher.encrypt_blocks(bytes(bad_len))
+        with pytest.raises(ValueError, match="block aligned"):
+            cipher.cbc_encrypt(bytes(16), bytes(bad_len))
 
 
 # SP 800-38A F.5.1 / F.5.3 / F.5.5 (CTR-AES128/192/256.Encrypt), all four
@@ -215,23 +230,31 @@ def test_sp800_38a_ctr(key_hex, ct_hex):
     key = bytes.fromhex(key_hex)
     start = int(_SP800_38A_CTR_COUNTER, 16)
     pt = bytes.fromhex(_SP800_38A_CTR_PLAINTEXT)
-    keystream = AES(key).keystream([start + i for i in range(4)])
+    counters = b"".join((start + i).to_bytes(BLOCK_SIZE, "big") for i in range(4))
+    keystream = cipher_for(key).encrypt_blocks(counters)
     assert bytes(k ^ p for k, p in zip(keystream, pt)).hex() == ct_hex
     iv = bytes.fromhex(_SP800_38A_CTR_COUNTER)
     assert ctr_transform(key, iv, pt).hex() == ct_hex
 
 
 def test_shared_cipher_keystreams_identical_across_threads():
-    cipher = cipher_for(bytes(range(16, 32)))
-    runs = [[(t << 64) + i for i in range(5 + 9 * t)] for t in range(8)]
-    expected = [cipher.keystream(counters) for counters in runs]
-    barrier = threading.Barrier(len(runs))
+    # One cipher_for object, shared by eight threads: every call has its
+    # own native context (or none, on the Python fallback).
+    key = bytes(range(16, 32))
+    cipher = cipher_for(key)
+    runs = [
+        b"".join(((t << 64) + i).to_bytes(BLOCK_SIZE, "big") for i in range(5 + 9 * t))
+        for t in range(8)
+    ]
+    expected = [_per_block(AES(key), counters) for counters in runs]
+    barrier = threading.Barrier(len(runs), timeout=60)
     results: list[list[bytes]] = [[] for _ in runs]
 
     def worker(t):
         barrier.wait()
         for _ in range(20):
-            results[t].append(cipher.keystream(runs[t]))
+            results[t].append(cipher.encrypt_blocks(runs[t]))
+            results[t].append(cipher.cbc_encrypt(runs[t][:16], runs[t]))
 
     threads = [
         threading.Thread(target=worker, args=(t,)) for t in range(len(runs))
@@ -239,18 +262,20 @@ def test_shared_cipher_keystreams_identical_across_threads():
     for thread in threads:
         thread.start()
     for thread in threads:
-        thread.join()
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
     for t, outputs in enumerate(results):
-        assert outputs == [expected[t]] * 20
+        chained = AES(key).cbc_encrypt(runs[t][:16], runs[t])
+        assert outputs == [expected[t], chained] * 20
 
 
-# --- inverse multi-block kernel -------------------------------------------
+# --- decryption ------------------------------------------------------------
 
 
 @pytest.mark.parametrize("key_hex,pt_hex,ct_hex", _FIPS_VECTORS)
 def test_fips197_inverse_cipher_kernel(key_hex, pt_hex, ct_hex):
-    # FIPS 197 C.1-C.3 inverse cipher, alone and as three lanes of one pass.
-    cipher = AES(bytes.fromhex(key_hex))
+    # FIPS 197 C.1-C.3 inverse cipher, one block and three in one call.
+    cipher = cipher_for(bytes.fromhex(key_hex))
     ct, pt = bytes.fromhex(ct_hex), bytes.fromhex(pt_hex)
     assert cipher.decrypt_blocks(ct).hex() == pt_hex
     assert cipher.decrypt_blocks(ct * 3) == pt * 3
@@ -273,45 +298,25 @@ def _per_block_decrypt(cipher, data):
     ),
 )
 def test_decrypt_blocks_matches_per_block(key, data):
-    cipher = AES(key)
-    assert cipher.decrypt_blocks(data) == _per_block_decrypt(cipher, data)
+    cipher = cipher_for(key)
+    assert cipher.decrypt_blocks(data) == _per_block_decrypt(AES(key), data)
     assert cipher.decrypt_blocks(cipher.encrypt_blocks(data)) == data
-
-
-@given(
-    key=st.sampled_from([16, 24, 32]).flatmap(
-        lambda n: st.binary(min_size=n, max_size=n)
-    ),
-    steps=st.integers(1, 9).flatmap(
-        lambda lanes: st.lists(
-            st.binary(min_size=16 * lanes, max_size=16 * lanes),
-            min_size=1,
-            max_size=3,
-        )
-    ),
-)
-def test_decrypt_kernel_steps_match_per_block(key, steps):
-    cipher = AES(key)
-    size = len(steps[0])
-    decrypt = cipher.decrypt_kernel(size // BLOCK_SIZE)
-    for data in steps:
-        out = decrypt(int.from_bytes(data, "big")).to_bytes(size, "big")
-        assert out == _per_block_decrypt(cipher, data)
+    assert AES(key).decrypt_blocks(data) == _per_block_decrypt(AES(key), data)
 
 
 @pytest.mark.parametrize("bad_len", [1, 15, 17, 33])
 def test_decrypt_blocks_rejects_unaligned(bad_len):
-    with pytest.raises(ValueError, match="block aligned"):
-        AES(bytes(16)).decrypt_blocks(bytes(bad_len))
+    for cipher in (AES(bytes(16)), cipher_for(bytes(16))):
+        with pytest.raises(ValueError, match="block aligned"):
+            cipher.decrypt_blocks(bytes(bad_len))
 
 
 def test_shared_cipher_decrypts_identical_across_threads():
-    # The inverse round keys are built on first use; eight threads race
-    # that first use on one shared cipher.
-    cipher = AES(bytes(range(48, 80)))
+    # Eight threads decrypt through one shared cipher_for object.
+    key = bytes(range(48, 80))
+    cipher = cipher_for(key)
     messages = [bytes([t]) * (16 * (1 + 7 * t)) for t in range(8)]
-    expected = [_per_block_decrypt(cipher, m) for m in messages]
-    cipher = AES(cipher.key)
+    expected = [_per_block_decrypt(AES(key), m) for m in messages]
     barrier = threading.Barrier(len(messages), timeout=60)
     results: list[list[bytes]] = [[] for _ in messages]
 

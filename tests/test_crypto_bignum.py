@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import bignum
 from repro.crypto.bignum import modexp
+from repro.crypto.libcrypto import libcrypto
 
 _SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -41,10 +42,13 @@ def _odd_modulus_cases(draw):
 
 @pytest.fixture
 def fresh_backend():
-    """Let a test re-run the binding and its check; restore afterwards."""
+    """Let a test re-run the library search, the binding and its check;
+    restore afterwards."""
     bignum.backend.cache_clear()
+    libcrypto.cache_clear()
     yield
     bignum.backend.cache_clear()
+    libcrypto.cache_clear()
 
 
 class TestModexp:

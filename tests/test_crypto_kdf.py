@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.crypto.aes import cipher_for
-from repro.crypto.cmac import _subkeys_for, aes_cmac
+from repro.crypto.cmac import _subkeys_for
 from repro.crypto.kdf import (
     LABEL_AUTHENTICATION,
     LABEL_ENCRYPTION,
@@ -17,6 +17,7 @@ from repro.crypto.kdf import (
     derive_key,
     derive_session_keys,
 )
+from tests.test_crypto_cmac import _reference_cmac
 
 _BASE = bytes(range(16))
 
@@ -96,7 +97,7 @@ def test_session_keys_repr_redacts():
     assert "redacted" in repr(keys)
 
 
-# --- lockstep derivation against a per-chain reference -------------------
+# --- derivation against a per-chain reference ------------------------------
 
 
 def _fresh_key(*parts):
@@ -105,9 +106,10 @@ def _fresh_key(*parts):
 
 
 def _reference_derive(base_key, label, context, bits):
-    """SP 800-108 counter mode, one aes_cmac chain per output block."""
+    """SP 800-108 counter mode, one reference CMAC chain per output block
+    (RFC 4493 written out over the T-table ``AES.encrypt_block``)."""
     blocks = [
-        aes_cmac(
+        _reference_cmac(
             base_key,
             bytes([counter]) + label + b"\x00" + context + bits.to_bytes(4, "big"),
         )

@@ -393,6 +393,15 @@ class TestCrashRecovery:
         with pytest.raises(FleetError, match="attempts"):
             FleetScheduler(tmp_path).submit(campaign)
 
+    def test_cell_out_of_retries_stops_the_worker_processes_at_once(self, tmp_path):
+        # The surviving worker idles on an empty queue: without being
+        # stopped it would hold the campaign until its 60 s watchdog.
+        campaign = Campaign(profiles=SMALL, faults={"audit-netflix": 99})
+        started = time.monotonic()
+        with pytest.raises(FleetError, match="attempts"):
+            FleetScheduler(tmp_path).submit(campaign, jobs=2)
+        assert time.monotonic() - started < 10
+
     def test_kill_dash_nine_mid_campaign_then_resume_reaches_same_artifact(
         self, tmp_path
     ):

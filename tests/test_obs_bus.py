@@ -160,6 +160,29 @@ class TestFlowArrows:
         assert recorded == seen
         assert [p.name for p in track.points] == ["flow"] * 3
 
+    def test_flows_take_the_bus_lock_once(self, bus):
+        # The registry shares the bus's lock; counting the arrows must
+        # not take it a second time.
+        entries = []
+
+        class CountingLock:
+            def __init__(self, lock):
+                self._lock = lock
+
+            def __enter__(self):
+                entries.append(1)
+                return self._lock.__enter__()
+
+            def __exit__(self, *exc):
+                return self._lock.__exit__(*exc)
+
+        with bus.span("playback.track") as track:
+            bus._lock = bus.metrics._lock = CountingLock(bus._lock)
+            bus.flows(("Application", "CDM", "a"), ("CDM", "Application", "b"))
+            assert len(entries) == 1
+        assert bus.metrics.counters()["flow.arrows"] == 2
+        assert [p.attrs["label"] for p in track.points] == ["a", "b"]
+
     def test_disabled_bus_still_delivers_flows(self):
         """The pre-bus FlowTrace contract: Figure 1 regeneration works
         with observation off."""

@@ -8,7 +8,7 @@ RNG), CLK003 (wall clock outside repro.android.clock), LRU004 (LRU
 cache without a lock), RSA005 (three-argument ``pow`` with a private
 exponent ``key.d`` / ``key.dp`` / ``key.dq`` outside repro.crypto.bignum,
 whose ``modexp`` the CRT primitive uses), AES006 (one-block
-``decrypt_block`` outside repro.crypto.aes).
+``encrypt_block`` / ``decrypt_block`` outside repro.crypto.aes).
 
 Defaults to ``src/repro`` relative to the repository root. Exits 0 when
 clean, 1 when any violation is found (this is what the CI lint job
