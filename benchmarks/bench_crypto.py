@@ -18,7 +18,13 @@ from repro.crypto.cmac import aes_cmac
 from repro.crypto.kdf import derive_session_keys
 from repro.crypto.modes import cbc_decrypt, cbc_encrypt, ctr_transform
 from repro.crypto.rng import HmacDrbg, derive_rng
-from repro.crypto.rsa import generate_keypair, oaep_decrypt, oaep_encrypt, pss_sign
+from repro.crypto.rsa import (
+    generate_keypair,
+    oaep_decrypt,
+    oaep_encrypt,
+    pss_sign,
+    pss_verify,
+)
 
 _KEY = bytes(range(16))
 _IV = bytes(range(16))
@@ -166,6 +172,22 @@ def test_bench_rsa_oaep_decrypt(benchmark, rsa2048):
 def test_bench_rsa_pss_sign(benchmark, rsa2048):
     sig = benchmark(pss_sign, rsa2048, b"license request payload")
     assert len(sig) == 256
+
+
+def test_bench_rsa_pss_verify(benchmark, rsa2048):
+    # The license server's check of every request: one e = 65537
+    # exponentiation through bignum.modexp_public.
+    message = b"license request payload"
+    sig = pss_sign(rsa2048, message)
+    assert benchmark(pss_verify, rsa2048.public, message, sig)
+
+
+def test_bench_rsa_raw_decrypt_2048(benchmark, rsa2048):
+    # The one private-key primitive under pss_sign and oaep_decrypt:
+    # both CRT halves in one bignum.modexp_pair call.
+    c = derive_rng("bench-raw-decrypt").randint_below(rsa2048.n)
+    out = benchmark(rsa2048.raw_decrypt, c)
+    assert out == pow(c, rsa2048.d, rsa2048.n)
 
 
 def test_bench_rsa_keygen_1024(benchmark):

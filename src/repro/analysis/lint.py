@@ -12,10 +12,13 @@ licensing hot path on a fourth and fifth:
   process RNG (``RNG002``);
 - no wall-clock reads outside :mod:`repro.android.clock` — simulated
   time is advanced explicitly (``CLK003``);
-- no three-argument ``pow`` with a private exponent (``key.d``,
-  ``key.dp``, ``key.dq``) outside :mod:`repro.crypto.bignum`: private
-  operations go through ``modexp`` (libcrypto, ~11x faster than
-  ``pow``) inside ``RsaPrivateKey``'s CRT primitive (``RSA005``);
+- no private exponent (``key.d``, ``key.dp``, ``key.dq``) in a
+  variable-time exponentiation (``RSA005``): not in a three-argument
+  ``pow`` outside :mod:`repro.crypto.bignum` (private operations go
+  through ``RsaPrivateKey``'s CRT primitive, one constant-time
+  ``modexp_pair`` in libcrypto, over 20x faster than ``pow``), and not
+  in ``modexp_public`` anywhere (``BN_mod_exp_mont``, whose timing
+  follows the exponent's bits: for ``e`` only);
 - no one-block ``encrypt_block`` / ``decrypt_block`` outside
   :mod:`repro.crypto.aes`: they are the pure-Python reference and
   fallback; everything else goes through ``cipher_for``'s whole-buffer
@@ -78,6 +81,8 @@ _ONE_BLOCK_AES = frozenset({"encrypt_block", "decrypt_block"})
 # The one module that may exponentiate with a private exponent through
 # ``pow``: it wraps libcrypto's exponentiation and falls back to ``pow``.
 _PRIVATE_POW_ALLOWED_SUFFIXES = ("repro/crypto/bignum.py",)
+# The variable-time exponentiation: public exponents only, everywhere.
+_PUBLIC_ONLY_MODEXP = "modexp_public"
 _PRIVATE_EXPONENTS = frozenset({"d", "dp", "dq"})
 
 _MUTATOR_METHODS = frozenset(
@@ -674,6 +679,19 @@ def _is_private_exponent_pow(call: ast.Call) -> bool:
     ) == ast.dump(modulus.value)
 
 
+def _is_private_exponent_public_modexp(call: ast.Call) -> bool:
+    """``modexp_public(_, <x>.d, _)`` (or ``.dp`` / ``.dq``), positional
+    or keyword, whatever the modulus: a private exponent never belongs
+    on the variable-time path."""
+    if _dotted(call.func).rsplit(".", 1)[-1] != _PUBLIC_ONLY_MODEXP:
+        return False
+    exponent = call.args[1] if len(call.args) > 1 else None
+    for keyword in call.keywords:
+        if keyword.arg == "exp":
+            exponent = keyword.value
+    return isinstance(exponent, ast.Attribute) and exponent.attr in _PRIVATE_EXPONENTS
+
+
 def _check_forbidden_calls(
     tree: ast.Module, path: str, violations: list[LintViolation]
 ) -> None:
@@ -744,6 +762,19 @@ def _check_forbidden_calls(
                         "repro.crypto.bignum; use RsaPrivateKey's CRT "
                         "primitive (raw_decrypt / pss_sign / oaep_decrypt) "
                         "or bignum.modexp"
+                    ),
+                )
+            )
+        elif _is_private_exponent_public_modexp(node):
+            violations.append(
+                LintViolation(
+                    rule="RSA005",
+                    path=path,
+                    line=node.lineno,
+                    message=(
+                        "private exponent `.d/.dp/.dq` in the variable-time "
+                        "`modexp_public`; use RsaPrivateKey's CRT primitive "
+                        "or the constant-time bignum.modexp / modexp_pair"
                     ),
                 )
             )

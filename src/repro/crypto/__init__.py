@@ -9,8 +9,13 @@ run in OpenSSL's libcrypto, bound through ``ctypes`` by
 - the AES block cipher (:mod:`repro.crypto.aes`): ECB and CBC through
   ``EVP_aes_*``, with every mode built on them; the pure-Python T-table
   cipher is the fallback and the tests' reference;
-- RSA's modular exponentiation (:mod:`repro.crypto.bignum`):
-  ``BN_mod_exp_mont_consttime``, with ``pow`` as the fallback.
+- RSA's modular exponentiation (:mod:`repro.crypto.bignum`), through
+  the calls OpenSSL's own RSA makes: both CRT halves of a private
+  operation in one constant-time ``BN_mod_exp_mont_consttime_x2``
+  (falling back to two ``BN_mod_exp_mont_consttime`` calls), the
+  public exponent ``e`` through the variable-time ``BN_mod_exp_mont``,
+  and ``pow`` as the last fallback. Secret exponents (``d``, ``dp``,
+  ``dq``, Miller-Rabin's) take only the constant-time calls.
 
 Each binding is used only after it reproduces known answers, and falls
 back on its own where the library is missing, a symbol is absent or an

@@ -6,20 +6,28 @@ the license server wraps session material with RSAES-OAEP. Both are
 implemented here from the PKCS#1 v2.2 definitions over Python integers:
 the encodings, the DRBG draws and the CRT recombination are pure
 Python, and every full-width modular exponentiation goes through
-:func:`repro.crypto.bignum.modexp`: libcrypto's constant-time
-Montgomery exponentiation where ``ctypes.util.find_library`` locates a
-libcrypto that passes a known-answer check (about 11x faster than
-``pow`` for a 2048-bit private operation, and it releases the GIL),
-``pow`` otherwise. The results are identical either
-way.
+:mod:`repro.crypto.bignum`, to the libcrypto call OpenSSL's own RSA
+makes for the same job where ``ctypes.util.find_library`` locates a
+libcrypto that passes its known-answer checks, and to ``pow``
+otherwise. The results are identical either way.
 
-Every private-key operation (OAEP decryption and PSS signing alike)
-goes through one primitive, :meth:`RsaPrivateKey.raw_decrypt`, which
-exponentiates modulo ``p`` and ``q`` separately and recombines with the
-CRT — about 3x less work than ``c^d mod n`` over the full modulus, and
-equal to it for every input. The CRT parameters ``dp``, ``dq`` and
-``qinv`` are computed once when the key object is built; they are not
-part of the key's identity (``==``, ``repr``) or of its exported bytes.
+- Every private-key operation (OAEP decryption and PSS signing alike)
+  goes through one primitive, :meth:`RsaPrivateKey.raw_decrypt`, which
+  exponentiates modulo ``p`` and ``q`` separately and recombines with
+  the CRT: about 3x less work than ``c^d mod n`` over the full modulus,
+  and equal to it for every input. Both halves are one constant-time
+  :func:`~repro.crypto.bignum.modexp_pair` call, which on an
+  AVX512-IFMA CPU computes them in one pass (about 2x faster than two
+  constant-time calls, over 20x faster than ``pow``).
+- The public operations (OAEP encryption, PSS verification) exponentiate
+  by ``e = 65537`` through the variable-time
+  :func:`~repro.crypto.bignum.modexp_public` (about 3.5x faster than the
+  constant-time call): the exponent is public, so its timing hides
+  nothing. No private exponent reaches it (lint rule ``RSA005``).
+
+The CRT parameters ``dp``, ``dq`` and ``qinv`` are computed once when
+the key object is built; they are not part of the key's identity
+(``==``, ``repr``) or of its exported bytes.
 
 Key generation is deterministic given a DRBG, which lets the
 provisioning server mint reproducible per-device keys and lets the test
@@ -27,19 +35,26 @@ suite cache expensive keys by seed. A prime search draws a random odd
 candidate of the wanted width, drops it if a prime up to 2000 divides it
 (no further draw), and otherwise draws the 24 Miller-Rabin witnesses of
 an eager test, stopping at the first round the candidate fails (each
-round opens with one full-width ``modexp``; its squarings stay ``pow``).
-Two things cut the exponentiations without moving a single draw:
+round opens with one full-width exponentiation by the odd part of
+``candidate - 1``, constant time because a kept prime is secret; its
+squarings stay ``pow``). Three things cut the exponentiation time
+without moving a single draw:
 
-* the gcd sieve: a candidate with a prime factor in (2000, 2^16] still
+* the gcd sieve: a candidate with a prime factor in (2000, 2^13] still
   draws its round-1 witness but is rejected by one ``math.gcd`` against
   the product of those primes, without the full-width exponentiation of
-  round 1 (about 30% of the round-1 calls);
+  round 1 (about 17% of the round-1 calls). The bound is where the
+  gcd's cost and the exponentiations it saves balance best: a larger
+  product rejects more but costs more per gcd (EXPERIMENTS.md);
 * deferred rounds: a candidate that passes round 1 draws the witnesses
   of rounds 2-24 untested. ``generate_keypair`` tests them only for a
   pair it keeps (``p != q``, ``e`` coprime to phi, ``n`` of exactly
   ``bits`` bits; ``n`` falls one bit short about 39% of the time) and
   drops the pair if one fails, so every prime of a returned key has
-  passed all 24 rounds with the witnesses the eager test drew.
+  passed all 24 rounds with the witnesses the eager test drew;
+* paired rounds: round ``i`` of ``p`` and of ``q`` is one
+  :func:`~repro.crypto.bignum.modexp_pair` call, and the test stops at
+  the first round either prime fails.
 
 The keys are those of the eager search unless a random composite passes
 round 1 and then fails a later round (the eager test would have drawn
@@ -57,7 +72,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 
-from repro.crypto.bignum import modexp
+from repro.crypto.bignum import modexp, modexp_pair, modexp_public
 from repro.crypto.modes import xor_bytes
 from repro.crypto.rng import HmacDrbg, derive_rng
 
@@ -74,9 +89,11 @@ __all__ = [
 # Trial division bound: a candidate with a prime factor up to here is
 # dropped before any DRBG draw, as it always has been.
 _TRIAL_LIMIT = 2000
-# gcd sieve bound: a candidate with a prime factor in (2000, 2^16] is
-# dropped after its round-1 witness is drawn but without a pow.
-_SIEVE_LIMIT = 1 << 16
+# gcd sieve bound: a candidate with a prime factor in (2000, 2^13] is
+# dropped after its round-1 witness is drawn but without an
+# exponentiation. Past 2^14 the gcd against the product costs more than
+# the extra exponentiations it saves (EXPERIMENTS.md).
+_SIEVE_LIMIT = 1 << 13
 # Miller-Rabin rounds every prime of a returned key passes.
 _MR_ROUNDS = 24
 
@@ -92,19 +109,24 @@ def _sieve(limit: int) -> list[int]:
 
 @functools.cache
 def _sieve_tables() -> tuple[frozenset[int], int, int]:
-    """(primes <= 2000, their product, product of primes in (2000, 2^16])."""
+    """(primes <= 2000, their product, product of primes in (2000, 2^13])."""
     primes = _sieve(_SIEVE_LIMIT)
     small = [p for p in primes if p <= _TRIAL_LIMIT]
     large = primes[len(small) :]
     return frozenset(small), math.prod(small), math.prod(large)
 
 
-def _mr_round(candidate: int, witness: int) -> bool:
-    """One Miller-Rabin round: True iff *witness* does not prove
-    *candidate* composite."""
+def _mr_split(candidate: int) -> tuple[int, int]:
+    """``(d, s)`` with ``candidate - 1 == d * 2^s`` and ``d`` odd."""
     minus_one = candidate - 1
     shift = (minus_one & -minus_one).bit_length() - 1
-    x = modexp(witness, minus_one >> shift, candidate)
+    return minus_one >> shift, shift
+
+
+def _mr_passes(candidate: int, x: int, shift: int) -> bool:
+    """The rest of a Miller-Rabin round from ``x = witness^d``: True iff
+    the witness does not prove *candidate* composite."""
+    minus_one = candidate - 1
     if x == 1 or x == minus_one:
         return True
     for _ in range(shift - 1):
@@ -114,6 +136,33 @@ def _mr_round(candidate: int, witness: int) -> bool:
     return False
 
 
+def _mr_round(candidate: int, witness: int) -> bool:
+    """One Miller-Rabin round: True iff *witness* does not prove
+    *candidate* composite."""
+    odd, shift = _mr_split(candidate)
+    return _mr_passes(candidate, modexp(witness, odd, candidate), shift)
+
+
+def _mr_rounds_pass(
+    p: int, p_witnesses: list[int], q: int, q_witnesses: list[int]
+) -> bool:
+    """Whether both *p* and *q* pass a Miller-Rabin round for each of
+    their witnesses. Round ``i`` of both is one :func:`modexp_pair` call;
+    the test stops at the first round either fails."""
+    if len(p_witnesses) != len(q_witnesses):
+        # A prime up to 2000 comes with no witnesses (tiny keys only).
+        return all(_mr_round(p, w) for w in p_witnesses) and all(
+            _mr_round(q, w) for w in q_witnesses
+        )
+    p_odd, p_shift = _mr_split(p)
+    q_odd, q_shift = _mr_split(q)
+    for p_witness, q_witness in zip(p_witnesses, q_witnesses):
+        xp, xq = modexp_pair(p_witness, p_odd, p, q_witness, q_odd, q)
+        if not (_mr_passes(p, xp, p_shift) and _mr_passes(q, xq, q_shift)):
+            return False
+    return True
+
+
 def _find_prime(bits: int, rng: HmacDrbg) -> tuple[int, list[int]]:
     """Draw candidates until one passes MR round 1; return it with the
     witnesses of rounds 2-24, drawn but not yet tested.
@@ -121,7 +170,7 @@ def _find_prime(bits: int, rng: HmacDrbg) -> tuple[int, list[int]]:
     The DRBG sees the draws of an eager 24-round search: a candidate
     costs one ``rand_odd``; one that survives trial division draws its
     round-1 witness; one that passes round 1 draws 23 more (as a prime
-    does in the eager search). The sieve only skips ``pow`` calls.
+    does in the eager search). The sieve only skips exponentiations.
     """
     small, trial_product, sieve_product = _sieve_tables()
     while True:
@@ -155,7 +204,7 @@ class RsaPublicKey:
     def raw_encrypt(self, m: int) -> int:
         if not 0 <= m < self.n:
             raise ValueError("message representative out of range")
-        return modexp(m, self.e, self.n)
+        return modexp_public(m, self.e, self.n)
 
     def fingerprint(self) -> bytes:
         """SHA-256 of the public modulus (used as a device key id)."""
@@ -200,8 +249,7 @@ class RsaPrivateKey:
         """
         if not 0 <= c < self.n:
             raise ValueError("representative out of range")
-        m1 = modexp(c, self.dp, self.p)
-        m2 = modexp(c, self.dq, self.q)
+        m1, m2 = modexp_pair(c, self.dp, self.p, c, self.dq, self.q)
         h = (self.qinv * (m1 - m2)) % self.p
         return m2 + h * self.q
 
@@ -298,9 +346,7 @@ def generate_keypair(
             continue
         # Only a kept pair pays MR rounds 2-24, with the witnesses its
         # search drew; a composite that fooled round 1 drops the pair.
-        if not all(_mr_round(p, w) for w in p_witnesses):
-            continue
-        if not all(_mr_round(q, w) for w in q_witnesses):
+        if not _mr_rounds_pass(p, p_witnesses, q, q_witnesses):
             continue
         d = pow(e, -1, phi)
         return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
@@ -418,7 +464,7 @@ def pss_verify(
     s = int.from_bytes(signature, "big")
     if s >= public.n:
         return False
-    m = modexp(s, public.e, public.n)
+    m = modexp_public(s, public.e, public.n)
     if m.bit_length() > 8 * em_len:
         return False
     em = m.to_bytes(em_len, "big")

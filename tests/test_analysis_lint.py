@@ -67,6 +67,26 @@ class TestSeededFixtures:
         ]
         assert all("modexp" in v.message for v in violations)
 
+    def test_rsa005_flags_private_exponents_in_modexp_public(self):
+        violations = lint_file(
+            FIXTURES / "rsa005_private_exponent_public_modexp.py"
+        )
+        # Both halves of leaky_halves (positional and keyword, plain and
+        # module-qualified) and leaky_sign; modexp_pair and the public
+        # exponent are not flagged.
+        assert [(v.rule, v.line) for v in violations] == [
+            ("RSA005", 12),
+            ("RSA005", 13),
+            ("RSA005", 22),
+        ]
+        assert all("variable-time" in v.message for v in violations)
+
+    def test_rsa005_modexp_public_has_no_module_exemption(self):
+        source = "def f(c, key):\n    return modexp_public(c, key.dq, key.q)\n"
+        assert [
+            v.rule for v in lint_source(source, path="src/repro/crypto/bignum.py")
+        ] == ["RSA005"]
+
     def test_rsa005_allows_the_bignum_module_itself(self):
         source = "def fallback(c, key):\n    return pow(c, key.dp, key.p)\n"
         assert lint_source(source, path="src/repro/crypto/bignum.py") == []

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import rsa
+from repro.crypto import bignum, rsa
 from repro.crypto.rng import derive_rng
 from repro.crypto.rsa import (
     RsaPrivateKey,
@@ -443,15 +443,26 @@ class TestDeferredKeygen:
         assert (liar * q1).bit_length() == 84
 
 
-# --- exponentiation backends: libcrypto modexp vs pow ------------------
+# --- exponentiation backends: libcrypto vs pow -------------------------
+
+
+def _pow_pair(base1, exp1, mod1, base2, exp2, mod2):
+    return pow(base1, exp1, mod1), pow(base2, exp2, mod2)
+
+
+def _patch_to_pow(monkeypatch) -> None:
+    """Point rsa.py's three exponentiations at the interpreter's pow."""
+    monkeypatch.setattr(rsa, "modexp", pow)
+    monkeypatch.setattr(rsa, "modexp_pair", _pow_pair)
+    monkeypatch.setattr(rsa, "modexp_public", pow)
 
 
 @pytest.fixture(params=["native", "pow"])
 def backend(request, monkeypatch):
-    """Run a test once through modexp (libcrypto where it loads) and once
+    """Run a test once through bignum (libcrypto where it loads) and once
     with rsa.py's exponentiations patched to the interpreter's pow."""
     if request.param == "pow":
-        monkeypatch.setattr(rsa, "modexp", pow)
+        _patch_to_pow(monkeypatch)
     return request.param
 
 
@@ -480,7 +491,7 @@ class TestModexpBackends:
     def test_operations_byte_identical(self, fixture, request, monkeypatch):
         key = request.getfixturevalue(fixture)
         native = _rsa_transcript(key)
-        monkeypatch.setattr(rsa, "modexp", pow)
+        _patch_to_pow(monkeypatch)
         assert _rsa_transcript(key) == native
 
     @pytest.mark.parametrize(
@@ -523,3 +534,69 @@ class TestModexpBackends:
         assert not any(thread.is_alive() for thread in threads)
         for index in range(8):
             assert results[index] == expected[index::8] * 3
+
+
+class TestSecretExponentsStayConstantTime:
+    def test_no_private_exponent_reaches_a_variable_time_call(
+        self, key, monkeypatch
+    ):
+        """Every exponent that reaches modexp_public is e, and every
+        three-argument pow in rsa.py squares or inverts: d, dp, dq and
+        the Miller-Rabin exponents go through the constant-time calls."""
+        if bignum.backend() is pow or bignum.public_backend() is pow:
+            pytest.skip("no libcrypto binding; pow is the only backend")
+        public_exponents: list[int] = []
+        pow_exponents: list[int] = []
+
+        def recording_public(base, exp, mod):
+            public_exponents.append(exp)
+            return bignum.modexp_public(base, exp, mod)
+
+        def recording_pow(base, exp, mod=None):
+            if mod is not None:
+                pow_exponents.append(exp)
+            return pow(base, exp, mod)
+
+        monkeypatch.setattr(rsa, "modexp_public", recording_public)
+        # A module global shadows the builtin for every call in rsa.py.
+        monkeypatch.setattr(rsa, "pow", recording_pow, raising=False)
+        _rsa_transcript(key)
+        fresh = generate_keypair(1024, rng=derive_rng("secret-exponent-audit"))
+        _rsa_transcript(fresh)
+        assert set(public_exponents) == {65537}
+        assert pow_exponents and set(pow_exponents) <= {2, -1}
+
+    def test_crt_halves_are_one_paired_call(self, key2048, monkeypatch):
+        calls = []
+
+        def recording_pair(*args):
+            calls.append(args)
+            return bignum.modexp_pair(*args)
+
+        monkeypatch.setattr(rsa, "modexp_pair", recording_pair)
+        monkeypatch.setattr(rsa, "modexp", None)  # never the single call
+        c = derive_rng("crt-pair").randint_below(key2048.n)
+        assert key2048.raw_decrypt(c) == pow(c, key2048.d, key2048.n)
+        k = key2048
+        assert calls == [(c, k.dp, k.p, c, k.dq, k.q)]
+
+
+class TestPairedMillerRabin:
+    def test_paired_rounds_match_one_prime_at_a_time(self):
+        rng = derive_rng("paired-mr")
+        p, p_witnesses = rsa._find_prime(256, rng)
+        q, q_witnesses = rsa._find_prime(256, rng)
+        assert len(p_witnesses) == len(q_witnesses) == 23
+        assert rsa._mr_rounds_pass(p, p_witnesses, q, q_witnesses)
+        # A composite with a liar for the first round fails a later one.
+        liar = 2199789831403  # 1048759 * 2097517; 7 lies, 2 does not
+        assert not rsa._mr_rounds_pass(liar, [7, 2], p, p_witnesses[:2])
+        assert not rsa._mr_rounds_pass(p, p_witnesses[:2], liar, [7, 2])
+        assert rsa._mr_rounds_pass(liar, [7, 7], p, p_witnesses[:2])
+
+    def test_primes_without_witnesses(self):
+        # Primes up to 2000 come with no witnesses; the other one of the
+        # pair still runs every round of its own.
+        assert rsa._mr_rounds_pass(1999, [], 1997, [])
+        assert rsa._mr_rounds_pass(1999, [], 7919, [5, 6, 7])
+        assert not rsa._mr_rounds_pass(1999, [], 2199789831403, [7, 2])

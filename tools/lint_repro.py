@@ -5,9 +5,10 @@
 
 Rules: REG001 (registry mutated outside its lock), RNG002 (process
 RNG), CLK003 (wall clock outside repro.android.clock), LRU004 (LRU
-cache without a lock), RSA005 (three-argument ``pow`` with a private
-exponent ``key.d`` / ``key.dp`` / ``key.dq`` outside repro.crypto.bignum,
-whose ``modexp`` the CRT primitive uses), AES006 (one-block
+cache without a lock), RSA005 (a private exponent ``key.d`` /
+``key.dp`` / ``key.dq`` in a three-argument ``pow`` outside
+repro.crypto.bignum, or in the variable-time ``modexp_public``
+anywhere), AES006 (one-block
 ``encrypt_block`` / ``decrypt_block`` outside repro.crypto.aes).
 
 Defaults to ``src/repro`` relative to the repository root. Exits 0 when
