@@ -63,12 +63,11 @@ class AndroidDevice:
         self.rooted = False
         self.clock = SimClock()
         # The device's observation spine: every playback-path component
-        # emits spans/arrows through it. Callers that orchestrate many
-        # devices (the study, a fleet cell's DeviceSession) inject a
-        # shared bus so all observations land in one tree.
+        # emits through it. Callers that orchestrate many devices (the
+        # study, a fleet cell's DeviceSession) inject a shared bus so all
+        # observations land in one tree; each keeps its own trace.
         self.obs = obs if obs is not None else ObservabilityBus()
         self.trace = FlowTrace()
-        self.obs.add_flow_consumer(self.trace.record)
         self.trust_store = TrustStore()
         self.persistent_store: dict[str, bytes] = {}
         self.processes: list[Process] = []
@@ -99,6 +98,11 @@ class AndroidDevice:
         )
         self.drm_server = MediaDrmServer(self.drm_process)
         self.drm_server.register_plugin(self.widevine_plugin)
+
+    def flows(self, *arrows: tuple[str, str, str]) -> None:
+        """Draw consecutive Figure 1 arrows into this device's trace and bus."""
+        self.trace.record(*arrows)
+        self.obs.flows(*arrows)
 
     @property
     def widevine_security_level(self) -> str:

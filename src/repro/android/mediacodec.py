@@ -71,7 +71,7 @@ class MediaCodec:
         if self._crypto is None:
             raise CodecException("codec not configured with a MediaCrypto")
         device = self._crypto.device
-        device.obs.flows(
+        device.flows(
             ("Application", "Media Crypto", "queueSecureInputBuffer()"),
             ("Media Crypto", "CDM", "Decrypt()"),
         )

@@ -72,7 +72,7 @@ class MediaDrm:
     """
 
     def __init__(self, uuid: bytes, device: AndroidDevice, *, origin: str = "default"):
-        device.obs.flow("Application", "MediaDRM Server", "MediaDrm(UUID)")
+        device.flows(("Application", "MediaDRM Server", "MediaDrm(UUID)"))
         if not device.drm_server.is_scheme_supported(uuid):
             raise UnsupportedSchemeException(f"no plugin for uuid {uuid.hex()}")
         self.uuid = uuid
@@ -83,7 +83,7 @@ class MediaDrm:
         self._open_sessions: set[bytes] = set()
         self._key_types: dict[bytes, int] = {}
         self._key_set_ids: dict[bytes, bytes] = {}
-        device.obs.flow("MediaDRM Server", "CDM", "Initialize()")
+        device.flows(("MediaDRM Server", "CDM", "Initialize()"))
 
     @staticmethod
     def is_crypto_scheme_supported(uuid: bytes, device: AndroidDevice) -> bool:
@@ -92,8 +92,10 @@ class MediaDrm:
     # -- sessions -----------------------------------------------------------
 
     def open_session(self) -> bytes:
-        self.device.obs.flow("Application", "MediaDRM Server", "openSession()")
-        self.device.obs.flow("MediaDRM Server", "CDM", "openSession()")
+        self.device.flows(
+            ("Application", "MediaDRM Server", "openSession()"),
+            ("MediaDRM Server", "CDM", "openSession()"),
+        )
         session_id = self._cdm.open_session(self.origin)
         self._open_sessions.add(session_id)
         return session_id
@@ -117,15 +119,17 @@ class MediaDrm:
     ) -> KeyRequest:
         self._check_session(session_id)
         self._key_types[session_id] = key_type
-        self.device.obs.flow("Application", "MediaDRM Server", "getKeyRequest()")
-        self.device.obs.flow("MediaDRM Server", "CDM", "getKeyRequest()")
+        self.device.flows(
+            ("Application", "MediaDRM Server", "getKeyRequest()"),
+            ("MediaDRM Server", "CDM", "getKeyRequest()"),
+        )
         try:
             data = self._cdm.get_key_request(session_id, init_data)
         except NotProvisionedError as exc:
             raise NotProvisionedException(str(exc)) from exc
         except (CdmError, OemCryptoError) as exc:
             raise MediaDrmException(str(exc)) from exc
-        self.device.obs.flow("CDM", "MediaDRM Server", "opaque request")
+        self.device.flows(("CDM", "MediaDRM Server", "opaque request"))
         return KeyRequest(data=data)
 
     def provide_key_response(self, session_id: bytes, response: bytes) -> list[bytes]:
@@ -137,10 +141,10 @@ class MediaDrm:
         :meth:`restore_keys` (Android's ``keySetId`` flow).
         """
         self._check_session(session_id)
-        self.device.obs.flow(
-            "Application", "MediaDRM Server", "provideKeyResponse()"
+        self.device.flows(
+            ("Application", "MediaDRM Server", "provideKeyResponse()"),
+            ("MediaDRM Server", "CDM", "provideKeyResponse"),
         )
-        self.device.obs.flow("MediaDRM Server", "CDM", "provideKeyResponse")
         try:
             loaded = self._cdm.provide_key_response(session_id, response)
             if self._key_types.get(session_id) == KEY_TYPE_OFFLINE:

@@ -1,12 +1,12 @@
 """Message-flow tracing, used to regenerate the paper's Figure 1.
 
-``FlowTrace`` is a thin consumer of the observability bus: components
-on the playback path emit their arrows (application → Media DRM Server
-→ CDM, application → license server / CDN) through
-:meth:`repro.obs.bus.ObservabilityBus.flow`, and the device's trace —
-registered as a flow consumer at boot — appends them here. The Figure 1
-benchmark asserts the captured sequence against the published diagram,
-byte-identical to the pre-bus recording.
+Each device owns one ``FlowTrace``: components on its playback path
+draw their arrows (application → Media DRM Server → CDM, application →
+license server / CDN) through ``AndroidDevice.flows``, so a trace holds
+its own device's arrows only, whatever the bus. It keeps the last
+:data:`FLOW_TRACE_SIZE`: a playback draws at most ~110, a full study's
+L1 device ~980. The Figure 1 benchmark asserts the captured sequence
+against the published diagram.
 
 Record/clear are lock-guarded, like the repo's other mutable
 registries (its REG001/LRU004 invariants). Each device owns its trace
@@ -19,10 +19,14 @@ from __future__ import annotations
 
 import functools
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-__all__ = ["FlowEvent", "FlowTrace"]
+__all__ = ["FlowEvent", "FlowTrace", "FLOW_TRACE_SIZE"]
+
+# Arrows each device's trace keeps (the most recent ones).
+FLOW_TRACE_SIZE = 1024
 
 
 class FlowEvent(NamedTuple):
@@ -43,17 +47,19 @@ _make_event = functools.partial(tuple.__new__, FlowEvent)
 
 @dataclass
 class FlowTrace:
-    """An append-only sequence of message arrows."""
+    """The last :data:`FLOW_TRACE_SIZE` message arrows, oldest first."""
 
-    events: list[FlowEvent] = field(default_factory=list)
+    events: deque[FlowEvent] = field(
+        default_factory=lambda: deque(maxlen=FLOW_TRACE_SIZE)
+    )
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    def record(self, source: str, target: str, label: str) -> None:
-        event = _make_event((source, target, label))
+    def record(self, *arrows: tuple[str, str, str]) -> None:
+        """Append consecutive ``(source, target, label)`` arrows, in order."""
         with self._lock:
-            self.events.append(event)
+            self.events.extend(map(_make_event, arrows))
 
     def labels(self) -> list[tuple[str, str, str]]:
         with self._lock:

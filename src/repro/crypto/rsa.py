@@ -7,7 +7,7 @@ implemented here from the PKCS#1 v2.2 definitions over Python integers:
 the encodings, the DRBG draws and the CRT recombination are pure
 Python, and every full-width modular exponentiation goes through
 :mod:`repro.crypto.bignum`, to the libcrypto call OpenSSL's own RSA
-makes for the same job where ``ctypes.util.find_library`` locates a
+makes for the same job where :mod:`repro.crypto.libcrypto` opens a
 libcrypto that passes its known-answer checks, and to ``pow``
 otherwise. The results are identical either way.
 

@@ -89,10 +89,11 @@ class HttpClient:
         request.obs = self.obs
         with self.obs.span(
             "http.request", method=request.method, host=parsed.host, path=parsed.path
-        ):
+        ) as span:
             counts = {"http.requests": 1, "http.bytes_out": len(request.body)}
             try:
                 response = self._deliver(request, parsed.host)
+                span.set(status=response.status)
                 counts["http.bytes_in"] = len(response.body)
                 counts[f"http.status.{response.status}"] = 1
             finally:

@@ -7,7 +7,6 @@ from typing import Callable
 
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.tls import Certificate, issue_certificate
-from repro.obs.bus import NULL_BUS
 
 __all__ = ["VirtualServer", "RouteHandler"]
 
@@ -43,23 +42,16 @@ class VirtualServer:
     def handle(self, request: HttpRequest) -> HttpResponse:
         """Dispatch a request to the longest matching route.
 
-        The single server-side observation seam: every origin — license
-        server, CDN, app backend — dispatches through here, so one span
-        covers them all, nested under the sender's ``http.request`` via
-        the bus riding on the request.
+        Opens no span: the sender's ``http.request`` span covers the
+        exchange, status included. A route that observes more uses the
+        bus riding on the request (``request.obs``).
         """
-        bus = request.obs if request.obs is not None else NULL_BUS
-        with bus.span("server.handle", host=self.hostname) as span:
-            self.request_log.append(request)
-            path = request.parsed_url.path
-            best: str | None = None
-            for prefix in self._routes:
-                if path.startswith(prefix) and (
-                    best is None or len(prefix) > len(best)
-                ):
-                    best = prefix
-            if best is None:
-                return HttpResponse.not_found(f"no route for {path}")
-            response = self._routes[best](request)
-            span.set(status=response.status)
-            return response
+        self.request_log.append(request)
+        path = request.parsed_url.path
+        best: str | None = None
+        for prefix in self._routes:
+            if path.startswith(prefix) and (best is None or len(prefix) > len(best)):
+                best = prefix
+        if best is None:
+            return HttpResponse.not_found(f"no route for {path}")
+        return self._routes[best](request)

@@ -1,16 +1,14 @@
-"""The observability bus: one hook point, many consumers.
+"""The observability bus: one hook point for a run's observations.
 
-Every observation channel the reproduction used to keep separately —
-Figure 1 flow arrows (``FlowTrace``), OEMCrypto hook buffer dumps,
-proxy captures, DRM API observations — now emits through one
-:class:`ObservabilityBus`:
+Spans, Figure 1 flow arrows, OEMCrypto hook buffer dumps, proxy
+captures and DRM API observations all emit through one
+:class:`ObservabilityBus`, which records each once:
 
 - ``bus.span(name, **attrs)`` opens a timed, hierarchical span;
 - ``bus.event(name, **attrs)`` attaches a point event to the current
   span;
-- ``bus.flow(source, target, label)`` draws a Figure 1 arrow — fanned
-  out to registered flow consumers (the device's ``FlowTrace`` is one)
-  and, when the bus is enabled, recorded on the timeline too;
+- ``bus.flows(*arrows)`` records and counts Figure 1 arrows (the
+  drawing device traces them too: ``AndroidDevice.flows``);
 - ``bus.count`` / ``bus.count_many`` / ``bus.observe`` feed the
   metrics registry.
 
@@ -22,10 +20,9 @@ between sessions. A fleet cell persists its bus's counters, and fleet
 assembly replays them onto a fresh bus, so the artifact stays
 byte-identical to the in-process run.
 
-A disabled bus (``ObservabilityBus(enabled=False)``) is a no-op: spans
-return the shared :data:`~repro.obs.span.NULL_SPAN`, events and metrics
-vanish, and only flow arrows still reach their consumers (that is the
-pre-bus ``FlowTrace`` contract, which Figure 1 regeneration relies on).
+A disabled bus (``ObservabilityBus(enabled=False)``) does nothing at
+all: spans return the shared :data:`~repro.obs.span.NULL_SPAN`, and
+events, arrows and metrics vanish (each device still traces its own).
 
 A **sampled** bus (``ObservabilityBus(sampler=TraceSampler(4))``) sits
 between those extremes: when a root span opens, the sampler makes one
@@ -46,9 +43,7 @@ from repro.obs.metrics import HistogramStat, MetricsRegistry
 from repro.obs.sampling import TraceSampler
 from repro.obs.span import NULL_SPAN, Span, SpanPoint, make_point, structural_tree
 
-__all__ = ["ObservabilityBus", "NULL_BUS", "FlowConsumer"]
-
-FlowConsumer = Callable[[str, str, str], None]
+__all__ = ["ObservabilityBus", "NULL_BUS"]
 
 
 class ObservabilityBus:
@@ -74,7 +69,6 @@ class ObservabilityBus:
         self._spans: list[Span] = []
         self._stack: list[Span] = []
         self._events: list[SpanPoint] = []
-        self._flow_consumers: list[FlowConsumer] = []
         self._next_id = 1
         self._sampled_roots = 0
         self._dropped_roots = 0
@@ -211,22 +205,9 @@ class ObservabilityBus:
 
     # -- flow arrows -------------------------------------------------------
 
-    def add_flow_consumer(self, consumer: FlowConsumer) -> None:
-        """Register a ``(source, target, label)`` sink; the device's
-        :class:`~repro.android.trace.FlowTrace` is the canonical one."""
-        with self._lock:
-            self._flow_consumers.append(consumer)
-
-    def flow(self, source: str, target: str, label: str) -> None:
-        """Draw one Figure 1 arrow."""
-        self.flows((source, target, label))
-
     def flows(self, *arrows: tuple[str, str, str]) -> None:
-        """Draw consecutive Figure 1 arrows, in order: each reaches every
-        consumer, and the bus counts and records them in one pass."""
-        for source, target, label in arrows:
-            for consumer in self._flow_consumers:
-                consumer(source, target, label)
+        """Record consecutive Figure 1 arrows, in order, on the current
+        span (or the bus root) and count them, in one pass."""
         if self.enabled:
             now = self._clock()
             points = [
@@ -296,7 +277,7 @@ class ObservabilityBus:
     # -- lifecycle ---------------------------------------------------------
 
     def clear(self) -> None:
-        """Drop all recorded data (flow consumers stay registered)."""
+        """Drop all recorded data."""
         with self._lock:
             self._spans.clear()
             self._stack.clear()

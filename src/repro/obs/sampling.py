@@ -20,8 +20,8 @@ byte-identity contract:
   identical root.
 - **Exactness-preserving.** Sampling drops *span records*, nothing
   else: counters still count, histograms still observe every closed
-  span's duration (dropped or kept), flow arrows still reach their
-  consumers. ``StudyResult.to_json()`` is byte-identical at any rate.
+  span's duration (dropped or kept), devices still trace their arrows.
+  ``StudyResult.to_json()`` is byte-identical at any rate.
 - **Never silent.** The bus tallies kept/dropped roots and dropped
   spans; both exporters embed that record
   (:meth:`~repro.obs.bus.ObservabilityBus.sampling_snapshot`) so a

@@ -186,13 +186,13 @@ class OttApp:
     ) -> list[bytes]:
         with self.device.obs.span("license.exchange", app=self.profile.name):
             request = self._get_key_request_provisioning(drm, session_id, init_data)
-            self.device.obs.flow("Application", "License Server", "Get License")
+            self.device.flows(("Application", "License Server", "Get License"))
             response = self.http.post(
                 f"https://{self.profile.license_host}/license", request
             )
             if not response.ok:
                 raise LicenseDeniedError(response.body.decode())
-            self.device.obs.flow("License Server", "Application", "License")
+            self.device.flows(("License Server", "Application", "License"))
             try:
                 return drm.provide_key_response(session_id, response.body)
             except MediaDrmException as exc:
@@ -369,8 +369,10 @@ class OttApp:
             init_data = selector.init_data_for(video_rep)
             self._acquire_license(drm, session_id, init_data)
 
-            self.device.obs.flow("Application", "CDN", "Get Media")
-            self.device.obs.flow("CDN", "Application", "Media")
+            self.device.flows(
+                ("Application", "CDN", "Get Media"),
+                ("CDN", "Application", "Media"),
+            )
             result.tracks.append(
                 self._play_track(drm, session_id, video_rep, "video")
             )

@@ -6,7 +6,7 @@ from repro.android.device import DeviceSpec, nexus_5, pixel_6
 from repro.android.packages import Apk, decompile
 from repro.android.process import MemoryRegion, Process
 from repro.android.safetynet import attest
-from repro.android.trace import FlowEvent, FlowTrace
+from repro.android.trace import FLOW_TRACE_SIZE, FlowEvent, FlowTrace
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 
@@ -156,13 +156,13 @@ class TestApk:
 class TestFlowTrace:
     def test_record_and_render(self):
         trace = FlowTrace()
-        trace.record("A", "B", "hello()")
+        trace.record(("A", "B", "hello()"))
         assert trace.labels() == [("A", "B", "hello()")]
         assert "A -> B: hello()" in trace.render()
 
     def test_events_are_immutable_named_arrows(self):
         trace = FlowTrace()
-        trace.record("A", "B", "hello()")
+        trace.record(("A", "B", "hello()"))
         (event,) = trace.events
         assert event == FlowEvent("A", "B", "hello()")
         assert type(event) is FlowEvent
@@ -174,6 +174,17 @@ class TestFlowTrace:
 
     def test_clear(self):
         trace = FlowTrace()
-        trace.record("A", "B", "x")
+        trace.record(("A", "B", "x"))
         trace.clear()
-        assert trace.events == []
+        assert list(trace.events) == []
+
+    def test_ring_keeps_the_last_arrows(self):
+        trace = FlowTrace()
+        trace.record(*((f"s{i}", "t", f"m{i}") for i in range(3000)))
+        for i in range(3000, 5000):
+            trace.record((f"s{i}", "t", f"m{i}"))
+        labels = trace.labels()
+        assert len(labels) == FLOW_TRACE_SIZE
+        assert labels == [
+            (f"s{i}", "t", f"m{i}") for i in range(5000 - FLOW_TRACE_SIZE, 5000)
+        ]

@@ -39,6 +39,17 @@ class TestCaptureFigure1:
         events = capture_figure1(app)
         assert figure1_matches(events)
 
+    def test_captures_canonical_sequence_after_the_ring_wraps(self, full_study):
+        from repro.android.trace import FLOW_TRACE_SIZE
+        from repro.ott.app import OttApp
+        from repro.ott.registry import profile_by_name
+
+        device = full_study.l1_device
+        device.trace.record(*(("A", "B", f"m{i}") for i in range(5 * FLOW_TRACE_SIZE)))
+        profile = profile_by_name("myCanal")
+        app = OttApp(profile, device, full_study.backends[profile.service])
+        assert figure1_matches(capture_figure1(app))
+
     def test_raises_on_failed_playback(self, full_study):
         from repro.ott.app import OttApp
         from repro.ott.registry import profile_by_name

@@ -69,6 +69,7 @@ class TestBackendSelection:
         assert aes.backend() is AES
 
     def test_missing_library_falls_back_to_python(self, monkeypatch, fresh_backend):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         assert aes.backend() is AES
         assert cipher_for(_KEY).cbc_encrypt(_KEY, _DATA) == AES(_KEY).cbc_encrypt(
@@ -80,6 +81,7 @@ class TestBackendSelection:
         libc = ctypes.util.find_library("c")
         if libc is None:
             pytest.skip("no libc name to load")
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
         assert aes.backend() is AES
 
@@ -91,6 +93,8 @@ class TestBackendSelection:
             searches.append(name)
             return real(name)
 
+        # Without the mapped library, so the search runs.
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", counting)
         bignum.backend.cache_clear()
         try:

@@ -307,6 +307,7 @@ class TestBackendSelection:
         assert bignum.backend() is pow
 
     def test_missing_library_falls_back_to_pow(self, monkeypatch, fresh_backend):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         assert bignum.backend() is pow
         mod = (1 << 521) - 1
@@ -317,6 +318,7 @@ class TestBackendSelection:
         libc = ctypes.util.find_library("c")
         if libc is None:
             pytest.skip("no libc name to load")
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: libc)
         assert bignum.backend() is pow
 
@@ -382,6 +384,7 @@ class TestPairFallback:
         assert bignum.pair_backend() is bignum._two_modexps
 
     def test_missing_library(self, monkeypatch, fresh_backend):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         assert bignum.pair_backend() is bignum._two_modexps
         assert bignum.backend() is pow
@@ -413,6 +416,7 @@ class TestPublicFallback:
         assert bignum.public_backend() is pow
 
     def test_missing_library(self, monkeypatch, fresh_backend):
+        monkeypatch.setitem(sys.modules, "_hashlib", None)
         monkeypatch.setattr(ctypes.util, "find_library", lambda name: None)
         assert bignum.public_backend() is pow
         assert modexp_public(3, 65537, (1 << 521) - 1) == pow(

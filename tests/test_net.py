@@ -243,6 +243,18 @@ class TestProxyInterception:
         }
         assert bus.metrics.histograms()["span.http.request"].count == 2
 
+    def test_one_span_per_exchange_carries_the_status(self):
+        net, server, __, __ = self._world()
+        bus = ObservabilityBus()
+        client = HttpClient(net, obs=bus)
+        client.get("https://s.example/")
+        client.get("https://s.example/")
+        # No server-side child span: the request span is the exchange.
+        first, second = bus.spans
+        assert first.name == second.name == "http.request"
+        assert first.parent_id is second.parent_id is None
+        assert first.attrs["status"] == second.attrs["status"] == 200
+
     def test_proxy_works_after_repinning(self):
         from repro.instrumentation.hooks import disable_ssl_pinning
 

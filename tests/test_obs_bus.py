@@ -1,5 +1,6 @@
 """The observability bus: span nesting, ordering determinism, flow
-fan-out, histograms, and the zero-overhead disabled mode."""
+arrows (recorded by the bus, traced by the device that drew them),
+histograms, and the zero-overhead disabled mode."""
 
 from __future__ import annotations
 
@@ -7,7 +8,10 @@ import threading
 
 import pytest
 
+from repro.android.device import AndroidDevice, pixel_6
 from repro.android.trace import FlowTrace
+from repro.license_server.provisioning import KeyboxAuthority
+from repro.net.network import Network
 from repro.obs.bus import NULL_BUS, ObservabilityBus
 from repro.obs.span import NULL_SPAN, structural_tree
 
@@ -26,6 +30,11 @@ class FakeClock:
 @pytest.fixture
 def bus() -> ObservabilityBus:
     return ObservabilityBus(clock=FakeClock())
+
+
+def device_on(bus: ObservabilityBus) -> AndroidDevice:
+    """A booted device whose observations go to *bus*."""
+    return pixel_6(Network(), KeyboxAuthority(), obs=bus)
 
 
 class TestSpanNesting:
@@ -134,23 +143,23 @@ class TestOrderingDeterminism:
 
 
 class TestFlowArrows:
-    def test_flow_fans_out_to_consumers(self, bus):
-        seen: list[tuple[str, str, str]] = []
-        bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
-        bus.flow("Application", "CDM", "Decrypt()")
-        assert seen == [("Application", "CDM", "Decrypt()")]
+    def test_device_flows_reach_its_trace_and_its_bus(self, bus):
+        device = device_on(bus)
+        device.flows(("Application", "CDM", "Decrypt()"))
+        assert device.trace.labels() == [("Application", "CDM", "Decrypt()")]
         assert bus.metrics.counters()["flow.arrows"] == 1
+        assert [p.attrs["label"] for p in bus.events] == ["Decrypt()"]
 
     def test_flows_draw_in_order_and_count_each_arrow(self, bus):
-        seen: list[tuple[str, str, str]] = []
-        bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
+        device = device_on(bus)
         arrows = [
             ("Application", "Media Crypto", "queueSecureInputBuffer()"),
             ("Media Crypto", "CDM", "Decrypt()"),
         ]
         with bus.span("playback.track") as track:
-            bus.flows(*arrows)
-            bus.flow("CDN", "Application", "Media")
+            device.flows(*arrows)
+            device.flows(("CDN", "Application", "Media"))
+        seen = device.trace.labels()
         assert seen == arrows + [("CDN", "Application", "Media")]
         assert bus.metrics.counters()["flow.arrows"] == 3
         recorded = [
@@ -183,14 +192,13 @@ class TestFlowArrows:
         assert bus.metrics.counters()["flow.arrows"] == 2
         assert [p.attrs["label"] for p in track.points] == ["a", "b"]
 
-    def test_disabled_bus_still_delivers_flows(self):
-        """The pre-bus FlowTrace contract: Figure 1 regeneration works
-        with observation off."""
+    def test_disabled_bus_still_fills_the_device_trace(self):
+        """Figure 1 regeneration works with observation off: the device
+        traces its arrows, the bus records nothing."""
         disabled = ObservabilityBus(enabled=False)
-        trace = FlowTrace()
-        disabled.add_flow_consumer(trace.record)
-        disabled.flow("Application", "CDM", "Decrypt()")
-        assert trace.labels() == [("Application", "CDM", "Decrypt()")]
+        device = device_on(disabled)
+        device.flows(("Application", "CDM", "Decrypt()"))
+        assert device.trace.labels() == [("Application", "CDM", "Decrypt()")]
         assert disabled.events == []
         assert disabled.metrics.counters() == {}
 
@@ -210,6 +218,7 @@ class TestDisabledBusIsFree:
         disabled = ObservabilityBus(enabled=False)
         with disabled.span("s"):
             disabled.event("e")
+            disabled.flows(("a", "b", "c"))
             disabled.count("c")
             disabled.observe("h", 1.0)
         assert disabled.spans == []
@@ -221,16 +230,17 @@ class TestDisabledBusIsFree:
 
 
 class TestLifecycle:
-    def test_clear_drops_data_but_keeps_consumers(self, bus):
-        seen: list[tuple[str, str, str]] = []
-        bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
+    def test_clear_drops_bus_data_but_not_device_traces(self, bus):
+        device = device_on(bus)
         with bus.span("s"):
-            bus.flow("a", "b", "c")
+            device.flows(("a", "b", "c"))
         bus.clear()
         assert bus.spans == []
         assert bus.events == []
-        bus.flow("d", "e", "f")
-        assert seen == [("a", "b", "c"), ("d", "e", "f")]
+        assert bus.metrics.counters() == {}
+        device.flows(("d", "e", "f"))
+        assert device.trace.labels() == [("a", "b", "c"), ("d", "e", "f")]
+        assert bus.metrics.counters() == {"flow.arrows": 1}
 
 
 class TestMetricsShorthands:
@@ -317,7 +327,7 @@ class TestFlowTraceLocking:
         def hammer(worker: int) -> None:
             barrier.wait()
             for i in range(100):
-                trace.record(f"w{worker}", "sink", f"msg{i}")
+                trace.record((f"w{worker}", "sink", f"msg{i}"))
 
         threads = [
             threading.Thread(target=hammer, args=(w,)) for w in range(8)

@@ -9,6 +9,7 @@ from repro.core.figures import capture_figure1, figure1_matches
 from repro.core.monitor import DrmApiMonitor
 from repro.core.study import WideLeakStudy
 from repro.obs.bus import ObservabilityBus
+from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
 from repro.ott.registry import ALL_PROFILES, profile_by_name
 
@@ -41,7 +42,7 @@ class TestDisabledBusStudy:
         assert study.obs.spans == []
 
     def test_figure1_is_identical_traced_and_untraced(self):
-        """FlowTrace is a bus consumer now; Figure 1 must come out
+        """The device traces its own arrows; Figure 1 must come out
         byte-identical whether the bus records or not."""
         profile = profile_by_name("OCS")
 
@@ -56,6 +57,29 @@ class TestDisabledBusStudy:
         untraced = arrows(ObservabilityBus(enabled=False))
         assert traced == untraced
         assert figure1_matches(traced)
+
+
+class TestDeviceTraces:
+    @pytest.mark.parametrize(
+        "obs",
+        [
+            None,
+            ObservabilityBus(enabled=False),
+            ObservabilityBus(sampler=TraceSampler(2, seed=0)),
+        ],
+        ids=["enabled", "disabled", "sampled"],
+    )
+    def test_playback_fills_only_its_own_device_trace(self, obs):
+        """The study's two devices share one bus; a playback on the L1
+        device leaves the legacy (L3) device's trace empty."""
+        study = WideLeakStudy(profiles=SUBSET, obs=obs)
+        profile = SUBSET[0]
+        app = OttApp(profile, study.l1_device, study.backends[profile.service])
+        study.l1_device.trace.clear()
+        study.legacy_device.trace.clear()
+        assert app.play().ok
+        assert study.l1_device.trace.labels()
+        assert list(study.legacy_device.trace.events) == []
 
 
 class TestMonitorDetachFlush:

@@ -8,7 +8,10 @@ import json
 
 import pytest
 
+from repro.android.device import pixel_6
 from repro.core.study import DeviceSession, WideLeakStudy
+from repro.license_server.provisioning import KeyboxAuthority
+from repro.net.network import Network
 from repro.obs.bus import ObservabilityBus
 from repro.obs.export import to_chrome_trace, to_jsonl
 from repro.obs.sampling import TraceSampler, parse_rate
@@ -147,14 +150,14 @@ class TestExactness:
     def test_flow_arrows_survive_inside_dropped_trees(self):
         sampler = TraceSampler(2, seed=0)
         bus = ObservabilityBus(clock=FakeClock(), sampler=sampler)
-        seen: list[tuple[str, str, str]] = []
-        bus.add_flow_consumer(lambda s, t, label: seen.append((s, t, label)))
+        device = pixel_6(Network(), KeyboxAuthority(), obs=bus)
         assert not sampler.keep("study.app", {"app": "Amazon Prime Video"})
         with bus.span("study.app", app="Amazon Prime Video"):
-            bus.flow("Application", "CDM", "Decrypt()")
-        assert seen == [("Application", "CDM", "Decrypt()")]
+            device.flows(("Application", "CDM", "Decrypt()"))
+        assert device.trace.labels() == [("Application", "CDM", "Decrypt()")]
         assert bus.metrics.counters()["flow.arrows"] == 1
         assert bus.spans == []
+        assert bus.events == []
 
 
 class TestExportRecord:
