@@ -149,14 +149,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (default 1)",
     )
     gc = fleet_sub.add_parser(
-        "gc", help="evict least-recently-used store objects to a bound"
+        "gc",
+        help="evict least-recently-used store objects to a bound and "
+        "report the store's size",
     )
     gc.add_argument("--root", default=".fleet", metavar="DIR", help=root_help)
     gc.add_argument(
         "--max-bytes",
         type=int,
         metavar="N",
-        help="evict LRU objects until the store fits N bytes",
+        help="evict least-recently-used objects until the store fits N "
+        "bytes (default: evict nothing, only report the store's size)",
     )
 
     attack = sub.add_parser("attack", help="run the key-ladder attack on one app")
@@ -505,8 +508,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         stats = scheduler.gc(args.max_bytes)
         print(
             f"evicted {stats['evicted']} object(s); store holds "
-            f"{stats['objects']} object(s), {stats['bytes']} bytes "
-            f"({stats['hits']} hits / {stats['misses']} misses lifetime)"
+            f"{stats['objects']} object(s), {stats['bytes']} bytes"
         )
         return 0
 

@@ -2,7 +2,8 @@
 
 The service layer over the one-shot study: campaigns decompose into
 content-addressed cells (:mod:`repro.fleet.job`), cell results persist
-in an LRU-bounded store (:mod:`repro.fleet.store`), and a crash-safe
+in a content-addressed directory of objects that ``repro fleet gc``
+bounds by recency (:mod:`repro.fleet.store`), and a crash-safe
 filesystem scheduler whose worker processes share one ticket queue
 (:mod:`repro.fleet.scheduler`) computes only the cells whose inputs
 changed — assembling a ``StudyResult`` byte-identical to a cold

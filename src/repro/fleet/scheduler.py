@@ -49,7 +49,6 @@ or recovered across a crash. Two rules make this hold:
 
 from __future__ import annotations
 
-import itertools
 import json
 import multiprocessing
 import os
@@ -73,7 +72,7 @@ from repro.fleet.job import (
     Campaign,
     CellSpec,
 )
-from repro.fleet.store import ResultStore
+from repro.fleet.store import ResultStore, write_atomic
 from repro.obs.bus import ObservabilityBus
 from repro.ott.registry import profile_by_name
 
@@ -103,24 +102,8 @@ def _backoff(attempt: int) -> float:
     return min(1.0, 0.05 * 2 ** max(0, attempt - 1))
 
 
-# Disambiguates several writes to the same target from one process
-# (controller + inline worker share a pid).
-_TMP_SEQ = itertools.count()
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    # The temp name must NOT end in ".json": every queue/claimed/done
-    # scan globs "*.json", and a kill -9 between write and replace must
-    # leave only debris those scans (claims, requeues, done counts)
-    # never see. _sweep_tmp clears it on resume.
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{next(_TMP_SEQ)}"
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
 def _write_json_atomic(path: Path, payload: dict) -> None:
-    _write_text_atomic(path, json.dumps(payload, sort_keys=True))
+    write_atomic(path, json.dumps(payload, sort_keys=True))
 
 
 def _sweep_tmp(campaign_dir: Path) -> None:
@@ -341,11 +324,9 @@ class _Worker:
             last_progress = time.monotonic()
 
 
-def _worker_entry(
-    root: str, campaign_id: str, worker_id: str, max_store_bytes: int | None
-) -> None:
+def _worker_entry(root: str, campaign_id: str, worker_id: str) -> None:
     """Child-process entry point: rebuild state from disk and consume."""
-    scheduler = FleetScheduler(root, max_store_bytes=max_store_bytes)
+    scheduler = FleetScheduler(root)
     campaign = scheduler.load_campaign(campaign_id)
     worker = _Worker(
         campaign,
@@ -377,9 +358,9 @@ class FleetOutcome:
 class FleetScheduler:
     """Persistent campaign scheduler over a content-addressed store."""
 
-    def __init__(self, root: str | Path, *, max_store_bytes: int | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.store = ResultStore(self.root / "store", max_bytes=max_store_bytes)
+        self.store = ResultStore(self.root / "store")
         (self.root / "campaigns").mkdir(parents=True, exist_ok=True)
 
     # -- layout ------------------------------------------------------------
@@ -427,8 +408,8 @@ class FleetScheduler:
             "fleet.campaign", campaign=campaign.campaign_id, jobs=jobs
         ):
             # An eviction racing between a cell's done marker and
-            # assembly re-opens exactly that cell; one extra round
-            # recomputes it.
+            # assembly, or an object that no longer parses, re-opens
+            # exactly that cell; one extra round recomputes it.
             for round_ in range(2):
                 with telemetry.span("fleet.reconcile"):
                     pending = self._reconcile(
@@ -437,17 +418,21 @@ class FleetScheduler:
                 if pending:
                     with telemetry.span("fleet.execute", pending=pending):
                         self._execute(campaign, campaign_dir, jobs)
-                missing = self._missing_keys(campaign)
+                payloads = {
+                    cell.cell_id: self.store.get(cell.key)
+                    for cell in campaign.cells()
+                }
+                missing = [cid for cid, p in payloads.items() if p is None]
                 if not missing:
                     break
-                for cell in missing:
-                    (campaign_dir / "done" / f"{cell.cell_id}.json").unlink(
+                for cell_id in missing:
+                    (campaign_dir / "done" / f"{cell_id}.json").unlink(
                         missing_ok=True
                     )
             else:
                 raise FleetError(
-                    "store keeps evicting campaign cells before assembly; "
-                    "raise the store bound (repro fleet gc --max-bytes)"
+                    f"cells {', '.join(missing)} left the store before "
+                    "assembly twice; is a `repro fleet gc` running?"
                 )
             stats = self._stats(campaign, campaign_dir, jobs)
             for name in ("computed", "cache_hits", "retries"):
@@ -455,7 +440,7 @@ class FleetScheduler:
             telemetry.count("fleet.cells.total", stats["cells"])
             with telemetry.span("fleet.assemble"):
                 outcome = self._assemble(
-                    campaign, campaign_dir, stats, telemetry
+                    campaign, campaign_dir, payloads, stats, telemetry
                 )
         return outcome
 
@@ -514,8 +499,9 @@ class FleetScheduler:
         return rows
 
     def gc(self, max_bytes: int | None = None) -> dict[str, int]:
-        """Evict LRU store objects down to the bound; report store stats."""
-        evicted = self.store.gc(max_bytes)
+        """Evict LRU store objects down to the bound (none without one);
+        report what the store holds afterwards."""
+        evicted = 0 if max_bytes is None else self.store.gc(max_bytes)
         return {"evicted": evicted, **self.store.stats()}
 
     # -- internals ---------------------------------------------------------
@@ -611,12 +597,7 @@ class FleetScheduler:
         def spawn(worker_id: str):
             proc = ctx.Process(
                 target=_worker_entry,
-                args=(
-                    str(self.root),
-                    campaign.campaign_id,
-                    worker_id,
-                    self.store.max_bytes,
-                ),
+                args=(str(self.root), campaign.campaign_id, worker_id),
                 name=f"fleet-{worker_id}",
             )
             proc.start()
@@ -647,13 +628,6 @@ class FleetScheduler:
                     proc.terminate()
                     proc.join()
 
-    def _missing_keys(self, campaign: Campaign) -> list[CellSpec]:
-        return [
-            cell
-            for cell in campaign.cells()
-            if not self.store.contains(cell.key)
-        ]
-
     def _stats(
         self, campaign: Campaign, campaign_dir: Path, jobs: int
     ) -> dict[str, int]:
@@ -674,10 +648,12 @@ class FleetScheduler:
         self,
         campaign: Campaign,
         campaign_dir: Path,
+        payloads: dict[str, dict],
         stats: dict[str, int],
         telemetry: ObservabilityBus,
     ) -> FleetOutcome:
-        """Rebuild the StudyResult from stored cells, byte-identically.
+        """Rebuild the StudyResult from the cells' stored payloads,
+        byte-identically.
 
         A fresh bus receives exactly the counters the sequential run's
         bus would hold (world construction + every app's session, in
@@ -685,24 +661,13 @@ class FleetScheduler:
         persisted artifact projections — the same code path a live
         ``StudyResult`` serializes through.
         """
-        cells = {cell.cell_id: cell for cell in campaign.cells()}
         bus = ObservabilityBus()
-
-        def fetch(cell: CellSpec) -> dict:
-            payload = self.store.get(cell.key)
-            if payload is None:
-                raise FleetError(
-                    f"cell {cell.cell_id!r} vanished from the store "
-                    "during assembly"
-                )
-            return payload
-
-        for name, value in fetch(cells["world"])["counters"].items():
+        for name, value in payloads["world"]["counters"].items():
             bus.count(name, value)
         table = TableOne()
         artifacts: dict[str, AppCellArtifact] = {}
         for profile in campaign.profiles:
-            payload = fetch(cells[f"audit-{profile.service}"])
+            payload = payloads[f"audit-{profile.service}"]
             artifact = AppCellArtifact.from_dict(payload["artifact"])
             for name, value in payload["counters"].items():
                 bus.count(name, value)
@@ -713,12 +678,11 @@ class FleetScheduler:
         attacks: dict[str, AttackCellArtifact] = {}
         if campaign.include_attacks:
             for profile in campaign.profiles:
-                payload = fetch(cells[f"attack-{profile.service}"])
                 attacks[profile.name] = AttackCellArtifact.from_dict(
-                    payload["artifact"]
+                    payloads[f"attack-{profile.service}"]["artifact"]
                 )
 
-        _write_text_atomic(campaign_dir / "result.json", result.to_json())
+        write_atomic(campaign_dir / "result.json", result.to_json())
         if attacks:
             _write_json_atomic(
                 campaign_dir / "attacks.json",

@@ -5,29 +5,19 @@ key: ``objects/<key[:2]>/<key>.json``. The key is a SHA-256 over every
 input the cell depends on (see :mod:`repro.fleet.job`), so the store
 never needs invalidation logic — a changed input is a different key.
 
-Durability model
-----------------
+The objects directory is the whole store: there is no index beside it,
+so there is nothing to lock, reconcile or lose in a crash.
 
-- **Atomic writes.** Every object lands via a same-directory temp file
-  and ``os.replace``, so a reader (or a concurrent writer of the same
-  key) only ever sees a complete JSON document. Two writers racing on
-  one key both write the same bytes (the key fixes the content), so
-  last-replace-wins is harmless.
-- **Objects are ground truth.** The ``manifest.json`` index (sizes +
-  LRU sequence numbers) is a cache of the objects directory, rewritten
-  atomically read-modify-write under a thread lock *and* an
-  inter-process ``flock`` on ``manifest.lock`` — the scheduler runs N
-  worker processes against one store root, and without the file lock
-  concurrent rewrites would silently drop each other's hit/seq
-  updates and evict against stale totals. After a crash the manifest
-  is still reconciled against the directory scan on the next open, so
-  a stale index can never lose stored results (and on platforms
-  without ``fcntl`` the store degrades to exactly that: best-effort
-  counters, objects intact).
-- **LRU bound.** With ``max_bytes`` set, inserts evict the
-  least-recently-used objects (lowest sequence number; ``get`` bumps
-  recency) until the store fits. Eviction only ever costs recompute,
-  never correctness: the scheduler treats a missing key as a cold cell.
+- **Atomic writes.** Every object lands through :func:`write_atomic`
+  (temp file, then ``os.replace``), so a reader only ever sees a
+  complete document. Two writers racing on one key write the same
+  bytes (the key fixes the content), so last-replace-wins is harmless.
+- **Recency is the object's mtime.** ``get`` stamps it, and ``gc``
+  evicts least-recently-used objects first (ties in key order) until
+  the store fits a bound. Eviction only ever costs recompute, never
+  correctness: the scheduler treats a missing key as a cold cell.
+- **A corrupt object is a miss.** ``get`` unlinks an object it cannot
+  parse, so the cell is recomputed rather than found again and again.
 """
 
 from __future__ import annotations
@@ -35,240 +25,109 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import threading
-from contextlib import contextmanager
+import time
 from pathlib import Path
 
-try:
-    import fcntl
-except ImportError:  # non-POSIX: counters/bound become best-effort
-    fcntl = None
+__all__ = ["ResultStore", "write_atomic"]
 
-__all__ = ["ResultStore"]
-
-_MANIFEST = "manifest.json"
-_MANIFEST_LOCK = "manifest.lock"
 _OBJECTS = "objects"
 
-# Unique-per-write temp suffixes: the counter disambiguates writers in
-# one process (several store instances may share one root), the pid and
-# thread id disambiguate across processes and threads.
-_TMP_IDS = itertools.count()
+# Disambiguates concurrent writes to one target from one process (the
+# controller and an inline worker share a pid; store instances and
+# threads share a root); the pid disambiguates across processes.
+_TMP_SEQ = itertools.count()
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write *text* to *path* through a same-directory temp file and
+    ``os.replace``: readers never see a torn file.
+
+    The temp name (``<name>.tmp-<pid>-<n>``) must NOT end in ``.json``:
+    the store and every queue/claimed/done scan glob ``*.json``, and a
+    kill -9 between write and replace must leave only debris those
+    scans never see.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f"{path.name}.tmp-{os.getpid()}-{next(_TMP_SEQ)}"
+    tmp.write_text(text, encoding="utf-8")
+    os.replace(tmp, path)
 
 
 class ResultStore:
-    """Content-addressed, LRU-bounded JSON store keyed by cell cache key."""
+    """Content-addressed JSON store keyed by cell cache key."""
 
-    def __init__(self, root: str | Path, *, max_bytes: int | None = None):
+    def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.max_bytes = max_bytes
-        self._lock = threading.Lock()
         (self.root / _OBJECTS).mkdir(parents=True, exist_ok=True)
-        with self._locked():
-            self._reconcile_locked()
-
-    @contextmanager
-    def _locked(self):
-        """Serialise manifest read-modify-write across threads *and*
-        processes: a thread lock for this instance, then an exclusive
-        ``flock`` on a sidecar lock file (never on ``manifest.json``
-        itself — ``os.replace`` swaps that inode on every save). Other
-        instances in the same process hold different fds, so the flock
-        excludes them too."""
-        with self._lock:
-            if fcntl is None:
-                yield
-                return
-            with open(self.root / _MANIFEST_LOCK, "ab") as lock_file:
-                fcntl.flock(lock_file, fcntl.LOCK_EX)
-                try:
-                    yield
-                finally:
-                    fcntl.flock(lock_file, fcntl.LOCK_UN)
-
-    # -- paths -------------------------------------------------------------
 
     def _object_path(self, key: str) -> Path:
         return self.root / _OBJECTS / key[:2] / f"{key}.json"
 
-    @property
-    def _manifest_path(self) -> Path:
-        return self.root / _MANIFEST
-
-    # -- manifest ----------------------------------------------------------
-
-    def _load_manifest_locked(self) -> dict:
-        try:
-            manifest = json.loads(self._manifest_path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            manifest = {}
-        manifest.setdefault("entries", {})
-        manifest.setdefault("next_seq", 1)
-        manifest.setdefault("hits", 0)
-        manifest.setdefault("misses", 0)
-        manifest.setdefault("evictions", 0)
-        return manifest
-
-    def _write_atomic(self, path: Path, payload: bytes) -> None:
-        """Same-directory temp + ``os.replace``: readers never see a
-        torn file, concurrent writers settle last-replace-wins."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / (
-            f".tmp-{os.getpid()}-{threading.get_ident()}-{next(_TMP_IDS)}"
-        )
-        tmp.write_bytes(payload)
-        os.replace(tmp, path)
-
-    def _save_manifest_locked(self, manifest: dict) -> None:
-        self._write_atomic(
-            self._manifest_path,
-            json.dumps(manifest, sort_keys=True).encode("utf-8"),
-        )
-
-    def _reconcile_locked(self) -> dict:
-        """Make the manifest agree with the objects directory.
-
-        Objects present on disk but unknown to the manifest (a crash
-        between object write and index write, or a concurrent writer's
-        lost manifest update) are adopted with fresh recency; manifest
-        entries whose object vanished (eviction by another process) are
-        dropped.
-        """
-        manifest = self._load_manifest_locked()
-        entries = manifest["entries"]
-        on_disk: dict[str, int] = {}
-        objects_root = self.root / _OBJECTS
-        for shard in sorted(objects_root.iterdir()) if objects_root.is_dir() else []:
-            if not shard.is_dir():
-                continue
-            for obj in sorted(shard.glob("*.json")):
-                try:
-                    on_disk[obj.stem] = obj.stat().st_size
-                except FileNotFoundError:
-                    continue  # evicted mid-scan by another process
-        changed = False
-        for key in list(entries):
-            if key not in on_disk:
-                del entries[key]
-                changed = True
-        for key, size in on_disk.items():
-            entry = entries.get(key)
-            if entry is None:
-                entries[key] = {"size": size, "seq": manifest["next_seq"]}
-                manifest["next_seq"] += 1
-                changed = True
-            elif entry["size"] != size:
-                entry["size"] = size
-                changed = True
-        if changed:
-            self._save_manifest_locked(manifest)
-        return manifest
-
-    # -- public API --------------------------------------------------------
+    def _scan(self) -> list[tuple[int, str, int]]:
+        """``(mtime_ns, key, size)`` of every object on disk."""
+        entries = []
+        for path in (self.root / _OBJECTS).glob("*/*.json"):
+            try:
+                st = path.stat()
+            except FileNotFoundError:
+                continue  # evicted mid-scan by another process
+            entries.append((st.st_mtime_ns, path.stem, st.st_size))
+        return entries
 
     def put(self, key: str, payload: dict) -> None:
         """Persist one cell result under its cache key, atomically."""
-        blob = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-        with self._locked():
-            self._write_atomic(self._object_path(key), blob)
-            manifest = self._load_manifest_locked()
-            manifest["entries"][key] = {
-                "size": len(blob),
-                "seq": manifest["next_seq"],
-            }
-            manifest["next_seq"] += 1
-            if self.max_bytes is not None:
-                self._evict_locked(manifest, self.max_bytes, protect=key)
-            self._save_manifest_locked(manifest)
+        write_atomic(
+            self._object_path(key), json.dumps(payload, indent=2, sort_keys=True)
+        )
 
     def get(self, key: str) -> dict | None:
-        """Fetch one cell result; ``None`` on miss. Hits bump recency."""
+        """Fetch one cell result; ``None`` on a miss. A hit stamps the
+        object's recency; an object that does not parse is deleted."""
         path = self._object_path(key)
         try:
-            payload = json.loads(path.read_text())
-        except (FileNotFoundError, json.JSONDecodeError):
-            with self._locked():
-                manifest = self._load_manifest_locked()
-                manifest["misses"] += 1
-                manifest["entries"].pop(key, None)
-                self._save_manifest_locked(manifest)
+            payload = json.loads(path.read_bytes())
+        except FileNotFoundError:
             return None
-        with self._locked():
-            manifest = self._load_manifest_locked()
-            manifest["hits"] += 1
-            entry = manifest["entries"].setdefault(
-                key, {"size": path.stat().st_size if path.exists() else 0, "seq": 0}
-            )
-            entry["seq"] = manifest["next_seq"]
-            manifest["next_seq"] += 1
-            self._save_manifest_locked(manifest)
+        except ValueError:
+            path.unlink(missing_ok=True)
+            return None
+        # lint: allow(CLK003) LRU recency stamp on a store file, never artifact data
+        now = time.time_ns()
+        try:
+            os.utime(path, ns=(now, now))
+        except FileNotFoundError:
+            pass  # evicted by a concurrent gc after the read
         return payload
 
     def contains(self, key: str) -> bool:
         return self._object_path(key).is_file()
 
     def delete(self, key: str) -> bool:
-        with self._locked():
-            manifest = self._load_manifest_locked()
-            existed = manifest["entries"].pop(key, None) is not None
-            try:
-                os.unlink(self._object_path(key))
-                existed = True
-            except FileNotFoundError:
-                pass
-            self._save_manifest_locked(manifest)
-        return existed
+        try:
+            os.unlink(self._object_path(key))
+        except FileNotFoundError:
+            return False
+        return True
 
     def keys(self) -> tuple[str, ...]:
-        with self._locked():
-            manifest = self._reconcile_locked()
-        return tuple(sorted(manifest["entries"]))
+        return tuple(sorted(key for _, key, _ in self._scan()))
 
     def stats(self) -> dict[str, int]:
-        with self._locked():
-            manifest = self._reconcile_locked()
-        entries = manifest["entries"]
+        entries = self._scan()
         return {
             "objects": len(entries),
-            "bytes": sum(entry["size"] for entry in entries.values()),
-            "hits": manifest["hits"],
-            "misses": manifest["misses"],
-            "evictions": manifest["evictions"],
+            "bytes": sum(size for _, _, size in entries),
         }
 
-    def gc(self, max_bytes: int | None = None) -> int:
-        """Evict LRU objects until the store fits ``max_bytes`` (defaults
-        to the configured bound). Returns the number evicted."""
-        bound = max_bytes if max_bytes is not None else self.max_bytes
-        if bound is None:
-            return 0
-        with self._locked():
-            manifest = self._reconcile_locked()
-            evicted = self._evict_locked(manifest, bound)
-            if evicted:
-                self._save_manifest_locked(manifest)
-        return evicted
-
-    # -- eviction ----------------------------------------------------------
-
-    def _evict_locked(
-        self, manifest: dict, bound: int, *, protect: str | None = None
-    ) -> int:
-        """Drop lowest-seq objects until total size <= bound."""
-        entries = manifest["entries"]
-        total = sum(entry["size"] for entry in entries.values())
+    def gc(self, max_bytes: int) -> int:
+        """Evict least-recently-used objects until the store fits
+        *max_bytes*. Returns how many this call unlinked."""
+        entries = sorted(self._scan())
+        total = sum(size for _, _, size in entries)
         evicted = 0
-        for key in sorted(entries, key=lambda k: entries[k]["seq"]):
-            if total <= bound:
+        for _, key, size in entries:
+            if total <= max_bytes:
                 break
-            if key == protect:
-                continue
-            total -= entries[key]["size"]
-            del entries[key]
-            try:
-                os.unlink(self._object_path(key))
-            except FileNotFoundError:
-                pass
-            manifest["evictions"] += 1
-            evicted += 1
+            total -= size
+            evicted += self.delete(key)
         return evicted

@@ -112,25 +112,51 @@ class TestResultStore:
         ResultStore(tmp_path).put("aa" * 32, {"x": 1})
         assert ResultStore(tmp_path).get("aa" * 32) == {"x": 1}
 
-    def test_manifest_rebuilt_from_objects_after_corruption(self, tmp_path):
+    def test_manifest_of_the_earlier_layout_is_ignored(self, tmp_path):
+        """A store written when an index sat beside the objects needs no
+        migration: the leftover manifest and its lock file are never
+        read, and the objects are served."""
         store = ResultStore(tmp_path)
         store.put("aa" * 32, {"x": 1})
         (tmp_path / "manifest.json").write_text("{not json")
+        (tmp_path / "manifest.lock").write_text("")
         fresh = ResultStore(tmp_path)
         assert fresh.get("aa" * 32) == {"x": 1}
+        assert fresh.keys() == ("aa" * 32,)
         assert fresh.stats()["objects"] == 1
 
     def test_lru_eviction_drops_least_recently_used(self, tmp_path):
+        """A get through one instance protects that object from a gc
+        through another: recency lives in the objects, not the instance."""
         payload = {"blob": "x" * 100}
         size = len(json.dumps(payload, indent=2, sort_keys=True).encode())
-        store = ResultStore(tmp_path, max_bytes=3 * size)
+        reader, collector = ResultStore(tmp_path), ResultStore(tmp_path)
         for index in range(3):
-            store.put(f"{index:02d}" * 32, payload)
-        store.get("00" * 32)  # refresh: 01 becomes the LRU entry
-        store.put("03" * 32, payload)
-        assert store.contains("00" * 32)
-        assert not store.contains("01" * 32)
-        assert store.stats()["evictions"] == 1
+            reader.put(f"{index:02d}" * 32, payload)
+        reader.get("00" * 32)  # refresh: 01 becomes the LRU entry
+        assert collector.gc(max_bytes=2 * size) == 1
+        assert collector.contains("00" * 32)
+        assert not collector.contains("01" * 32)
+        assert collector.stats() == {"objects": 2, "bytes": 2 * size}
+
+    def test_gc_ties_fall_back_to_key_order(self, tmp_path):
+        """On a file system with coarse mtimes every object can carry
+        the same stamp; eviction order is then the key order."""
+        store = ResultStore(tmp_path)
+        for index in (2, 0, 1):
+            store.put(f"{index:02d}" * 32, {"i": index})
+        size = store.stats()["bytes"] // 3
+        for key in store.keys():
+            os.utime(store._object_path(key), ns=(10**18, 10**18))
+        assert store.gc(max_bytes=size) == 2
+        assert store.keys() == ("02" * 32,)
+
+    def test_corrupt_object_is_deleted_and_reads_as_a_miss(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put("aa" * 32, {"x": 1})
+        store._object_path("aa" * 32).write_text('{"x": ')
+        assert store.get("aa" * 32) is None
+        assert not store.contains("aa" * 32)
 
     def test_gc_honours_explicit_bound(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -166,11 +192,9 @@ class TestResultStore:
         assert errors == []
         assert set(ResultStore(tmp_path).get(key)) == {"worker", "i", "pad"}
 
-    def test_concurrent_manifest_updates_lose_no_entries(self, tmp_path):
+    def test_concurrent_writers_lose_no_keys(self, tmp_path):
         """Distinct keys written through two store instances (the
-        worker-process shape: each holds its own manifest lock fd) must
-        all land in manifest.json without waiting for a reconcile —
-        last-replace-wins on the index would silently drop some."""
+        worker-process shape) all appear in ``keys()``."""
         stores = [ResultStore(tmp_path), ResultStore(tmp_path)]
 
         def writer(worker: int) -> None:
@@ -183,8 +207,13 @@ class TestResultStore:
             thread.start()
         for thread in threads:
             thread.join()
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        assert len(manifest["entries"]) == 40
+        expected = {
+            f"{worker:02d}{i:02d}".ljust(64, "0")
+            for worker in range(2)
+            for i in range(20)
+        }
+        assert set(ResultStore(tmp_path).keys()) == expected
+        assert len(expected) == 40
 
 
 # ---------------------------------------------------------------------------
@@ -512,10 +541,26 @@ class TestCrashRecovery:
         with pytest.raises(FleetError, match="no interrupted campaign"):
             scheduler.resume()
 
-    def test_store_too_small_to_hold_the_campaign_fails_loudly(self, tmp_path):
-        scheduler = FleetScheduler(tmp_path, max_store_bytes=64)
-        with pytest.raises(FleetError, match="evict"):
-            scheduler.submit(Campaign(profiles=SMALL))
+    def test_cell_evicted_before_assembly_is_recomputed_in_round_two(
+        self, tmp_path, monkeypatch
+    ):
+        """A ``fleet gc`` racing between a cell's done marker and
+        assembly costs one recompute, not the campaign."""
+        scheduler = FleetScheduler(tmp_path)
+        campaign = Campaign(profiles=SMALL)
+        evicted_key = campaign.cells()[1].key  # audit-netflix
+        calls = []
+        execute = FleetScheduler._execute
+
+        def execute_then_evict(self, *args):
+            execute(self, *args)
+            calls.append(self.store.delete(evicted_key) if not calls else None)
+
+        monkeypatch.setattr(FleetScheduler, "_execute", execute_then_evict)
+        outcome = scheduler.submit(campaign)
+        assert calls == [True, None]
+        assert outcome.stats["computed"] == len(SMALL) + 1
+        assert outcome.result.to_json() == sequential_json(SMALL)
 
     def test_evicted_cell_is_recomputed_on_resubmit(self, tmp_path):
         scheduler = FleetScheduler(tmp_path)
@@ -526,6 +571,21 @@ class TestCrashRecovery:
         outcome = scheduler.submit(Campaign(profiles=SMALL))
         assert outcome.stats["computed"] == 1
         assert outcome.result.to_json() == sequential_json(SMALL)
+
+    def test_corrupt_object_is_recomputed_on_resubmit(self, tmp_path):
+        """A truncated object used to keep its done marker (the file
+        still existed) and fail every later assembly."""
+        profiles = [p for p in ALL_PROFILES if p.name in ("Netflix", "Hulu")]
+        scheduler = FleetScheduler(tmp_path)
+        campaign = Campaign(profiles=profiles)
+        scheduler.submit(campaign)
+        key = campaign.cell_by_id("audit-netflix").key
+        path = scheduler.store._object_path(key)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        outcome = scheduler.submit(Campaign(profiles=profiles))
+        assert outcome.stats["computed"] == 1
+        assert outcome.result.to_json() == sequential_json(profiles)
+        assert scheduler.submit(campaign).stats["computed"] == 0
 
 
 # ---------------------------------------------------------------------------
