@@ -106,6 +106,12 @@ def _write_json_atomic(path: Path, payload: dict) -> None:
     write_atomic(path, json.dumps(payload, sort_keys=True))
 
 
+def _write_if_changed(path: Path, text: str) -> None:
+    """:func:`write_atomic`, skipped when *path* already holds *text*."""
+    if not path.is_file() or path.read_text(encoding="utf-8") != text:
+        write_atomic(path, text)
+
+
 def _sweep_tmp(campaign_dir: Path) -> None:
     """Delete temp-file debris a kill -9 mid-write left behind.
 
@@ -401,9 +407,8 @@ class FleetScheduler:
         for sub in ("queue", "claimed", "done"):
             (campaign_dir / sub).mkdir(parents=True, exist_ok=True)
         _sweep_tmp(campaign_dir)
-        _write_json_atomic(
-            campaign_dir / "campaign.json", campaign.to_manifest()
-        )
+        manifest = json.dumps(campaign.to_manifest(), sort_keys=True)
+        _write_if_changed(campaign_dir / "campaign.json", manifest)
         with telemetry.span(
             "fleet.campaign", campaign=campaign.campaign_id, jobs=jobs
         ):
@@ -534,8 +539,8 @@ class FleetScheduler:
         while this does, so every claim belongs to a dead one and goes
         back on the queue. With ``refresh_markers`` (the first round of
         a submission), done markers inherited from earlier runs are
-        rewritten as cache hits, so stats report what *this* invocation
-        computed.
+        rewritten as cache hits (unless they already are one), so stats
+        report what *this* invocation computed.
         """
         _requeue_claims(campaign, campaign_dir, "*")
         done_dir = campaign_dir / "done"
@@ -545,10 +550,8 @@ class FleetScheduler:
             done_path = done_dir / f"{cell.cell_id}.json"
             marker = _read_json(done_path)
             if marker is not None and self.store.contains(marker["key"]):
-                if refresh_markers:
-                    _write_json_atomic(
-                        done_path, _cache_hit_marker(cell)
-                    )
+                if refresh_markers and marker != _cache_hit_marker(cell):
+                    _write_json_atomic(done_path, _cache_hit_marker(cell))
                 continue
             if marker is not None:
                 done_path.unlink(missing_ok=True)  # store evicted it
@@ -682,12 +685,11 @@ class FleetScheduler:
                     payloads[f"attack-{profile.service}"]["artifact"]
                 )
 
-        write_atomic(campaign_dir / "result.json", result.to_json())
+        _write_if_changed(campaign_dir / "result.json", result.to_json())
         if attacks:
-            _write_json_atomic(
-                campaign_dir / "attacks.json",
-                {name: a.to_dict() for name, a in attacks.items()},
-            )
+            _write_if_changed(campaign_dir / "attacks.json", json.dumps(
+                {name: a.to_dict() for name, a in attacks.items()}, sort_keys=True
+            ))
         return FleetOutcome(
             result=result,
             attacks=attacks,

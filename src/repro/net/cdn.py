@@ -11,7 +11,7 @@ import hashlib
 
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import VirtualServer
-from repro.obs.bus import NULL_BUS
+from repro.obs.span import NULL_SPAN
 
 __all__ = ["CdnServer"]
 
@@ -50,14 +50,16 @@ class CdnServer(VirtualServer):
 
     def _serve(self, request: HttpRequest) -> HttpResponse:
         url = request.parsed_url
-        bus = request.obs if request.obs is not None else NULL_BUS
         blob = self._blobs.get(url.path)
         if blob is None:
             return HttpResponse.not_found(f"no asset at {url.path}")
+        # The outcome goes on the sender's ``http.request`` span (its counters).
+        obs = request.obs
+        span = obs.current_span() if obs is not None and obs.enabled else NULL_SPAN
         if self._require_token and url.query.get("token") != self.token_for(url.path):
-            bus.count("cdn.token_rejections")
+            span.set(cdn="token_rejected")
             return HttpResponse.forbidden("missing or invalid CDN token")
-        bus.count_many({"cdn.segments_served": 1, "cdn.bytes_served": len(blob)})
+        span.set(cdn="served", cdn_bytes=len(blob))
         return HttpResponse(
             status=200,
             headers={"content-type": "application/octet-stream"},

@@ -7,7 +7,8 @@ recorded as a :class:`Flow` the audit can mine for media URIs and MPD
 manifests (§IV-B "Content Protection"). Like a server's
 ``request_log``, the capture is a ring: a long-lived proxy keeps the
 last :data:`FLOW_LOG_SIZE` flows, bodies included, not every segment it
-ever relayed.
+ever relayed. The proxy opens no span and counts nothing: the client's
+``http.request`` span marks a relayed exchange (``proxied``, ``tampered``).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from dataclasses import dataclass
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.network import Network
 from repro.net.tls import Certificate, issue_certificate
-from repro.obs.bus import NULL_BUS
 
 __all__ = ["FLOW_LOG_SIZE", "Flow", "InterceptingProxy"]
 
@@ -64,20 +64,12 @@ class InterceptingProxy:
     def forward(self, request: HttpRequest) -> HttpResponse:
         """Relay to the real origin, recording (and optionally
         transforming) the exchange."""
-        bus = request.obs if request.obs is not None else NULL_BUS
-        with bus.span(
-            "proxy.forward", host=request.parsed_url.host
-        ) as span:
-            response = self._network.deliver(request)
-            if self.response_hook is not None:
-                response = self.response_hook(request, response)
-                span.event("proxy.tamper")
-            self.flows.append(
-                Flow(host=request.parsed_url.host, request=request, response=response)
-            )
-            bus.count_many(
-                {"proxy.flows": 1, "proxy.bytes_captured": len(response.body)}
-            )
+        response = self._network.deliver(request)
+        if self.response_hook is not None:
+            response = self.response_hook(request, response)
+        self.flows.append(
+            Flow(host=request.parsed_url.host, request=request, response=response)
+        )
         return response
 
     def flows_for(self, host_substring: str) -> list[Flow]:

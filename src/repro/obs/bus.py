@@ -1,8 +1,8 @@
 """The observability bus: one hook point for a run's observations.
 
-Spans, Figure 1 flow arrows, OEMCrypto hook buffer dumps, proxy
-captures and DRM API observations all emit through one
-:class:`ObservabilityBus`, which records each once:
+Spans, Figure 1 flow arrows, OEMCrypto hook buffer dumps and DRM API
+observations all emit through one :class:`ObservabilityBus`, which
+records each once:
 
 - ``bus.span(name, **attrs)`` opens a timed, hierarchical span;
 - ``bus.event(name, **attrs)`` attaches a point event to the current
@@ -86,7 +86,7 @@ class ObservabilityBus:
         """Open a span nested under the currently open one.
 
         Returns a context manager; the returned span doubles as a
-        handle for attaching attributes and point events.
+        handle for attaching attributes.
         """
         if not self.enabled:
             return NULL_SPAN
@@ -176,13 +176,6 @@ class ObservabilityBus:
                     top.end_ns = now
                 if top is span:
                     break
-
-    def _point(self, span: Span, name: str, attrs: dict[str, Any]) -> None:
-        if not self.enabled:
-            return
-        point = make_point((name, self._clock(), attrs))
-        with self._lock:
-            span._add_points([point])
 
     def current_span(self) -> Span | None:
         with self._lock:

@@ -93,10 +93,6 @@ class SelfTimeStat:
     total_ns: int = 0
     self_ns: int = 0
 
-    @property
-    def mean_ns(self) -> float:
-        return self.total_ns / self.count if self.count else 0.0
-
 
 def self_time_profile(spans: list[Span]) -> dict[str, SelfTimeStat]:
     """Aggregate count / total time / self time by span name.

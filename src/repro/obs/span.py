@@ -1,11 +1,11 @@
 """Span model of the observability bus.
 
 A :class:`Span` is one timed, named unit of work — a license exchange,
-an HTTP request, a playback — with attributes, point events and a
-parent link. Spans form per-app trees rooted by the study orchestrator;
-the tree shape is deterministic (a pure function of the pipeline run),
-while the timestamps are real wall-clock nanoseconds, which is what the
-exporters turn into Chrome ``trace_event`` timelines.
+an HTTP request, a playback — with attributes, point events (which the
+bus adds) and a parent link. Spans form per-app trees rooted by the
+study orchestrator; the tree shape is deterministic (a pure function of
+the pipeline run), while the timestamps are real wall-clock nanoseconds,
+which is what the exporters turn into Chrome ``trace_event`` timelines.
 
 Code paths that may run without a bus use :data:`NULL_SPAN`, a shared
 do-nothing span handle, so instrumentation is branch-free at the call
@@ -69,10 +69,10 @@ class Span:
 
     # -- handle protocol ---------------------------------------------------
     #
-    # Spans double as the handle returned by ``bus.span(...)``; the bus
-    # sets ``_bus`` on open. The context-manager protocol lives on the
-    # bus (`ObservabilityBus._close`) so all list mutation stays behind
-    # the bus lock.
+    # Spans double as the handle returned by ``bus.span(...)``, for
+    # attributes only; the bus sets ``_bus`` on open. The context-manager
+    # protocol lives on the bus (`ObservabilityBus._close`), as do point
+    # events, so all list mutation stays behind the bus lock.
 
     _bus: Any = field(default=None, repr=False, compare=False)
 
@@ -87,11 +87,6 @@ class Span:
         """Attach attributes to an open span."""
         self.attrs.update(attrs)
         return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        """Attach a point event to this span."""
-        if self._bus is not None:
-            self._bus._point(self, name, attrs)
 
     def _add_points(self, points: list[SpanPoint]) -> None:
         """Append *points*, a list the span may keep as its own. Caller
@@ -128,9 +123,6 @@ class _NullSpan:
 
     def set(self, **attrs: Any) -> "_NullSpan":
         return self
-
-    def event(self, name: str, **attrs: Any) -> None:
-        return None
 
 
 NULL_SPAN = _NullSpan()

@@ -12,6 +12,7 @@ from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.http import HttpResponse
 from repro.net.network import Network
 from repro.net.proxy import InterceptingProxy
+from repro.obs.bus import ObservabilityBus
 from repro.ott.app import OttApp
 from repro.ott.backend import OttBackend
 from repro.ott.profile import OttProfile
@@ -59,9 +60,16 @@ class TestActiveMitm:
             return response
 
         proxy.response_hook = corrupt_license
+        bus = app.http.obs = ObservabilityBus()
         result = app.play()
         assert not result.ok
         assert "MAC mismatch" in result.error
+        # The exchange's one span says the proxy's hook rewrote it.
+        (license,) = [s for s in bus.spans if s.attrs.get("path") == "/license"]
+        assert license.attrs["proxied"] is license.attrs["tampered"] is True
+        assert "proxy.forward" not in bus.span_names()
+        assert all(not s.points for s in bus.spans if s.name == "http.request")
+        assert bus.metrics.counter("proxy.flows") == len(proxy.flows)
 
     def test_mitm_cannot_inject_own_keys(self, mitm_world):
         """Key substitution: the attacker re-wraps different keys but

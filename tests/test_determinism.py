@@ -9,6 +9,33 @@ class TestDeterminism:
         second = WideLeakStudy.with_default_apps().run().to_json()
         assert first == second
 
+    def test_default_study_counters_are_pinned(self):
+        """The artifact's bus counters are a function of the study
+        inputs; a change to what an exchange counts shows here."""
+        result = WideLeakStudy.with_default_apps().run()
+        assert result.summary()["observability"]["counters"] == {
+            "cdm.licenses_loaded": 18,
+            "cdm.provisionings": 16,
+            "cdn.bytes_served": 934969,
+            "cdn.segments_served": 648,
+            "flow.arrows": 1524,
+            "http.bytes_in": 1008178,
+            "http.bytes_out": 24254,
+            "http.requests": 728,
+            "http.status.200": 723,
+            "http.status.403": 3,
+            "http.status.451": 2,
+            "license.issued": 18,
+            "oecc.dumps": 109,
+            "package.segments": 300,
+            "package.titles": 10,
+            "playback.frames": 768,
+            "provision.denied": 3,
+            "provision.issued": 16,
+            "proxy.bytes_captured": 310888,
+            "proxy.flows": 199,
+        }
+
     def test_attack_recovers_identical_keys_across_worlds(self):
         from repro.ott.registry import profile_by_name
 

@@ -23,7 +23,7 @@ import pytest
 from repro.core.study import AttackCellArtifact, DeviceSession, WideLeakStudy
 from repro.fleet import Campaign, FleetError, FleetScheduler, ResultStore
 from repro.fleet.job import profile_fingerprint
-from repro.ott.registry import ALL_PROFILES
+from repro.ott.registry import ALL_PROFILES, profile_by_name
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -251,6 +251,37 @@ class TestIncrementalRuns:
         expected = sequential_json(ALL_PROFILES)
         assert cold.result.to_json() == expected
         assert warm.result.to_json() == expected
+
+    @pytest.mark.parametrize("attacks", [False, True])
+    def test_second_warm_resubmit_writes_no_file(self, tmp_path, monkeypatch, attacks):
+        import repro.fleet.scheduler as scheduler_module
+        import repro.fleet.store as store_module
+
+        real_write = store_module.write_atomic
+        writes: list[str] = []
+
+        def spy(path, text):
+            writes.append(path.name)
+            real_write(path, text)
+
+        monkeypatch.setattr(store_module, "write_atomic", spy)
+        monkeypatch.setattr(scheduler_module, "write_atomic", spy)
+        profiles = (profile_by_name("Netflix"), profile_by_name("Hulu"))
+        campaign = Campaign(profiles=profiles, include_attacks=attacks)
+        scheduler = FleetScheduler(tmp_path)
+        cold = scheduler.submit(campaign)
+        cells = len(campaign.cells())
+        assert cold.stats["computed"] == cells
+        for _ in range(2):
+            writes.clear()
+            warm = scheduler.submit(
+                Campaign(profiles=profiles, include_attacks=attacks)
+            )
+            assert (warm.stats["computed"], warm.stats["cache_hits"]) == (0, cells)
+            assert warm.result.to_json() == cold.result.to_json()
+        # The first warm run rewrote the computed done markers as cache
+        # hits; the second finds every file already holding its bytes.
+        assert writes == []
 
     def test_single_profile_invalidation_recomputes_only_its_cells(self, tmp_path):
         scheduler = FleetScheduler(tmp_path)

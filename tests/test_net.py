@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.cdn import CdnServer
 from repro.net.http import HttpRequest, HttpResponse, parse_url
-from repro.net.network import HttpClient, Network
+from repro.net.network import HttpClient, Network, exchange_counters
 from repro.net.proxy import FLOW_LOG_SIZE, InterceptingProxy
 from repro.net.server import REQUEST_LOG_SIZE, VirtualServer
 from repro.net.tls import (
@@ -233,6 +233,13 @@ class TestProxyInterception:
         client.trust_store.add_issuer(InterceptingProxy.CA_NAME)
         with pytest.raises(TlsError, match="pin mismatch"):
             client.post("https://s.example/", b"12345")
+        rejected = bus.spans[0]
+        assert rejected.attrs == {
+            "method": "POST", "host": "s.example", "path": "/", "bytes_out": 5,
+        }
+        assert exchange_counters(rejected.attrs) == {
+            "http.requests": 1, "http.bytes_out": 5,
+        }
         client.set_proxy(None)
         client.get("https://s.example/")
         assert bus.metrics.counters() == {
@@ -299,6 +306,137 @@ class TestProxyInterception:
         assert proxy.flows[0].request.url == f"https://s.example/asset?i={first}"
         assert proxy.flows[-1].request.url == "https://s.example/asset?i=2999"
         assert sum(len(f.response.body) for f in proxy.flows) <= FLOW_LOG_SIZE * 1000
+
+
+class TestExchangeRecord:
+    """One ``http.request`` span per exchange; its attributes alone
+    give every ``http.*``, ``proxy.*`` and ``cdn.*`` counter."""
+
+    def _world(self, bus, *, require_token=False):
+        net = Network()
+        server = VirtualServer("s.example")
+        server.route("/", lambda r: HttpResponse(status=200, body=b"payload"))
+        net.register(server)
+        cdn = CdnServer("cdn.example", require_token=require_token)
+        net.register(cdn)
+        cdn.put("/seg.m4s", b"segment-bytes")
+        return HttpClient(net, obs=bus)
+
+    def _proxied(self, client):
+        proxy = InterceptingProxy(client.network)
+        client.set_proxy(proxy)
+        client.trust_store.add_issuer(InterceptingProxy.CA_NAME)
+        return proxy
+
+    def _exchange(self, bus):
+        """The one recorded span; the bus counted exactly its counters."""
+        (span,) = bus.spans
+        assert span.name == "http.request" and span.points == ()
+        assert bus.metrics.counters() == exchange_counters(span.attrs)
+        return span
+
+    def test_direct_exchange(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        client.post("https://s.example/api", b"abc")
+        span = self._exchange(bus)
+        assert span.attrs == {
+            "method": "POST", "host": "s.example", "path": "/api",
+            "bytes_out": 3, "status": 200, "bytes_in": 7,
+        }
+        assert bus.metrics.counters() == {
+            "http.bytes_in": 7, "http.bytes_out": 3,
+            "http.requests": 1, "http.status.200": 1,
+        }
+
+    def test_proxied_exchange(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        proxy = self._proxied(client)
+        client.get("https://s.example/")
+        span = self._exchange(bus)
+        assert span.attrs["proxied"] is True and span.attrs["tampered"] is False
+        assert bus.metrics.counters() == {
+            "http.bytes_in": 7, "http.bytes_out": 0,
+            "http.requests": 1, "http.status.200": 1,
+            "proxy.bytes_captured": 7, "proxy.flows": 1,
+        }
+        assert len(proxy.flows) == 1
+
+    def test_proxied_and_tampered_exchange(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        proxy = self._proxied(client)
+        proxy.response_hook = lambda request, response: HttpResponse(
+            status=200, body=b"rewritten-by-the-proxy"
+        )
+        assert client.get("https://cdn.example/seg.m4s").body == (
+            b"rewritten-by-the-proxy"
+        )
+        span = self._exchange(bus)
+        assert span.attrs["tampered"] is True
+        assert (span.attrs["cdn"], span.attrs["cdn_bytes"]) == ("served", 13)
+        # The CDN counts what it sent, the client and proxy what arrived.
+        assert bus.metrics.counters() == {
+            "cdn.bytes_served": 13, "cdn.segments_served": 1,
+            "http.bytes_in": 22, "http.bytes_out": 0,
+            "http.requests": 1, "http.status.200": 1,
+            "proxy.bytes_captured": 22, "proxy.flows": 1,
+        }
+
+    def test_cdn_served_exchange(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        client.get("https://cdn.example/seg.m4s")
+        span = self._exchange(bus)
+        assert span.attrs == {
+            "method": "GET", "host": "cdn.example", "path": "/seg.m4s",
+            "bytes_out": 0, "status": 200, "bytes_in": 13,
+            "cdn": "served", "cdn_bytes": 13,
+        }
+        assert bus.metrics.counters() == {
+            "cdn.bytes_served": 13, "cdn.segments_served": 1,
+            "http.bytes_in": 13, "http.bytes_out": 0,
+            "http.requests": 1, "http.status.200": 1,
+        }
+
+    def test_cdn_token_rejection(self):
+        bus = ObservabilityBus()
+        client = self._world(bus, require_token=True)
+        assert client.get("https://cdn.example/seg.m4s?token=bad").status == 403
+        span = self._exchange(bus)
+        assert span.attrs["cdn"] == "token_rejected" and "cdn_bytes" not in span.attrs
+        assert bus.metrics.counters() == {
+            "cdn.token_rejections": 1,
+            "http.bytes_in": len(b"missing or invalid CDN token"),
+            "http.bytes_out": 0, "http.requests": 1, "http.status.403": 1,
+        }
+
+    def test_cdn_missing_asset_is_no_cdn_outcome(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        assert client.get("https://cdn.example/nope").status == 404
+        span = self._exchange(bus)
+        assert "cdn" not in span.attrs
+        assert bus.metrics.counter("http.status.404") == 1
+
+    def test_unknown_host(self):
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        with pytest.raises(LookupError, match="unknown host"):
+            client.get("https://nope.example/x")
+        span = self._exchange(bus)
+        assert span.attrs == {
+            "method": "GET", "host": "nope.example", "path": "/x", "bytes_out": 0,
+        }
+        assert bus.metrics.counters() == {"http.bytes_out": 0, "http.requests": 1}
+
+    def test_disabled_bus_records_and_counts_nothing(self):
+        bus = ObservabilityBus(enabled=False)
+        client = self._world(bus)
+        self._proxied(client)
+        assert client.get("https://cdn.example/seg.m4s").body == b"segment-bytes"
+        assert bus.spans == [] and bus.metrics.counters() == {}
 
 
 class TestCdn:

@@ -82,20 +82,24 @@ class TestSpanNesting:
         assert child.track == "Hulu"
 
     def test_span_events_attach_to_their_span(self, bus):
-        with bus.span("playback") as span:
-            span.event("frame", n=1)
+        with bus.span("playback"):
+            bus.event("frame", n=1)
+            with bus.span("decode"):
+                bus.event("on-inner-span")
             bus.event("on-current-span")
-        assert [p.name for p in bus.spans[0].points] == [
+        playback, decode = bus.spans
+        assert [p.name for p in playback.points] == [
             "frame",
             "on-current-span",
         ]
+        assert [p.name for p in decode.points] == ["on-inner-span"]
 
     def test_points_list_exists_only_once_a_point_arrives(self, bus):
         with bus.span("quiet"):
             pass
-        with bus.span("busy") as busy:
+        with bus.span("busy"):
             bus.flows(("app", "cdm", "a"), ("cdm", "app", "b"))
-            busy.event("frame")
+            bus.event("frame")
         quiet, loud = bus.spans
         assert quiet.points == () and quiet.to_dict()["points"] == []
         assert [p.name for p in loud.points] == ["flow", "flow", "frame"]
@@ -111,8 +115,8 @@ class TestSpanNesting:
 class TestOrderingDeterminism:
     def _run_pipeline(self, bus):
         with bus.span("study.app", app="Netflix"):
-            with bus.span("manifest.fetch") as m:
-                m.event("dash.select_video", rep="v1080")
+            with bus.span("manifest.fetch"):
+                bus.event("dash.select_video", rep="v1080")
             with bus.span("license.exchange"):
                 bus.count("license.issued")
             bus.observe("frames", 24)
@@ -211,8 +215,10 @@ class TestDisabledBusIsFree:
 
     def test_null_span_handle_is_inert(self):
         with NULL_BUS.span("x") as span:
-            span.set(a=1).event("e", b=2)
+            assert span.set(a=1) is span
+            NULL_BUS.event("e", b=2)
         assert NULL_BUS.spans == []
+        assert NULL_BUS.events == []
 
     def test_nothing_is_recorded(self):
         disabled = ObservabilityBus(enabled=False)

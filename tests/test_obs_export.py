@@ -28,8 +28,8 @@ class FakeClock:
 @pytest.fixture
 def recorded_bus() -> ObservabilityBus:
     bus = ObservabilityBus(clock=FakeClock())
-    with bus.span("study.app", app="Netflix") as root:
-        root.event("oecc.dump", function="DecryptCENC", size=16)
+    with bus.span("study.app", app="Netflix"):
+        bus.event("oecc.dump", function="DecryptCENC", size=16)
         with bus.span("http.request", host="cdn.netflix.example") as req:
             req.set(status=200, digest=b"\x01\x02")
             bus.count("http.requests")

@@ -3,11 +3,14 @@ byte-identity contract, and every legacy channel must survive on it."""
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core.figures import capture_figure1, figure1_matches
 from repro.core.monitor import DrmApiMonitor
 from repro.core.study import WideLeakStudy
+from repro.net.network import exchange_counters
 from repro.obs.bus import ObservabilityBus
 from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
@@ -30,6 +33,27 @@ class TestStudyObservability:
         table = result.metrics_table()
         assert "license.issued" in table
         assert "span.study.app" in table
+
+
+class TestExchangeCounters:
+    def test_counters_are_a_function_of_the_request_spans(self):
+        """Every ``http.*``/``proxy.*``/``cdn.*`` counter of a full,
+        unsampled study is the sum of :func:`exchange_counters` over
+        its recorded ``http.request`` spans."""
+        study = WideLeakStudy.with_default_apps()
+        assert study.obs.sampler is None
+        study.run()
+        derived = Counter()
+        for span in study.obs.spans:
+            if span.name == "http.request":
+                derived.update(exchange_counters(span.attrs))
+        counted = {
+            name: value
+            for name, value in study.obs.metrics.counters().items()
+            if name.startswith(("http.", "proxy.", "cdn."))
+        }
+        assert dict(derived) == counted
+        assert counted["proxy.flows"] and counted["cdn.segments_served"]
 
 
 class TestDisabledBusStudy:

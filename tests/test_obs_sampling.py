@@ -37,8 +37,8 @@ class FakeClock:
 def run_pipeline(bus: ObservabilityBus) -> None:
     """A synthetic four-app study shape."""
     for app in ("Netflix", "Hulu", "Starz", "OCS"):
-        with bus.span("study.app", app=app) as root:
-            root.event("boot")
+        with bus.span("study.app", app=app):
+            bus.event("boot")
             with bus.span("license.exchange"):
                 bus.count("license.issued")
             with bus.span("audit.content"):
