@@ -77,14 +77,11 @@ class AppStudyResult:
     # Deep static analysis (repro.analysis): reachability-classified DRM
     # call sites + taint findings, and the reconciliation of those call
     # sites against the Q1 monitor's observations.
-    analysis: ApkAnalysisReport | None = None
-    crosscheck: CrossCheckResult | None = None
+    analysis: ApkAnalysisReport
+    crosscheck: CrossCheckResult
 
     def crosscheck_row(self) -> CrossCheckRow:
-        check = self.crosscheck
-        if check is None:
-            return CrossCheckRow(self.profile.name, 0, 0, 0, 0)
-        counts = check.counts()
+        counts = self.crosscheck.counts()
         return CrossCheckRow(
             app=self.profile.name,
             confirmed=counts["confirmed"],
@@ -124,8 +121,8 @@ class AppCellArtifact:
     secure_channel: bool
     reachable_key_leak: bool
     dead_drm_code: bool
-    analysis: dict | None  # ApkAnalysisReport.to_dict()
-    crosscheck: dict | None  # counts + dynamic-only functions
+    analysis: dict  # ApkAnalysisReport.to_dict()
+    crosscheck: dict  # counts + dynamic-only functions
 
     @classmethod
     def from_result(cls, result: "AppStudyResult") -> "AppCellArtifact":
@@ -157,24 +154,15 @@ class AppCellArtifact:
             security_level=audit.observation.security_level,
             oecc_calls=audit.observation.oecc_call_count,
             secure_channel=audit.secure_channel_manifest_recovered,
-            reachable_key_leak=(
-                result.analysis is not None
-                and any(f.reachable for f in result.analysis.taint_findings)
+            reachable_key_leak=any(
+                f.reachable for f in result.analysis.taint_findings
             ),
-            dead_drm_code=(
-                result.analysis is not None and bool(result.analysis.dead_sites)
-            ),
-            analysis=(
-                None if result.analysis is None else result.analysis.to_dict()
-            ),
-            crosscheck=(
-                None
-                if result.crosscheck is None
-                else {
-                    **result.crosscheck.counts(),
-                    "dynamic_only_functions": list(result.crosscheck.dynamic_only),
-                }
-            ),
+            dead_drm_code=bool(result.analysis.dead_sites),
+            analysis=result.analysis.to_dict(),
+            crosscheck={
+                **result.crosscheck.counts(),
+                "dynamic_only_functions": list(result.crosscheck.dynamic_only),
+            },
         )
 
     def to_dict(self) -> dict[str, object]:

@@ -205,9 +205,9 @@ class Packager:
 
         with self.obs.span(
             "package.title", service=self.service, title=title.title_id
-        ):
+        ) as span:
             packaged = self._package(title, crypto_by_rep, base_path)
-            self.obs.count("package.titles")
+            span.set(segments=sum(len(u) for _, u in packaged.asset_urls.values()))
             return packaged
 
     def _package(
@@ -327,7 +327,6 @@ class Packager:
 
         packaged.asset_urls[rep.rep_id] = (init_url, segment_urls)
         packaged.kid_by_rep[rep.rep_id] = crypto.key_id
-        self.obs.count("package.segments", title.segment_count)
         return MpdRepresentation(
             rep_id=rep.rep_id,
             bandwidth_kbps=rep.bitrate_kbps,

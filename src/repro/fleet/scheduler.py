@@ -411,7 +411,7 @@ class FleetScheduler:
         _write_if_changed(campaign_dir / "campaign.json", manifest)
         with telemetry.span(
             "fleet.campaign", campaign=campaign.campaign_id, jobs=jobs
-        ):
+        ) as campaign_span:
             # An eviction racing between a cell's done marker and
             # assembly, or an object that no longer parses, re-opens
             # exactly that cell; one extra round recomputes it.
@@ -440,9 +440,7 @@ class FleetScheduler:
                     "assembly twice; is a `repro fleet gc` running?"
                 )
             stats = self._stats(campaign, campaign_dir, jobs)
-            for name in ("computed", "cache_hits", "retries"):
-                telemetry.count(f"fleet.{name}", stats[name])
-            telemetry.count("fleet.cells.total", stats["cells"])
+            campaign_span.set(**stats)  # the fleet.* counters derive from these
             with telemetry.span("fleet.assemble"):
                 outcome = self._assemble(
                     campaign, campaign_dir, payloads, stats, telemetry
@@ -665,15 +663,13 @@ class FleetScheduler:
         ``StudyResult`` serializes through.
         """
         bus = ObservabilityBus()
-        for name, value in payloads["world"]["counters"].items():
-            bus.count(name, value)
+        bus.metrics.count_many(payloads["world"]["counters"])
         table = TableOne()
         artifacts: dict[str, AppCellArtifact] = {}
         for profile in campaign.profiles:
             payload = payloads[f"audit-{profile.service}"]
             artifact = AppCellArtifact.from_dict(payload["artifact"])
-            for name, value in payload["counters"].items():
-                bus.count(name, value)
+            bus.metrics.count_many(payload["counters"])
             artifacts[profile.name] = artifact
             table.add(artifact.table_row())
         result = StudyResult(table=table, obs=bus, cells=artifacts)

@@ -136,8 +136,6 @@ class OeccMonitor:
                 direction=dump.direction,
                 size=len(dump.data),
             )
-        if pending:
-            self.obs.count("oecc.dumps", len(pending))
         self._flushed = len(self.dumps)
         return len(pending)
 

@@ -133,9 +133,6 @@ class ProvisioningServer(VirtualServer):
         with bus.span("provision.issue", host=self.hostname) as span:
             response = self._issue_provision(request)
             span.set(status=response.status)
-            bus.count(
-                "provision.issued" if response.ok else "provision.denied"
-            )
             return response
 
     def _issue_provision(self, request: HttpRequest) -> HttpResponse:

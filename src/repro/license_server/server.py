@@ -126,7 +126,6 @@ class LicenseServer(VirtualServer):
         with bus.span("license.issue", host=self.hostname) as span:
             response = self._issue_license(request)
             span.set(status=response.status)
-            bus.count("license.issued" if response.ok else "license.denied")
             return response
 
     def _issue_license(self, request: HttpRequest) -> HttpResponse:

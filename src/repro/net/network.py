@@ -12,7 +12,7 @@ methodology engineers with Burp + Frida.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING
 
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import VirtualServer
@@ -22,27 +22,7 @@ from repro.obs.bus import NULL_BUS, ObservabilityBus
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.proxy import InterceptingProxy
 
-__all__ = ["Network", "HttpClient", "exchange_counters"]
-
-
-def exchange_counters(attrs: Mapping[str, Any]) -> dict[str, int]:
-    """Every counter an HTTP exchange adds, derived from its
-    ``http.request`` span's attributes alone. A failed delivery (no
-    ``status``) still counts as a request sent; a tampering proxy may
-    make ``bytes_in`` differ from the bytes the CDN sent (``cdn_bytes``)."""
-    counts = {"http.requests": 1, "http.bytes_out": attrs["bytes_out"]}
-    if "status" in attrs:
-        counts["http.bytes_in"] = attrs["bytes_in"]
-        counts[f"http.status.{attrs['status']}"] = 1
-    if "proxied" in attrs:
-        counts["proxy.flows"] = 1
-        counts["proxy.bytes_captured"] = attrs["bytes_in"]
-    if attrs.get("cdn") == "served":
-        counts["cdn.segments_served"] = 1
-        counts["cdn.bytes_served"] = attrs["cdn_bytes"]
-    elif attrs.get("cdn") == "token_rejected":
-        counts["cdn.token_rejections"] = 1
-    return counts
+__all__ = ["Network", "HttpClient"]
 
 
 class Network:
@@ -113,16 +93,16 @@ class HttpClient:
             "http.request", method=request.method, host=parsed.host,
             path=parsed.path, bytes_out=len(request.body),
         ) as span:
-            try:
-                response = self._deliver(request, parsed.host)
+            # The exchange's one record; its attributes give its counters,
+            # and a failed delivery (a pinning rejection) still counts.
+            response = self._deliver(request, parsed.host)
+            if self.proxy is None:
                 span.set(status=response.status, bytes_in=len(response.body))
-                if self.proxy is not None:  # relayed, through its hook if set
-                    tampered = self.proxy.response_hook is not None
-                    span.set(proxied=True, tampered=tampered)
-            finally:
-                # One bus call per exchange; a failed delivery (a pinning
-                # rejection, say) still counts as a request sent.
-                obs.count_many(exchange_counters(span.attrs))
+            else:  # relayed, through its hook if set
+                span.set(
+                    status=response.status, bytes_in=len(response.body),
+                    proxied=True, tampered=self.proxy.response_hook is not None,
+                )
         return response
 
     def _deliver(self, request: HttpRequest, host: str) -> HttpResponse:

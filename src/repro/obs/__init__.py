@@ -9,6 +9,8 @@ gives the reproduction a single spine for all of them:
   events;
 - :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
   (p50/p95/p99 with exemplar span ids);
+- :mod:`repro.obs.counters` — the one table that derives every counter
+  from the spans and points the bus records;
 - :mod:`repro.obs.bus` — the :class:`ObservabilityBus` every layer
   emits through (explicitly propagated, one per device session, no
   thread-locals);

@@ -2,15 +2,16 @@
 
 Spans, Figure 1 flow arrows, OEMCrypto hook buffer dumps and DRM API
 observations all emit through one :class:`ObservabilityBus`, which
-records each once:
+records each once through one of three methods:
 
 - ``bus.span(name, **attrs)`` opens a timed, hierarchical span;
 - ``bus.event(name, **attrs)`` attaches a point event to the current
   span;
-- ``bus.flows(*arrows)`` records and counts Figure 1 arrows (the
-  drawing device traces them too: ``AndroidDevice.flows``);
-- ``bus.count`` / ``bus.count_many`` / ``bus.observe`` feed the
-  metrics registry.
+- ``bus.flows(*arrows)`` records Figure 1 arrows (the drawing device
+  traces them too: ``AndroidDevice.flows``).
+
+Nothing is counted directly: :mod:`repro.obs.counters` derives every
+counter from those records, and every histogram is a span duration.
 
 Context is propagated *explicitly*: a bus travels with the devices
 that own it (the study's bus in process; one fresh bus per
@@ -27,18 +28,20 @@ events, arrows and metrics vanish (each device still traces its own).
 A **sampled** bus (``ObservabilityBus(sampler=TraceSampler(4))``) sits
 between those extremes: when a root span opens, the sampler makes one
 deterministic keep/drop decision and the whole tree inherits it —
-dropped trees still time their spans (histograms stay exact) and still
-count (counters stay exact), but their span records are never stored.
-The kept/dropped tally is exported via :meth:`sampling_snapshot` so a
-truncated trace is never silent about it.
+dropped trees still time their spans and still fold into histograms
+and counters (both stay exact), but their span records are never
+stored. The kept/dropped tally is exported via :meth:`sampling_snapshot`
+so a truncated trace is never silent about it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 from typing import Any, Callable
 
+from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
 from repro.obs.metrics import HistogramStat, MetricsRegistry
 from repro.obs.sampling import TraceSampler
 from repro.obs.span import NULL_SPAN, Span, SpanPoint, make_point, structural_tree
@@ -73,12 +76,13 @@ class ObservabilityBus:
         self._sampled_roots = 0
         self._dropped_roots = 0
         self._dropped_spans = 0
-        # The registry shares the bus lock and folds closed spans'
-        # durations in before any histogram read (see _observe_closed);
+        # The registry shares the bus lock and folds closed spans and
+        # pending point counts in before any read (see _observe_closed);
         # each span name's histogram is looked up once.
         self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
         self._span_histograms: dict[str, HistogramStat] = {}
         self._closed: list[Span] = []
+        self._pending: defaultdict[str, int] = defaultdict(int)
 
     # -- spans -------------------------------------------------------------
 
@@ -140,29 +144,36 @@ class ObservabilityBus:
                 self._observe_closed()
 
     def _observe_closed(self) -> None:
-        """Fold the durations of the spans closed since the last fold
-        into their histograms, in close order. Runs when a root span
-        closes and before the registry's histograms are read, so no
-        reader sees a histogram without them. One pass over a finished
-        tree keeps the histograms warm in cache, where an update per
-        close found them cold. Caller holds the lock.
+        """Fold the spans closed since the last fold, in close order:
+        durations into their histograms, counters (``SPAN_COUNTERS``)
+        and pending point counts into one registry update. Runs when a
+        root span closes and before any metrics read, so no reader
+        misses a closed span; one pass over a finished tree keeps the
+        histograms warm in cache. Caller holds the lock.
         """
         histograms = self._span_histograms
+        counts = self._pending
         for span in self._closed:
             stat = histograms.get(span.name)
             if stat is None:
                 stat = self.metrics.histogram(f"span.{span.name}")
                 histograms[span.name] = stat
-            # Dropped spans still observe their duration — sampling
-            # trades away span *records*, never histogram or counter
-            # exactness — but only recorded spans donate exemplars, so
-            # the span-id link in the metrics table can always be
-            # followed into the trace.
+            # Dropped spans still observe and count (sampling trades away
+            # span *records*, never exactness), but only recorded spans
+            # donate exemplars, so the metrics table's span-id links
+            # can always be followed into the trace.
             stat.observe(
                 span.end_ns - span.start_ns,
                 exemplar=span.span_id if span.sampled else None,
             )
+            rule = SPAN_COUNTERS.get(span.name)
+            if rule is not None:
+                for counter, value in rule(span.attrs).items():
+                    counts[counter] += value
         self._closed.clear()
+        if counts:
+            self.metrics.count_many(counts)
+            counts.clear()
 
     def _unwind(self, span: Span, now: int) -> None:
         """Close everything opened after (and including) *span*: an
@@ -189,7 +200,10 @@ class ObservabilityBus:
         if not self.enabled:
             return
         point = make_point((name, self._clock(), attrs))
+        counter = POINT_COUNTERS.get(name)
         with self._lock:
+            if counter is not None:
+                self._pending[counter] += 1
             stack = self._stack
             if stack:
                 stack[-1]._add_points([point])
@@ -200,7 +214,7 @@ class ObservabilityBus:
 
     def flows(self, *arrows: tuple[str, str, str]) -> None:
         """Record consecutive Figure 1 arrows, in order, on the current
-        span (or the bus root) and count them, in one pass."""
+        span (or the bus root), in one pass."""
         if self.enabled:
             now = self._clock()
             points = [
@@ -210,27 +224,12 @@ class ObservabilityBus:
                 for source, target, label in arrows
             ]
             with self._lock:
-                self.metrics.count_locked("flow.arrows", len(points))
+                self._pending[POINT_COUNTERS["flow"]] += len(points)
                 stack = self._stack
                 if stack:
                     stack[-1]._add_points(points)
                 else:
                     self._events.extend(points)
-
-    # -- metrics shorthands ------------------------------------------------
-
-    def count(self, name: str, value: int = 1) -> None:
-        if self.enabled:
-            self.metrics.count(name, value)
-
-    def count_many(self, counts: dict[str, int]) -> None:
-        """Add to several counters at once (one call, one lock)."""
-        if self.enabled:
-            self.metrics.count_many(counts)
-
-    def observe(self, name: str, value: float) -> None:
-        if self.enabled:
-            self.metrics.observe(name, value)
 
     # -- reading -----------------------------------------------------------
 
@@ -282,6 +281,7 @@ class ObservabilityBus:
             self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
             self._span_histograms = {}
             self._closed.clear()
+            self._pending.clear()
 
 
 NULL_BUS = ObservabilityBus(enabled=False)

@@ -159,20 +159,16 @@ def render_metrics_table(bus: ObservabilityBus) -> str:
             f"  {'-' * 10}  {'-' * 12}  --------"
         )
         for name, stat in histograms.items():
-            if name.startswith("span."):
-                fmt = lambda v: f"{v / 1e6:.3f}ms"  # noqa: E731
-            else:
-                fmt = lambda v: f"{v:.1f}"  # noqa: E731
             exemplar = stat.max_exemplar()
             # The exemplar links the stream's worst outlier to its span
             # in the recorded trace (only sampled spans donate one).
             exemplar_cell = "-" if exemplar is None else f"span:{exemplar[1]}"
             lines.append(
                 f"{name.ljust(width)}  {stat.count:>7d}"
-                f"  {fmt(stat.percentile(50)):>10s}"
-                f"  {fmt(stat.percentile(95)):>10s}"
-                f"  {fmt(stat.percentile(99)):>10s}"
-                f"  {fmt(stat.total):>12s}  {exemplar_cell}"
+                f"  {stat.percentile(50) / 1e6:>8.3f}ms"
+                f"  {stat.percentile(95) / 1e6:>8.3f}ms"
+                f"  {stat.percentile(99) / 1e6:>8.3f}ms"
+                f"  {stat.total / 1e6:>10.3f}ms  {exemplar_cell}"
             )
     if not lines:
         return "(no metrics recorded)"

@@ -3,14 +3,15 @@
 Two instrument kinds cover what the study needs:
 
 - **counters** — monotonically increasing integers (requests issued,
-  bytes moved, licenses granted, flow arrows drawn). Counter values are
-  a deterministic function of the pipeline, so a stable subset is wired
-  into ``StudyResult.summary()`` and must come out byte-identical across
-  in-process, fleet, cold, warm — and sampled — runs; the benchmarks
-  assert it.
-- **histograms** — value distributions (span durations in nanoseconds,
-  payload sizes). Durations are real time and therefore *excluded* from
-  the study artifact; they feed the metrics table and the exporters.
+  bytes moved, licenses granted, flow arrows drawn), each derived from
+  the bus's spans and points by :mod:`repro.obs.counters` (or replayed
+  by the fleet) and added through :meth:`MetricsRegistry.count_many`.
+  They are a deterministic function of the pipeline, wired into
+  ``StudyResult.summary()``, and must come out byte-identical across
+  in-process, fleet, cold, warm — and sampled — runs.
+- **histograms** — ``span.<name>`` durations in nanoseconds: real
+  time, so *excluded* from the study artifact; they feed the metrics
+  table and the exporters.
 
 Histograms bucket every observation against **fixed power-of-two
 boundaries** (bucket *i* holds values in ``(2^(i-1), 2^i]``; bucket 0
@@ -28,14 +29,13 @@ whichever thread emits into them.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 __all__ = ["HistogramStat", "MetricsRegistry", "bucket_index", "bucket_bounds"]
 
 # Bucket index of the catch-all overflow bucket: 2^64 ns is ~584 years,
-# far above any duration or payload size this repo observes.
+# far above any duration this repo observes.
 _OVERFLOW_BUCKET = 64
 
 
@@ -82,20 +82,9 @@ class HistogramStat:
         index = bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
         if exemplar is not None:
-            # Most observations lose to the bucket's exemplar; reject
-            # those here, without the call.
             current = self.exemplars.get(index)
-            if current is None or value >= current[0]:
-                self._offer_exemplar(index, value, exemplar)
-
-    def _offer_exemplar(self, index: int, value: float, span_id: int) -> None:
-        current = self.exemplars.get(index)
-        if (
-            current is None
-            or value > current[0]
-            or (value == current[0] and span_id < current[1])
-        ):
-            self.exemplars[index] = (value, span_id)
+            if current is None or (value, -exemplar) > (current[0], -current[1]):
+                self.exemplars[index] = (value, exemplar)
 
     @property
     def mean(self) -> float:
@@ -152,30 +141,19 @@ class HistogramStat:
 class MetricsRegistry:
     """Named counters and histograms, safe for concurrent emission.
 
-    *lock* guards every counter and histogram. A bus passes its own
-    (re-entrant) lock, so its span records and metrics share one, and a
-    *before_read* hook, called with the lock held before histograms are
-    read, that folds in the durations of closed spans.
+    *lock* guards every counter and histogram: it is the owning bus's
+    (re-entrant) lock, so its span records and metrics share one.
+    *before_read*, called with the lock held before any counter or
+    histogram is read, folds in the bus's closed spans.
     """
 
-    def __init__(
-        self, lock: Any = None, before_read: Callable[[], None] | None = None
-    ) -> None:
-        self._lock = lock if lock is not None else threading.Lock()
+    def __init__(self, lock: Any, before_read: Callable[[], None]) -> None:
+        self._lock = lock
         self._before_read = before_read
         self._counters: dict[str, int] = {}
         self._histograms: dict[str, HistogramStat] = {}
 
     # -- emission ----------------------------------------------------------
-
-    def count(self, name: str, value: int = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + value
-
-    def count_locked(self, name: str, value: int = 1) -> None:
-        """:meth:`count` for a caller that already holds the registry's
-        lock (a bus, whose lock it is), without taking it again."""
-        self._counters[name] = self._counters.get(name, 0) + value
 
     def count_many(self, counts: dict[str, int]) -> None:
         """Add to several counters under one lock acquisition."""
@@ -183,10 +161,6 @@ class MetricsRegistry:
             counters = self._counters
             for name, value in counts.items():
                 counters[name] = counters.get(name, 0) + value
-
-    def observe(self, name: str, value: float, *, exemplar: int | None = None) -> None:
-        with self._lock:
-            self._stat(name).observe(value, exemplar=exemplar)
 
     def histogram(self, name: str) -> HistogramStat:
         """The live stat behind *name*, created empty on first use.
@@ -197,30 +171,27 @@ class MetricsRegistry:
         calls it).
         """
         with self._lock:
-            return self._stat(name)
-
-    def _stat(self, name: str) -> HistogramStat:
-        # Caller holds self._lock.
-        stat = self._histograms.get(name)
-        if stat is None:
-            stat = self._histograms[name] = HistogramStat()
-        return stat
+            stat = self._histograms.get(name)
+            if stat is None:
+                stat = self._histograms[name] = HistogramStat()
+            return stat
 
     # -- reading -----------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
         """Sorted copy of every counter."""
         with self._lock:
+            self._before_read()
             return dict(sorted(self._counters.items()))
 
     def counter(self, name: str) -> int:
         with self._lock:
+            self._before_read()
             return self._counters.get(name, 0)
 
     def histograms(self) -> dict[str, HistogramStat]:
         with self._lock:
-            if self._before_read is not None:
-                self._before_read()
+            self._before_read()
             return dict(sorted(self._histograms.items()))
 
     def snapshot(self) -> dict[str, Any]:

@@ -265,7 +265,6 @@ class OttApp:
         ) as span:
             stats = self._play_track_inner(drm, session_id, rep, kind)
             span.set(frames=stats.frames_total)
-            self.device.obs.count("playback.frames", stats.frames_total)
             return stats
 
     def _play_track_inner(

@@ -124,7 +124,7 @@ class WidevineCdm:
 
     def provide_provision_response(self, origin: str, response: bytes) -> None:
         """Unwrap the device RSA key and persist it for *origin*."""
-        with self.obs.span("cdm.provision.load", origin=origin):
+        with self.obs.span("cdm.provision.load", origin=origin) as span:
             oc_session = self._pending_provisioning.pop(origin, None)
             if oc_session is None:
                 raise CdmError(f"no provisioning in flight for origin {origin!r}")
@@ -135,7 +135,7 @@ class WidevineCdm:
             finally:
                 self._oc._oecc06_close_session(oc_session)
             self._store[self._storage_key(origin)] = storage_blob
-            self.obs.count("cdm.provisionings")
+            span.set(provisioned=True)
 
     def _load_rsa_key(self, origin: str) -> None:
         blob = self._store.get(self._storage_key(origin))
@@ -198,7 +198,6 @@ class WidevineCdm:
             session.loaded_key_ids = loaded
             session.pending_request_payload = None
             span.set(keys=len(loaded))
-            self.obs.count("cdm.licenses_loaded")
             return loaded
 
     # -- offline licenses ---------------------------------------------------------

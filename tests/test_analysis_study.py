@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 
-from repro.core.report import CrossCheckRow, CrossCheckTable
+import pytest
+
+from repro.core.report import CrossCheckTable
 from repro.core.study import StudyResult
 
 
@@ -66,12 +68,19 @@ class TestStudyIntegration:
 
 
 class TestCrossCheckRow:
-    def test_row_from_missing_crosscheck_is_zeroed(self):
-        from repro.core.study import AppStudyResult
-        from repro.ott.registry import profile_by_name
+    def test_analysis_and_crosscheck_are_required(self):
+        """``WideLeakStudy.study_app`` always analyses the APK and
+        cross-checks it, so a result without either cannot be built."""
+        import dataclasses
 
-        result = AppStudyResult.__new__(AppStudyResult)
-        result.profile = profile_by_name("OCS")
-        result.crosscheck = None
-        row = AppStudyResult.crosscheck_row(result)
-        assert row == CrossCheckRow("OCS", 0, 0, 0, 0)
+        from repro.core.study import AppStudyResult
+
+        required = {
+            f.name
+            for f in dataclasses.fields(AppStudyResult)
+            if f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        }
+        assert {"analysis", "crosscheck"} <= required
+        with pytest.raises(TypeError, match="analysis"):
+            AppStudyResult(None, None, None, None, None)

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net.cdn import CdnServer
 from repro.net.http import HttpRequest, HttpResponse, parse_url
-from repro.net.network import HttpClient, Network, exchange_counters
+from repro.net.network import HttpClient, Network
 from repro.net.proxy import FLOW_LOG_SIZE, InterceptingProxy
 from repro.net.server import REQUEST_LOG_SIZE, VirtualServer
 from repro.net.tls import (
@@ -17,6 +17,7 @@ from repro.net.tls import (
     issue_certificate,
 )
 from repro.obs.bus import ObservabilityBus
+from repro.obs.counters import exchange_counters
 
 
 class TestHttp:
@@ -437,6 +438,31 @@ class TestExchangeRecord:
         self._proxied(client)
         assert client.get("https://cdn.example/seg.m4s").body == b"segment-bytes"
         assert bus.spans == [] and bus.metrics.counters() == {}
+
+    def test_a_counter_is_visible_once_its_span_closes(self):
+        """Counters fold from closed spans; a read inside an open tree
+        already sees the exchanges that finished in it."""
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        with bus.span("study.app", app="Hulu"):
+            client.get("https://s.example/")
+            assert bus.metrics.counter("http.requests") == 1
+            assert "span.study.app" not in bus.metrics.histograms()
+        assert bus.metrics.counters()["http.requests"] == 1
+
+    def test_replayed_capture_is_served_and_counts_nothing(self):
+        """A captured request replayed straight to the origin (the
+        paper's account-less download) still carries the client's bus,
+        but no span is open: the CDN serves it and records nothing."""
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        proxy = self._proxied(client)
+        client.get("https://cdn.example/seg.m4s")
+        counted = bus.metrics.counters()
+        replayed = client.network.deliver(proxy.flows[-1].request)
+        assert (replayed.status, replayed.body) == (200, b"segment-bytes")
+        assert bus.metrics.counters() == counted
+        assert len(bus.spans) == 1 and bus.events == []
 
 
 class TestCdn:

@@ -13,6 +13,8 @@ from repro.android.trace import FlowTrace
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 from repro.obs.bus import NULL_BUS, ObservabilityBus
+from repro.obs.counters import SPAN_COUNTERS
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import NULL_SPAN, structural_tree
 
 
@@ -117,9 +119,8 @@ class TestOrderingDeterminism:
         with bus.span("study.app", app="Netflix"):
             with bus.span("manifest.fetch"):
                 bus.event("dash.select_video", rep="v1080")
-            with bus.span("license.exchange"):
-                bus.count("license.issued")
-            bus.observe("frames", 24)
+            with bus.span("license.issue") as issue:
+                issue.set(status=200)
 
     def test_identical_runs_record_identically(self):
         first = ObservabilityBus(clock=FakeClock())
@@ -222,11 +223,10 @@ class TestDisabledBusIsFree:
 
     def test_nothing_is_recorded(self):
         disabled = ObservabilityBus(enabled=False)
-        with disabled.span("s"):
-            disabled.event("e")
+        with disabled.span("license.issue") as issue:
+            issue.set(status=200)
+            disabled.event("oecc.dump")
             disabled.flows(("a", "b", "c"))
-            disabled.count("c")
-            disabled.observe("h", 1.0)
         assert disabled.spans == []
         assert disabled.events == []
         assert disabled.metrics.snapshot() == {
@@ -251,14 +251,19 @@ class TestLifecycle:
 
 class TestMetricsShorthands:
     def test_count_many_adds_like_repeated_counts(self, bus):
-        bus.count("http.requests")
-        bus.count_many({"http.requests": 1, "http.bytes_out": 512})
-        bus.count_many({})
+        # The registry's one counter entry point (the fleet replays a
+        # cell's persisted counters through it).
+        bus.metrics.count_many({"http.requests": 1})
+        bus.metrics.count_many({"http.requests": 1, "http.bytes_out": 512})
+        bus.metrics.count_many({})
         assert bus.metrics.counters() == {"http.bytes_out": 512, "http.requests": 2}
 
-    def test_count_many_on_a_disabled_bus_records_nothing(self):
+    def test_counted_records_on_a_disabled_bus_count_nothing(self):
         disabled = ObservabilityBus(enabled=False)
-        disabled.count_many({"http.requests": 1})
+        with disabled.span("http.request", bytes_out=1) as request:
+            request.set(status=200, bytes_in=2)
+        disabled.event("oecc.dump")
+        disabled.flows(("a", "b", "c"))
         assert disabled.metrics.counters() == {}
 
     def test_histograms_read_inside_an_open_tree_include_closed_spans(self, bus):
@@ -284,6 +289,60 @@ class TestMetricsShorthands:
         dropped = sampled.sampling_snapshot()["dropped_roots"]
         assert stat.count == 3
         assert len(stat.exemplars) <= 3 - dropped
+
+
+class TestDerivedCounters:
+    """Counters come from the table in repro.obs.counters, applied to
+    the spans and points the bus records; the bus has no counting
+    method of its own."""
+
+    def test_the_bus_emits_through_spans_events_and_flows_only(self):
+        for gone in ("count", "count_many", "observe"):
+            assert not hasattr(ObservabilityBus, gone)
+        for gone in ("count", "count_locked", "observe"):
+            assert not hasattr(MetricsRegistry, gone)
+
+    def test_a_span_counts_when_it_closes(self, bus):
+        with bus.span("study.app", app="Hulu"):
+            with bus.span("license.issue") as issue:
+                issue.set(status=200)
+                assert bus.metrics.counters() == {}
+            assert bus.metrics.counters() == {"license.issued": 1}
+            with bus.span("license.issue") as issue:
+                issue.set(status=403)
+        assert bus.metrics.counters() == {"license.denied": 1, "license.issued": 1}
+
+    def test_a_span_unwound_before_its_fact_counts_nothing(self, bus):
+        with pytest.raises(RuntimeError):
+            with bus.span("cdm.load_keys", origin="o"):
+                raise RuntimeError("bad license")
+        with pytest.raises(RuntimeError):
+            with bus.span("package.title", title="t"):
+                raise RuntimeError("no crypto decision")
+        assert bus.metrics.counters() == {}
+        with bus.span("cdm.load_keys", origin="o") as load:
+            load.set(keys=2)
+        assert bus.metrics.counters() == {"cdm.licenses_loaded": 1}
+
+    def test_points_count_where_they_are_recorded(self, bus):
+        bus.event("oecc.dump", function="_oecc10_load_keys")
+        with bus.span("study.app", app="Hulu"):
+            bus.event("oecc.dump", function="_oecc10_load_keys")
+            bus.event("frame")
+            bus.flows(("a", "b", "c"), ("b", "a", "d"))
+            assert bus.metrics.counters() == {"flow.arrows": 2, "oecc.dumps": 2}
+        assert bus.metrics.counters() == {"flow.arrows": 2, "oecc.dumps": 2}
+
+    def test_a_span_without_its_attributes_never_breaks_the_fold(self, bus):
+        for name in SPAN_COUNTERS:
+            with bus.span(name):
+                pass
+        assert bus.metrics.counters() == {"http.bytes_out": 0, "http.requests": 1}
+
+    def test_clear_drops_pending_point_counts(self, bus):
+        bus.event("oecc.dump")
+        bus.clear()
+        assert bus.metrics.counters() == {}
 
 
 class TestHistogramPercentiles:

@@ -30,11 +30,12 @@ def recorded_bus() -> ObservabilityBus:
     bus = ObservabilityBus(clock=FakeClock())
     with bus.span("study.app", app="Netflix"):
         bus.event("oecc.dump", function="DecryptCENC", size=16)
-        with bus.span("http.request", host="cdn.netflix.example") as req:
-            req.set(status=200, digest=b"\x01\x02")
-            bus.count("http.requests")
+        with bus.span(
+            "http.request", host="cdn.netflix.example", bytes_out=0
+        ) as req:
+            req.set(status=200, bytes_in=16, digest=b"\x01\x02")
     with bus.span("study.app", app="Hulu"):
-        bus.observe("frames", 24)
+        pass
     bus.event("orphan")
     return bus
 

@@ -10,8 +10,8 @@ import pytest
 from repro.core.figures import capture_figure1, figure1_matches
 from repro.core.monitor import DrmApiMonitor
 from repro.core.study import WideLeakStudy
-from repro.net.network import exchange_counters
 from repro.obs.bus import ObservabilityBus
+from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
 from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
 from repro.ott.registry import ALL_PROFILES, profile_by_name
@@ -35,25 +35,46 @@ class TestStudyObservability:
         assert "span.study.app" in table
 
 
+def derived_counters(bus: ObservabilityBus) -> dict[str, int]:
+    """The counter table applied to every record *bus* kept: its
+    spans, their points and its root-level events."""
+    derived = Counter()
+    for span in bus.spans:
+        rule = SPAN_COUNTERS.get(span.name)
+        if rule is not None:
+            derived.update(rule(span.attrs))
+        points = [p.name for p in span.points]
+        derived.update(POINT_COUNTERS[n] for n in points if n in POINT_COUNTERS)
+    derived.update(
+        POINT_COUNTERS[e.name] for e in bus.events if e.name in POINT_COUNTERS
+    )
+    return dict(derived)
+
+
 class TestExchangeCounters:
     def test_counters_are_a_function_of_the_request_spans(self):
-        """Every ``http.*``/``proxy.*``/``cdn.*`` counter of a full,
-        unsampled study is the sum of :func:`exchange_counters` over
-        its recorded ``http.request`` spans."""
+        """Every counter of a full, unsampled study — all 20 of the
+        artifact's — is the counter table applied to the records the
+        bus kept: its spans, their points and its root events."""
         study = WideLeakStudy.with_default_apps()
         assert study.obs.sampler is None
         study.run()
-        derived = Counter()
-        for span in study.obs.spans:
-            if span.name == "http.request":
-                derived.update(exchange_counters(span.attrs))
-        counted = {
-            name: value
-            for name, value in study.obs.metrics.counters().items()
-            if name.startswith(("http.", "proxy.", "cdn."))
-        }
-        assert dict(derived) == counted
+        counted = study.obs.metrics.counters()
+        assert derived_counters(study.obs) == counted
+        assert len(counted) == 20
         assert counted["proxy.flows"] and counted["cdn.segments_served"]
+
+    def test_fleet_counters_are_a_function_of_the_campaign_span(self, tmp_path):
+        from repro.fleet import Campaign, FleetScheduler
+
+        outcome = FleetScheduler(tmp_path).submit(Campaign(profiles=SUBSET[:1]))
+        fleet = {
+            name: value
+            for name, value in outcome.obs.metrics.counters().items()
+            if name.startswith("fleet.")
+        }
+        assert fleet == derived_counters(outcome.obs)
+        assert fleet["fleet.cells.total"] == 2 and fleet["fleet.computed"] == 2
 
 
 class TestDisabledBusStudy:

@@ -35,15 +35,15 @@ class FakeClock:
 
 
 def run_pipeline(bus: ObservabilityBus) -> None:
-    """A synthetic four-app study shape."""
+    """A synthetic four-app study shape; each tree's two children
+    carry the attributes their counters derive from."""
     for app in ("Netflix", "Hulu", "Starz", "OCS"):
         with bus.span("study.app", app=app):
             bus.event("boot")
-            with bus.span("license.exchange"):
-                bus.count("license.issued")
-            with bus.span("audit.content"):
-                bus.count("http.requests", 3)
-        bus.observe("frames", 24)
+            with bus.span("license.issue") as issue:
+                issue.set(status=200)
+            with bus.span("playback.track", kind="video") as track:
+                track.set(frames=24)
 
 
 class TestRateParsing:
