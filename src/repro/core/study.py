@@ -165,28 +165,6 @@ class AppCellArtifact:
             },
         )
 
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "app": self.app,
-            "row": list(self.row),
-            "crosscheck_row": list(self.crosscheck_row),
-            "widevine_used": self.widevine_used,
-            "video_status": self.video_status,
-            "audio_status": self.audio_status,
-            "text_status": self.text_status,
-            "key_usage": self.key_usage,
-            "legacy_outcome": self.legacy_outcome,
-            "legacy_content_delivered": self.legacy_content_delivered,
-            "legacy_video_height": self.legacy_video_height,
-            "security_level": self.security_level,
-            "oecc_calls": self.oecc_calls,
-            "secure_channel": self.secure_channel,
-            "reachable_key_leak": self.reachable_key_leak,
-            "dead_drm_code": self.dead_drm_code,
-            "analysis": self.analysis,
-            "crosscheck": self.crosscheck,
-        }
-
     @classmethod
     def from_dict(cls, payload: dict) -> "AppCellArtifact":
         data = dict(payload)
@@ -255,20 +233,6 @@ class AttackCellArtifact:
                 None if recovered is None else recovered.best_video_height
             ),
         )
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "app": self.app,
-            "device_model": self.device_model,
-            "keybox_recovered": self.keybox_recovered,
-            "rsa_recovered": self.rsa_recovered,
-            "licenses_observed": self.licenses_observed,
-            "content_keys": [list(pair) for pair in self.content_keys],
-            "notes": list(self.notes),
-            "recovery_attempted": self.recovery_attempted,
-            "recovery_succeeded": self.recovery_succeeded,
-            "best_video_height": self.best_video_height,
-        }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "AttackCellArtifact":

@@ -54,7 +54,7 @@ import multiprocessing
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from repro.core.report import TableOne
@@ -213,7 +213,7 @@ class _CellExecutor:
             )
             return {
                 "question": QUESTION_AUDIT,
-                "artifact": AppCellArtifact.from_result(result).to_dict(),
+                "artifact": asdict(AppCellArtifact.from_result(result)),
                 "counters": dict(session.obs.metrics.counters()),
             }
         if cell.question == QUESTION_ATTACK:
@@ -222,7 +222,7 @@ class _CellExecutor:
             )
             return {
                 "question": QUESTION_ATTACK,
-                "artifact": AttackCellArtifact.from_result(outcome).to_dict(),
+                "artifact": asdict(AttackCellArtifact.from_result(outcome)),
             }
         raise FleetError(f"unknown cell question {cell.question!r}")
 
@@ -684,7 +684,7 @@ class FleetScheduler:
         _write_if_changed(campaign_dir / "result.json", result.to_json())
         if attacks:
             _write_if_changed(campaign_dir / "attacks.json", json.dumps(
-                {name: a.to_dict() for name, a in attacks.items()}, sort_keys=True
+                {name: asdict(a) for name, a in attacks.items()}, sort_keys=True
             ))
         return FleetOutcome(
             result=result,

@@ -13,14 +13,18 @@ cryptographic structure the paper reverse-engineered (§IV-D):
   serialized request) that wrap the **content keys**.
 
 Every message round-trips through bytes, so hooks and the proxy observe
-real serialized buffers.
+real serialized buffers. One codec derives each message's bytes,
+signing payload and parser from its dataclass fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
-from dataclasses import asdict, dataclass, field
-from typing import Any
+import typing
+from dataclasses import dataclass, field
+from typing import Any, Callable, ClassVar, TypeVar
 
 __all__ = [
     "ProtocolError",
@@ -31,7 +35,12 @@ __all__ = [
     "KeyControl",
     "LicenseResponse",
     "canonical_bytes",
+    "decode",
+    "encode",
 ]
+
+R = TypeVar("R")
+M = TypeVar("M", bound="_Message")
 
 
 class ProtocolError(ValueError):
@@ -43,26 +52,120 @@ def canonical_bytes(payload: dict[str, Any]) -> bytes:
     return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _require(payload: dict[str, Any], key: str) -> Any:
-    try:
-        return payload[key]
-    except KeyError:
-        raise ProtocolError(f"missing field {key!r}") from None
-
-
-def _hex(value: bytes) -> str:
-    return value.hex()
-
-
-def _unhex(value: str, name: str) -> bytes:
+def _unhex(value: Any, name: str) -> bytes:
     try:
         return bytes.fromhex(value)
     except (ValueError, TypeError):
         raise ProtocolError(f"field {name!r} is not valid hex") from None
 
 
+def _exactly(kind: type) -> Callable[[Any, str], Any]:
+    def check(value: Any, name: str) -> Any:
+        if type(value) is not kind:  # so a JSON true is not an int
+            raise ProtocolError(f"field {name!r} must be a JSON {kind.__name__}")
+        return value
+
+    return check
+
+
+def _codec(tp: Any) -> tuple[Callable | None, Callable[[Any, str], Any]]:
+    """(encode, decode) of one field type; encode None = the value as is."""
+    args = typing.get_args(tp)
+    if tp is bytes:
+        return bytes.hex, _unhex
+    if tp in (str, int):
+        return None, _exactly(tp)
+    if type(None) in args:  # X | None
+        (inner,) = [arg for arg in args if arg is not type(None)]
+        enc, dec = _codec(inner)
+        return (
+            enc and (lambda value: None if value is None else enc(value)),
+            lambda value, name: None if value is None else dec(value, name),
+        )
+    if typing.get_origin(tp) is list:
+        (enc, dec), is_list = _codec(args[0]), _exactly(list)
+        return (
+            lambda value: [enc(item) for item in value],
+            lambda value, name: [dec(item, name) for item in is_list(value, name)],
+        )
+    if dataclasses.is_dataclass(tp):
+        return encode, functools.partial(decode, tp)
+    raise TypeError(f"no wire form for {tp!r}")
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[tuple[str, Callable | None, Callable, bool], ...]:
+    """(name, encode, decode, required) per field of *cls*. Every field
+    of a message is required; a nested record's field is optional
+    exactly when it has a default."""
+    hints, message = typing.get_type_hints(cls), issubclass(cls, _Message)
+    return tuple(
+        (f.name, *_codec(hints[f.name]), message or (
+            f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING
+        ))
+        for f in dataclasses.fields(cls)
+    )
+
+
+def encode(record: Any, *, leave_out: str | None = None) -> dict[str, Any]:
+    """The JSON object of a wire record, optionally without one field."""
+    payload = {}
+    for name, enc, _, _ in _plan(type(record)):
+        if name != leave_out:
+            value = getattr(record, name)
+            payload[name] = value if enc is None else enc(value)
+    return payload
+
+
+def decode(cls: type[R], payload: Any, name: str | None = None) -> R:
+    """The *cls* record of a JSON object: the inverse of :func:`encode`.
+    *name* is the field that holds a nested record, for errors."""
+    if type(payload) is not dict:
+        where = cls.__name__ if name is None else f"field {name!r}"
+        raise ProtocolError(f"{where} must be a JSON object")
+    values = {}
+    for key, _, dec, required in _plan(cls):
+        if key in payload:
+            values[key] = dec(payload[key], key)
+        elif required:
+            raise ProtocolError(f"missing field {key!r}")
+    return cls(**values)
+
+
+class _Message:
+    """A top-level message: ``TYPE`` tags its JSON object and ``SEAL``
+    names the field its signing payload leaves out."""
+
+    TYPE: ClassVar[str]
+    SEAL: ClassVar[str]
+
+    def signing_payload(self) -> bytes:
+        return canonical_bytes({**encode(self, leave_out=self.SEAL), "type": self.TYPE})
+
+    def serialize(self) -> bytes:
+        return canonical_bytes({**encode(self), "type": self.TYPE})
+
+    @classmethod
+    def parse(cls: type[M], data: bytes) -> M:
+        try:
+            payload = json.loads(data.decode())
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ProtocolError(f"not a protocol message: {exc}") from exc
+        if type(payload) is not dict:
+            raise ProtocolError("protocol message must be a JSON object")
+        if payload.get("type") != cls.TYPE:
+            raise ProtocolError(
+                f"expected message type {cls.TYPE!r}, got {payload.get('type')!r}"
+            )
+        return decode(cls, payload)
+
+
+# -- the messages ---------------------------------------------------------------
+
+
 @dataclass
-class ProvisionRequest:
+class ProvisionRequest(_Message):
     """CDM → provisioning server.
 
     Authenticated by an AES-CMAC under a key derived from the keybox
@@ -70,49 +173,18 @@ class ProvisionRequest:
     keybox.
     """
 
+    TYPE = "provision_request"
+    SEAL = "mac"
+
     device_id: bytes
     nonce: bytes
     cdm_version: str
     security_level: str
     mac: bytes = b""
 
-    def signing_payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "provision_request",
-                "device_id": _hex(self.device_id),
-                "nonce": _hex(self.nonce),
-                "cdm_version": self.cdm_version,
-                "security_level": self.security_level,
-            }
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "provision_request",
-                "device_id": _hex(self.device_id),
-                "nonce": _hex(self.nonce),
-                "cdm_version": self.cdm_version,
-                "security_level": self.security_level,
-                "mac": _hex(self.mac),
-            }
-        )
-
-    @classmethod
-    def parse(cls, data: bytes) -> "ProvisionRequest":
-        payload = _load_json(data, expected_type="provision_request")
-        return cls(
-            device_id=_unhex(_require(payload, "device_id"), "device_id"),
-            nonce=_unhex(_require(payload, "nonce"), "nonce"),
-            cdm_version=_require(payload, "cdm_version"),
-            security_level=_require(payload, "security_level"),
-            mac=_unhex(_require(payload, "mac"), "mac"),
-        )
-
 
 @dataclass
-class ProvisionResponse:
+class ProvisionResponse(_Message):
     """Provisioning server → CDM: the wrapped device RSA key.
 
     ``wrapped_rsa_key`` is AES-CBC under a provisioning key derived from
@@ -120,48 +192,21 @@ class ProvisionResponse:
     process is protected by the keybox" (§IV-D).
     """
 
+    TYPE = "provision_response"
+    SEAL = "mac"
+
     device_id: bytes
     iv: bytes
     wrapped_rsa_key: bytes
     mac: bytes = b""
 
-    def signing_payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "provision_response",
-                "device_id": _hex(self.device_id),
-                "iv": _hex(self.iv),
-                "wrapped_rsa_key": _hex(self.wrapped_rsa_key),
-            }
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "provision_response",
-                "device_id": _hex(self.device_id),
-                "iv": _hex(self.iv),
-                "wrapped_rsa_key": _hex(self.wrapped_rsa_key),
-                "mac": _hex(self.mac),
-            }
-        )
-
-    @classmethod
-    def parse(cls, data: bytes) -> "ProvisionResponse":
-        payload = _load_json(data, expected_type="provision_response")
-        return cls(
-            device_id=_unhex(_require(payload, "device_id"), "device_id"),
-            iv=_unhex(_require(payload, "iv"), "iv"),
-            wrapped_rsa_key=_unhex(
-                _require(payload, "wrapped_rsa_key"), "wrapped_rsa_key"
-            ),
-            mac=_unhex(_require(payload, "mac"), "mac"),
-        )
-
 
 @dataclass
-class LicenseRequest:
+class LicenseRequest(_Message):
     """CDM → license server, signed with the device RSA key."""
+
+    TYPE = "license_request"
+    SEAL = "signature"
 
     session_id: bytes
     device_id: bytes
@@ -173,54 +218,6 @@ class LicenseRequest:
     device_model: str
     signature: bytes = b""
 
-    def signing_payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "license_request",
-                "session_id": _hex(self.session_id),
-                "device_id": _hex(self.device_id),
-                "rsa_fingerprint": _hex(self.rsa_fingerprint),
-                "pssh_data": _hex(self.pssh_data),
-                "nonce": _hex(self.nonce),
-                "cdm_version": self.cdm_version,
-                "security_level": self.security_level,
-                "device_model": self.device_model,
-            }
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "license_request",
-                "session_id": _hex(self.session_id),
-                "device_id": _hex(self.device_id),
-                "rsa_fingerprint": _hex(self.rsa_fingerprint),
-                "pssh_data": _hex(self.pssh_data),
-                "nonce": _hex(self.nonce),
-                "cdm_version": self.cdm_version,
-                "security_level": self.security_level,
-                "device_model": self.device_model,
-                "signature": _hex(self.signature),
-            }
-        )
-
-    @classmethod
-    def parse(cls, data: bytes) -> "LicenseRequest":
-        payload = _load_json(data, expected_type="license_request")
-        return cls(
-            session_id=_unhex(_require(payload, "session_id"), "session_id"),
-            device_id=_unhex(_require(payload, "device_id"), "device_id"),
-            rsa_fingerprint=_unhex(
-                _require(payload, "rsa_fingerprint"), "rsa_fingerprint"
-            ),
-            pssh_data=_unhex(_require(payload, "pssh_data"), "pssh_data"),
-            nonce=_unhex(_require(payload, "nonce"), "nonce"),
-            cdm_version=_require(payload, "cdm_version"),
-            security_level=_require(payload, "security_level"),
-            device_model=_require(payload, "device_model"),
-            signature=_unhex(_require(payload, "signature"), "signature"),
-        )
-
 
 @dataclass(frozen=True)
 class KeyControl:
@@ -229,21 +226,6 @@ class KeyControl:
     max_height: int | None = None  # resolution cap (None = unlimited)
     require_security_level: str | None = None
     license_duration_s: int | None = None  # None = unbounded
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "max_height": self.max_height,
-            "require_security_level": self.require_security_level,
-            "license_duration_s": self.license_duration_s,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "KeyControl":
-        return cls(
-            max_height=payload.get("max_height"),
-            require_security_level=payload.get("require_security_level"),
-            license_duration_s=payload.get("license_duration_s"),
-        )
 
 
 @dataclass
@@ -255,26 +237,9 @@ class WrappedKey:
     wrapped_key: bytes
     control: KeyControl = field(default_factory=KeyControl)
 
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "key_id": _hex(self.key_id),
-            "iv": _hex(self.iv),
-            "wrapped_key": _hex(self.wrapped_key),
-            "control": self.control.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict[str, Any]) -> "WrappedKey":
-        return cls(
-            key_id=_unhex(_require(payload, "key_id"), "key_id"),
-            iv=_unhex(_require(payload, "iv"), "iv"),
-            wrapped_key=_unhex(_require(payload, "wrapped_key"), "wrapped_key"),
-            control=KeyControl.from_json(payload.get("control", {})),
-        )
-
 
 @dataclass
-class LicenseResponse:
+class LicenseResponse(_Message):
     """License server → CDM.
 
     ``wrapped_session_key`` is RSAES-OAEP to the device RSA key;
@@ -283,60 +248,11 @@ class LicenseResponse:
     under the derived server MAC key.
     """
 
+    TYPE = "license"
+    SEAL = "mac"
+
     session_id: bytes
     wrapped_session_key: bytes
     derivation_context: bytes
     keys: list[WrappedKey] = field(default_factory=list)
     mac: bytes = b""
-
-    def signing_payload(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "license",
-                "session_id": _hex(self.session_id),
-                "wrapped_session_key": _hex(self.wrapped_session_key),
-                "derivation_context": _hex(self.derivation_context),
-                "keys": [k.to_json() for k in self.keys],
-            }
-        )
-
-    def serialize(self) -> bytes:
-        return canonical_bytes(
-            {
-                "type": "license",
-                "session_id": _hex(self.session_id),
-                "wrapped_session_key": _hex(self.wrapped_session_key),
-                "derivation_context": _hex(self.derivation_context),
-                "keys": [k.to_json() for k in self.keys],
-                "mac": _hex(self.mac),
-            }
-        )
-
-    @classmethod
-    def parse(cls, data: bytes) -> "LicenseResponse":
-        payload = _load_json(data, expected_type="license")
-        return cls(
-            session_id=_unhex(_require(payload, "session_id"), "session_id"),
-            wrapped_session_key=_unhex(
-                _require(payload, "wrapped_session_key"), "wrapped_session_key"
-            ),
-            derivation_context=_unhex(
-                _require(payload, "derivation_context"), "derivation_context"
-            ),
-            keys=[WrappedKey.from_json(k) for k in _require(payload, "keys")],
-            mac=_unhex(_require(payload, "mac"), "mac"),
-        )
-
-
-def _load_json(data: bytes, *, expected_type: str) -> dict[str, Any]:
-    try:
-        payload = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolError(f"not a protocol message: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ProtocolError("protocol message must be a JSON object")
-    if payload.get("type") != expected_type:
-        raise ProtocolError(
-            f"expected message type {expected_type!r}, got {payload.get('type')!r}"
-        )
-    return payload

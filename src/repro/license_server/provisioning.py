@@ -156,7 +156,11 @@ class ProvisioningServer(VirtualServer):
 
         # Revocation: the G# failure mode of Table I. A discontinued CDM
         # is refused before any key material is delivered.
-        if not self._revocation.allows(prov_request.cdm_version):
+        try:
+            allowed = self._revocation.allows(prov_request.cdm_version)
+        except ValueError as exc:
+            return HttpResponse.bad_request(str(exc))
+        if not allowed:
             return HttpResponse(
                 status=403,
                 body=(

@@ -144,7 +144,11 @@ class LicenseServer(VirtualServer):
             self.denied_requests.append("bad request signature")
             return HttpResponse.forbidden("bad request signature")
 
-        if not self._revocation.allows(lic_request.cdm_version):
+        try:
+            allowed = self._revocation.allows(lic_request.cdm_version)
+        except ValueError as exc:
+            return HttpResponse.bad_request(str(exc))
+        if not allowed:
             self.denied_requests.append(
                 f"revoked CDM {lic_request.cdm_version}"
             )

@@ -11,7 +11,6 @@ import hashlib
 
 from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import VirtualServer
-from repro.obs.span import NULL_SPAN
 
 __all__ = ["CdnServer"]
 
@@ -53,11 +52,9 @@ class CdnServer(VirtualServer):
         blob = self._blobs.get(url.path)
         if blob is None:
             return HttpResponse.not_found(f"no asset at {url.path}")
-        # The outcome goes on the sender's ``http.request`` span (its
-        # counters); a request replayed outside any span counts nothing.
-        obs = request.obs
-        span = obs.current_span() if obs is not None and obs.enabled else None
-        span = span or NULL_SPAN
+        # The outcome goes on the exchange's own ``http.request`` span
+        # (its counters); a replayed capture has none and counts nothing.
+        span = request.span
         if self._require_token and url.query.get("token") != self.token_for(url.path):
             span.set(cdn="token_rejected")
             return HttpResponse.forbidden("missing or invalid CDN token")

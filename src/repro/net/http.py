@@ -19,6 +19,8 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 from urllib.parse import parse_qs, urlparse
 
+from repro.obs.span import NULL_SPAN, Span
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.bus import ObservabilityBus
 
@@ -70,8 +72,11 @@ class HttpRequest:
     ``obs`` carries the sender's observability bus across the
     client/server seam (set by :class:`~repro.net.network.HttpClient`),
     so server-side spans nest under the client's request span without
-    any thread-local ambient state. It is transport metadata, not part
-    of the message: excluded from equality and repr.
+    any thread-local ambient state. ``span`` is the sender's open
+    ``http.request`` span while the exchange is in flight (``NULL_SPAN``
+    otherwise), where an origin such as the CDN records its outcome.
+    Both are transport metadata, not part of the message: excluded from
+    equality and repr.
     """
 
     method: str
@@ -81,6 +86,7 @@ class HttpRequest:
     obs: "ObservabilityBus | None" = field(
         default=None, compare=False, repr=False
     )
+    span: Span = field(default=NULL_SPAN, compare=False, repr=False)
 
     @property
     def parsed_url(self) -> Url:

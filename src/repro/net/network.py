@@ -18,6 +18,7 @@ from repro.net.http import HttpRequest, HttpResponse
 from repro.net.server import VirtualServer
 from repro.net.tls import PinSet, TlsError, TrustStore
 from repro.obs.bus import NULL_BUS, ObservabilityBus
+from repro.obs.span import NULL_SPAN
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.proxy import InterceptingProxy
@@ -84,7 +85,7 @@ class HttpClient:
 
     def request(self, request: HttpRequest) -> HttpResponse:
         # Stamp the sender's bus on the request: the origin's own spans
-        # nest under this one, and a CDN sets its outcome on it.
+        # nest under this one.
         obs = request.obs = self.obs
         parsed = request.parsed_url
         if not obs.enabled:
@@ -94,8 +95,14 @@ class HttpClient:
             path=parsed.path, bytes_out=len(request.body),
         ) as span:
             # The exchange's one record; its attributes give its counters,
-            # and a failed delivery (a pinning rejection) still counts.
-            response = self._deliver(request, parsed.host)
+            # and a failed delivery (a pinning rejection) still counts. The
+            # origin sets its own outcome on it (the CDN) while it is in
+            # flight; a capture replayed later carries NULL_SPAN again.
+            request.span = span
+            try:
+                response = self._deliver(request, parsed.host)
+            finally:
+                request.span = NULL_SPAN
             if self.proxy is None:
                 span.set(status=response.status, bytes_in=len(response.body))
             else:  # relayed, through its hook if set

@@ -71,6 +71,38 @@ class TestActiveMitm:
         assert all(not s.points for s in bus.spans if s.name == "http.request")
         assert bus.metrics.counter("proxy.flows") == len(proxy.flows)
 
+    @pytest.mark.parametrize(
+        "confuse",
+        [
+            pytest.param(lambda m: m.__setitem__("keys", 5), id="keys-not-a-list"),
+            pytest.param(
+                lambda m: m["keys"][0].__setitem__("control", 7),
+                id="control-not-an-object",
+            ),
+            pytest.param(
+                lambda m: m["keys"].__setitem__(0, "k"), id="key-not-an-object"
+            ),
+        ],
+    )
+    def test_type_confused_license_fails_playback(self, mitm_world, confuse):
+        """A hook that swaps a field for a value of another JSON type
+        gets a failed playback, not an exception out of play()."""
+        profile, app, proxy = mitm_world
+
+        def retype(request, response):
+            if request.parsed_url.path == "/license" and response.ok:
+                message = json.loads(response.body.decode())
+                confuse(message)
+                return HttpResponse(
+                    status=200, body=json.dumps(message).encode()
+                )
+            return response
+
+        proxy.response_hook = retype
+        result = app.play()
+        assert not result.ok
+        assert "bad license response" in result.error
+
     def test_mitm_cannot_inject_own_keys(self, mitm_world):
         """Key substitution: the attacker re-wraps different keys but
         cannot forge the HMAC without the session key."""

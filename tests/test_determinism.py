@@ -1,6 +1,12 @@
 """Reproducibility: the whole study is a pure function of the seed."""
 
+import hashlib
+
 from repro import WideLeakStudy
+
+# sha256 of the default study's to_json(): every signature, MAC, KDF
+# context, counter and Table I cell feeds it.
+STUDY_SHA256 = "b5f3bf2ba4c001590124a3450607036a82a9394b49799adf4f2c460b87947ba5"
 
 
 class TestDeterminism:
@@ -8,6 +14,10 @@ class TestDeterminism:
         first = WideLeakStudy.with_default_apps().run().to_json()
         second = WideLeakStudy.with_default_apps().run().to_json()
         assert first == second
+
+    def test_default_study_artifact_is_pinned(self):
+        artifact = WideLeakStudy.with_default_apps().run().to_json()
+        assert hashlib.sha256(artifact.encode()).hexdigest() == STUDY_SHA256
 
     def test_default_study_counters_are_pinned(self):
         """The artifact's bus counters are a function of the study

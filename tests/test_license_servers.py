@@ -116,6 +116,25 @@ class TestProvisioningServer:
         assert granted.ok
 
 
+    @pytest.mark.parametrize("cdm_version", ["not-a-version", 5])
+    def test_unparseable_cdm_version_is_a_bad_request(self, cdm_version):
+        """A keybox-MACed request whose version a revoking service
+        (Disney+) cannot compare gets a 400, not an exception out of
+        handle()."""
+        from repro.net.network import Network
+        from repro.ott.backend import OttBackend
+        from repro.ott.registry import profile_by_name
+
+        authority = KeyboxAuthority()
+        backend = OttBackend(profile_by_name("Disney+"), Network(), authority)
+        assert backend.policy.revocation.enforced
+        keybox = issue_keybox("PROV-BADVER")
+        authority.register(keybox)
+        request = _provision_request(keybox, cdm_version=cdm_version)
+        response = _post(backend.provisioning, "/provision", request.serialize())
+        assert response.status == 400
+
+
 class TestKeyboxAuthority:
     def test_lookup(self):
         authority = KeyboxAuthority()
@@ -225,6 +244,21 @@ class TestLicenseServer:
         response = _post(world.license_server, "/license", request.serialize())
         assert response.status == 403
         assert b"revoked" in response.body
+
+    @pytest.mark.parametrize("cdm_version", ["not-a-version", 5])
+    def test_unparseable_cdm_version_is_a_bad_request(self, cdm_version):
+        from tests.conftest import ServiceWorld
+
+        world = ServiceWorld(
+            revocation=RevocationPolicy(min_cdm_version=CdmVersion(14)),
+            service="badversvc",
+        )
+        request, __ = self._signed_request(
+            world, cdm_version=cdm_version, device_serial="LS-BADVER"
+        )
+        response = _post(world.license_server, "/license", request.serialize())
+        assert response.status == 400
+        assert not world.license_server.sessions
 
     def test_register_key_conflict_detected(self, world):
         from repro.license_server.server import RegisteredKey

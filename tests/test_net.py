@@ -465,6 +465,26 @@ class TestExchangeRecord:
         assert len(bus.spans) == 1 and bus.events == []
 
 
+    def test_replay_inside_an_open_span_leaves_that_span_alone(self):
+        """The CDN records its outcome on the exchange's own span, which
+        it gets from the request, not on whatever span is open when a
+        capture is replayed (the account-less download inside an open
+        study span)."""
+        bus = ObservabilityBus()
+        client = self._world(bus)
+        proxy = self._proxied(client)
+        client.get("https://cdn.example/seg.m4s")
+        captured = proxy.flows[-1].request
+        with bus.span("study.attack", app="Hulu") as attack:
+            counted = bus.metrics.counters()
+            replayed = client.network.deliver(captured)
+            assert replayed.status == 200
+            assert attack.attrs == {"app": "Hulu"}
+            assert bus.metrics.counters() == counted
+        assert bus.metrics.counters() == counted
+        (exchange,) = [s for s in bus.spans if s.name == "http.request"]
+        assert exchange.attrs["cdn"] == "served"
+
 class TestCdn:
     def test_put_and_fetch(self):
         net = Network()
