@@ -83,6 +83,7 @@ class MediaDrm:
         self._open_sessions: set[bytes] = set()
         self._key_types: dict[bytes, int] = {}
         self._key_set_ids: dict[bytes, bytes] = {}
+        self._provisioning = False
         device.flows(("MediaDRM Server", "CDM", "Initialize()"))
 
     @staticmethod
@@ -103,6 +104,16 @@ class MediaDrm:
     def close_session(self, session_id: bytes) -> None:
         self._cdm.close_session(session_id)
         self._open_sessions.discard(session_id)
+
+    def close(self) -> None:
+        """Release this instance (Android's ``MediaDrm.close()``): close
+        every session still open and drop a provisioning request whose
+        response never came."""
+        for session_id in sorted(self._open_sessions):
+            self.close_session(session_id)
+        if self._provisioning:
+            self._cdm.cancel_provisioning(self.origin)
+            self._provisioning = False
 
     def _check_session(self, session_id: bytes) -> None:
         if session_id not in self._open_sessions:
@@ -184,9 +195,11 @@ class MediaDrm:
 
     def get_provision_request(self) -> ProvisionRequestData:
         data = self._cdm.get_provision_request(self.origin)
+        self._provisioning = True
         return ProvisionRequestData(data=data)
 
     def provide_provision_response(self, response: bytes) -> None:
+        self._provisioning = False
         try:
             self._cdm.provide_provision_response(self.origin, response)
         except (CdmError, OemCryptoError) as exc:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from repro.bmff.pssh import WidevinePsshData
-from repro.crypto.kdf import SessionKeys, derive_session_keys
+from repro.crypto.kdf import derive_session_keys
 from repro.crypto.modes import cbc_encrypt
 from repro.crypto.rng import derive_rng
 from repro.crypto.rsa import oaep_encrypt, pss_verify
@@ -44,25 +44,28 @@ class RegisteredKey:
     control: KeyControl
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionRecord:
-    """Server-side record of an issued license session.
+    """A secure channel a license opened, kept until the playback API
+    uses it.
 
-    Services using the generic (non-DASH) secure channel — Netflix's URI
-    protection — derive the same generic keys from this record.
+    Only a license that grants the service's secure-channel key (Netflix's
+    URI protection) leaves one: the API encrypts the manifest under the
+    session's generic-encryption key, which is all the record holds
+    besides the device it belongs to.
     """
 
-    session_id: bytes
-    session_key: bytes
-    derivation_context: bytes
-    derived: SessionKeys = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.derived = derive_session_keys(self.session_key, self.derivation_context)
+    device_id: bytes
+    generic_encryption: bytes
 
 
 class LicenseServer(VirtualServer):
-    """A service's license endpoint (``POST /license``)."""
+    """A service's license endpoint (``POST /license``).
+
+    A served license leaves no state behind, except a secure channel
+    not yet used (:attr:`sessions`), at most one per device: a device's
+    new channel replaces its unused one.
+    """
 
     def __init__(
         self,
@@ -78,8 +81,10 @@ class LicenseServer(VirtualServer):
         self._revocation = revocation or policy.revocation
         self._keys: dict[bytes, RegisteredKey] = {}
         self._rng = derive_rng(f"license-server/{hostname}")
+        self._secure_channel_kid: bytes | None = None
+        # session id -> open secure channel; device id -> its session id.
         self.sessions: dict[bytes, SessionRecord] = {}
-        self.denied_requests: list[str] = []
+        self._channel_of_device: dict[bytes, bytes] = {}
         self.route("/license", self._handle_license)
 
     # -- key registration -------------------------------------------------
@@ -111,10 +116,34 @@ class LicenseServer(VirtualServer):
             if existing is None or existing.control.require_security_level:
                 self._keys[kid] = RegisteredKey(key_id=kid, key=key, control=control)
 
-    def register_key(self, key_id: bytes, key: bytes, control: KeyControl) -> None:
-        """Register one standalone key (e.g. a secure-channel bootstrap
-        key that belongs to no packaged title)."""
-        self._keys[key_id] = RegisteredKey(key_id=key_id, key=key, control=control)
+    def register_secure_channel_key(self, key_id: bytes, key: bytes) -> None:
+        """Register the service's secure-channel bootstrap key, which
+        belongs to no packaged title: a license granting it opens a
+        secure channel (:attr:`sessions`)."""
+        self._keys[key_id] = RegisteredKey(key_id=key_id, key=key, control=KeyControl())
+        self._secure_channel_kid = key_id
+
+    def take_secure_channel(self, session_id: bytes) -> bytes | None:
+        """The generic-encryption key of *session_id*'s secure channel,
+        or None; the channel is closed by this call."""
+        record = self.sessions.pop(session_id, None)
+        if record is None:
+            return None
+        if self._channel_of_device.get(record.device_id) == session_id:
+            del self._channel_of_device[record.device_id]
+        return record.generic_encryption
+
+    def _open_secure_channel(
+        self, session_id: bytes, device_id: bytes, generic_encryption: bytes
+    ) -> None:
+        stale_id = self._channel_of_device.get(device_id)
+        stale = self.sessions.get(stale_id) if stale_id is not None else None
+        # Session ids are per device: another device's channel may hold
+        # the stale id by now.
+        if stale is not None and stale.device_id == device_id:
+            del self.sessions[stale_id]
+        self._channel_of_device[device_id] = session_id
+        self.sessions[session_id] = SessionRecord(device_id, generic_encryption)
 
     def known_key_ids(self) -> set[bytes]:
         return set(self._keys)
@@ -136,12 +165,10 @@ class LicenseServer(VirtualServer):
 
         public = self._records.public_key(lic_request.rsa_fingerprint)
         if public is None:
-            self.denied_requests.append("unknown device certificate")
             return HttpResponse.forbidden("unknown device certificate")
         if not pss_verify(
             public, lic_request.signing_payload(), lic_request.signature
         ):
-            self.denied_requests.append("bad request signature")
             return HttpResponse.forbidden("bad request signature")
 
         try:
@@ -149,9 +176,6 @@ class LicenseServer(VirtualServer):
         except ValueError as exc:
             return HttpResponse.bad_request(str(exc))
         if not allowed:
-            self.denied_requests.append(
-                f"revoked CDM {lic_request.cdm_version}"
-            )
             return HttpResponse.forbidden(
                 f"device revoked: CDM {lic_request.cdm_version}"
             )
@@ -162,10 +186,6 @@ class LicenseServer(VirtualServer):
         attested_level = self._records.security_level(lic_request.rsa_fingerprint)
         if self.policy.verifies_client_level and attested_level is not None:
             if lic_request.security_level != attested_level:
-                self.denied_requests.append(
-                    f"claimed {lic_request.security_level}, attested "
-                    f"{attested_level}"
-                )
                 return HttpResponse.forbidden(
                     "security level claim does not match provisioning record"
                 )
@@ -207,7 +227,6 @@ class LicenseServer(VirtualServer):
             )
 
         if not wrapped_keys:
-            self.denied_requests.append("no grantable keys")
             return HttpResponse.forbidden("no grantable keys for this request")
 
         response = LicenseResponse(
@@ -220,9 +239,12 @@ class LicenseServer(VirtualServer):
             derived.mac_server, response.signing_payload(), hashlib.sha256
         ).digest()
 
-        self.sessions[lic_request.session_id] = SessionRecord(
-            session_id=lic_request.session_id,
-            session_key=session_key,
-            derivation_context=context,
-        )
+        if self._secure_channel_kid is not None and any(
+            k.key_id == self._secure_channel_kid for k in wrapped_keys
+        ):
+            self._open_secure_channel(
+                lic_request.session_id,
+                lic_request.device_id,
+                derived.generic_encryption,
+            )
         return HttpResponse(status=200, body=response.serialize())

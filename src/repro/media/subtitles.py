@@ -85,6 +85,10 @@ def _parse_timestamp(raw: str) -> float:
     return int(hours) * 3600 + int(minutes) * 60 + float(seconds)
 
 
+# Printable ASCII plus tab, line feed and carriage return.
+_PRINTABLE = bytes(range(32, 127)) + b"\t\n\r"
+
+
 def looks_like_clear_text(data: bytes) -> bool:
     """The paper's subtitle heuristic: printable-ASCII dominance.
 
@@ -93,5 +97,5 @@ def looks_like_clear_text(data: bytes) -> bool:
     """
     if not data:
         return False
-    printable = sum(1 for b in data if 32 <= b < 127 or b in (9, 10, 13))
+    printable = len(data) - len(data.translate(None, _PRINTABLE))
     return printable / len(data) > 0.95

@@ -4,11 +4,12 @@ The proxy mints a certificate for whatever host the client asks for,
 signed by its own CA. If the device trusts that CA and the app's pins
 are defeated, the handshake succeeds and every request/response pair is
 recorded as a :class:`Flow` the audit can mine for media URIs and MPD
-manifests (§IV-B "Content Protection"). Like a server's
-``request_log``, the capture is a ring: a long-lived proxy keeps the
-last :data:`FLOW_LOG_SIZE` flows, bodies included, not every segment it
-ever relayed. The proxy opens no span and counts nothing: the client's
-``http.request`` span marks a relayed exchange (``proxied``, ``tampered``).
+manifests (§IV-B "Content Protection"). The capture is the only record
+of an exchange (origins keep none), and it is a ring: a long-lived
+proxy keeps the last :data:`FLOW_LOG_SIZE` flows, bodies included, not
+every segment it ever relayed. The proxy opens no span and counts
+nothing: the client's ``http.request`` span marks a relayed exchange
+(``proxied``, ``tampered``).
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable
 
 from repro.net.http import HttpRequest, HttpResponse
@@ -12,17 +11,14 @@ __all__ = ["VirtualServer", "RouteHandler"]
 
 RouteHandler = Callable[[HttpRequest], HttpResponse]
 
-# Requests each server keeps in ``request_log`` (the most recent ones).
-REQUEST_LOG_SIZE = 1024
-
 
 class VirtualServer:
     """One origin on the simulated network.
 
     Routes are matched by longest registered prefix, so a server can
     expose ``/segments/`` and a more specific ``/segments/special``.
-    ``request_log`` holds the last :data:`REQUEST_LOG_SIZE` requests
-    served, oldest first.
+    A server keeps nothing per request: what an audit needs of an
+    exchange, the intercepting proxy captures.
     """
 
     def __init__(self, hostname: str, *, issuer: str = "GlobalRootCA"):
@@ -31,7 +27,6 @@ class VirtualServer:
             hostname, issuer, seed=b"server-key"
         )
         self._routes: dict[str, RouteHandler] = {}
-        self.request_log: deque[HttpRequest] = deque(maxlen=REQUEST_LOG_SIZE)
 
     def route(self, prefix: str, handler: RouteHandler) -> None:
         """Register *handler* for paths starting with *prefix*."""
@@ -46,7 +41,6 @@ class VirtualServer:
         exchange, status included. A route that observes more uses the
         bus riding on the request (``request.obs``).
         """
-        self.request_log.append(request)
         path = request.parsed_url.path
         best: str | None = None
         for prefix in self._routes:

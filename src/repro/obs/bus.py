@@ -188,10 +188,6 @@ class ObservabilityBus:
                 if top is span:
                     break
 
-    def current_span(self) -> Span | None:
-        with self._lock:
-            return self._stack[-1] if self._stack else None
-
     # -- point events ------------------------------------------------------
 
     def event(self, name: str, **attrs: Any) -> None:

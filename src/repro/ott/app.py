@@ -32,7 +32,7 @@ from repro.dash.mpd import Mpd, MpdRepresentation
 from repro.media.subtitles import parse_webvtt
 from repro.net.tls import PinSet
 from repro.ott.backend import SECURE_CHANNEL_CONTENT_ID, OttBackend
-from repro.ott.custom_drm import EmbeddedCdm
+from repro.ott.custom_drm import EmbeddedCdm, EmbeddedDrmError
 from repro.ott.profile import URI_SECURE_CHANNEL, OttProfile
 
 __all__ = [
@@ -389,7 +389,6 @@ class OttApp:
                     except (ValueError, PlaybackError):
                         result.subtitle_ok = False
 
-            drm.close_session(session_id)
             result.ok = all(t.ok for t in result.tracks)
             if not result.ok:
                 result.error = "undecodable frames"
@@ -403,6 +402,10 @@ class OttApp:
             MediaDrmException,
         ) as exc:
             result.error = str(exc)
+        finally:
+            # Every exit path: the sessions this play opened (and a
+            # provisioning request the server refused) end with it.
+            drm.close()
         return result
 
     def _play_custom(
@@ -436,7 +439,10 @@ class OttApp:
             )
             if not license_response.ok:
                 raise LicenseDeniedError(license_response.body.decode())
-            cdm.load_keys(license_response.body)
+            try:
+                cdm.load_keys(license_response.body)
+            except EmbeddedDrmError as exc:
+                raise PlaybackError(f"license load failed: {exc}") from exc
 
             video_rep = selector.select_video(max_height=540)
             audio_rep = selector.select_audio(language)

@@ -15,7 +15,6 @@ from repro.crypto.modes import cbc_encrypt
 from repro.crypto.rng import derive_rng
 from repro.dash.packager import PackagedTitle, Packager, segment_cache_stats
 from repro.license_server.policy import assign_track_crypto
-from repro.license_server.protocol import KeyControl
 from repro.license_server.provisioning import (
     KeyboxAuthority,
     ProvisioningRecords,
@@ -128,10 +127,9 @@ class OttBackend:
             f"secure-channel-kid/{profile.service}"
         ).generate(16)
         if profile.uri_protection == URI_SECURE_CHANNEL:
-            self.license_server.register_key(
+            self.license_server.register_secure_channel_key(
                 self.secure_channel_kid,
                 derive_rng(f"secure-channel-key/{profile.service}").generate(16),
-                KeyControl(),
             )
 
     # -- API handlers --------------------------------------------------------
@@ -168,13 +166,16 @@ class OttBackend:
 
         # Netflix-style: manifest URIs only ever travel encrypted under
         # the generic-crypto keys of an established Widevine session.
-        session_hex = request.parsed_url.query.get("session", "")
-        record = self.license_server.sessions.get(bytes.fromhex(session_hex or "00"))
-        if record is None:
+        try:
+            session_id = bytes.fromhex(request.parsed_url.query.get("session", ""))
+        except ValueError:
+            return HttpResponse.bad_request("malformed session id")
+        channel_key = self.license_server.take_secure_channel(session_id)
+        if channel_key is None:
             return HttpResponse.forbidden("no secure channel established")
         iv = self._rng.generate(16)
         protected = cbc_encrypt(
-            record.derived.generic_encryption,
+            channel_key,
             iv,
             json.dumps(manifest).encode(),
         )
@@ -214,7 +215,7 @@ class OttBackend:
             title_id = parse_embedded_license_request(
                 self.profile.service, request.body
             )
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             return HttpResponse.bad_request(str(exc))
         if title_id not in self.catalog:
             return HttpResponse.not_found(f"unknown title {title_id}")

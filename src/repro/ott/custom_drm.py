@@ -28,12 +28,42 @@ from repro.crypto.rng import derive_rng
 __all__ = [
     "embedded_app_secret",
     "EmbeddedCdm",
+    "EmbeddedDrmError",
     "build_embedded_license",
     "parse_embedded_license_request",
 ]
 
 _LABEL_WRAP = b"EMBEDDED-WRAP"
 _LABEL_AUTH = b"EMBEDDED-AUTH"
+
+
+class EmbeddedDrmError(ValueError):
+    """An embedded-DRM message that is malformed or fails verification."""
+
+
+def _field(message: object, name: str, kind: type):
+    """``message[name]`` from a decoded JSON object, of type *kind*."""
+    value = message.get(name) if isinstance(message, dict) else None
+    if not isinstance(value, kind):
+        raise EmbeddedDrmError(f"field {name!r} is not a JSON {kind.__name__}")
+    return value
+
+
+def _hex_field(message: object, name: str) -> bytes:
+    value = _field(message, name, str)
+    try:
+        return bytes.fromhex(value)
+    except ValueError:
+        raise EmbeddedDrmError(f"field {name!r} is not hex") from None
+
+
+def _json(data: bytes) -> object:
+    try:
+        return json.loads(data.decode())
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise EmbeddedDrmError(f"not JSON: {exc}") from None
+    except RecursionError:
+        raise EmbeddedDrmError("JSON nested too deeply") from None
 
 
 def embedded_app_secret(service: str) -> bytes:
@@ -62,17 +92,23 @@ class EmbeddedCdm:
         return json.dumps({"payload": payload.decode(), "mac": mac}).encode()
 
     def load_keys(self, response: bytes) -> list[bytes]:
-        """Unwrap content keys from an embedded-license response."""
-        message = json.loads(response.decode())
+        """Unwrap content keys from an embedded-license response; raises
+        :class:`EmbeddedDrmError` on one it cannot read."""
+        message = _json(response)
         wrap_key = derive_key(
-            self._secret, _LABEL_WRAP, bytes.fromhex(message["nonce"]), 128
+            self._secret, _LABEL_WRAP, _hex_field(message, "nonce"), 128
         )
         loaded = []
-        for entry in message["keys"]:
-            kid = bytes.fromhex(entry["key_id"])
-            wrapped = bytes.fromhex(entry["wrapped_key"])
-            iv = bytes.fromhex(entry["iv"])
-            self._keys[kid] = cbc_decrypt(wrap_key, iv, wrapped)
+        for entry in _field(message, "keys", list):
+            kid = _hex_field(entry, "key_id")
+            wrapped = _hex_field(entry, "wrapped_key")
+            iv = _hex_field(entry, "iv")
+            try:
+                self._keys[kid] = cbc_decrypt(wrap_key, iv, wrapped)
+            except ValueError as exc:
+                raise EmbeddedDrmError(
+                    f"cannot unwrap key {kid.hex()}: {exc}"
+                ) from None
             loaded.append(kid)
         return loaded
 
@@ -97,19 +133,24 @@ class EmbeddedCdm:
 
 
 def parse_embedded_license_request(service: str, body: bytes) -> str:
-    """Verify an embedded-license request; returns the title id."""
-    message = json.loads(body.decode())
-    payload = message["payload"].encode()
-    request = json.loads(payload)
-    if request.get("type") != "embedded_license_request":
-        raise ValueError("not an embedded license request")
-    title_id = request["title"]
+    """Verify an embedded-license request; returns the title id. Raises
+    :class:`EmbeddedDrmError` (a ``ValueError``) on any other body."""
+    message = _json(body)
+    payload = _field(message, "payload", str).encode()
+    mac = _field(message, "mac", str).encode()
+    request = _json(payload)
+    if (
+        not isinstance(request, dict)
+        or request.get("type") != "embedded_license_request"
+    ):
+        raise EmbeddedDrmError("not an embedded license request")
+    title_id = _field(request, "title", str)
     auth_key = derive_key(
         embedded_app_secret(service), _LABEL_AUTH, title_id.encode(), 256
     )
     expected = hmac_mod.new(auth_key, payload, hashlib.sha256).hexdigest()
-    if not hmac_mod.compare_digest(expected, message["mac"]):
-        raise ValueError("embedded license request MAC mismatch")
+    if not hmac_mod.compare_digest(expected.encode(), mac):
+        raise EmbeddedDrmError("embedded license request MAC mismatch")
     return title_id
 
 

@@ -106,8 +106,13 @@ class WidevineCdm:
     # -- provisioning ----------------------------------------------------------
 
     def get_provision_request(self, origin: str) -> bytes:
-        """Build a keybox-authenticated provisioning request."""
+        """Build a keybox-authenticated provisioning request.
+
+        A request still in flight for *origin* (its response never came,
+        say the server refused) is superseded: its session is closed.
+        """
         with self.obs.span("cdm.provision.request", origin=origin):
+            self.cancel_provisioning(origin)
             oc_session = self._oc._oecc05_open_session()
             nonce = self._oc._oecc08_generate_nonce(oc_session)
             request = ProvisionRequest(
@@ -136,6 +141,13 @@ class WidevineCdm:
                 self._oc._oecc06_close_session(oc_session)
             self._store[self._storage_key(origin)] = storage_blob
             span.set(provisioned=True)
+
+    def cancel_provisioning(self, origin: str) -> None:
+        """Drop *origin*'s provisioning request in flight, if any, and
+        close its session."""
+        oc_session = self._pending_provisioning.pop(origin, None)
+        if oc_session is not None:
+            self._oc._oecc06_close_session(oc_session)
 
     def _load_rsa_key(self, origin: str) -> None:
         blob = self._store.get(self._storage_key(origin))

@@ -7,6 +7,7 @@ import pytest
 from repro.bmff.cenc import encrypt_sample
 from repro.ott.custom_drm import (
     EmbeddedCdm,
+    EmbeddedDrmError,
     build_embedded_license,
     embedded_app_secret,
     parse_embedded_license_request,
@@ -47,6 +48,15 @@ class TestRequestPath:
         with pytest.raises(ValueError, match="not an embedded"):
             parse_embedded_license_request("svc", blob)
 
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"payload": 5, "mac": "x"}', b"[1]", b"[" * 100_000],
+        ids=["payload-not-a-string", "not-an-object", "nested-too-deeply"],
+    )
+    def test_type_confused_request_is_a_value_error(self, body):
+        with pytest.raises(ValueError):
+            parse_embedded_license_request("svc", body)
+
 
 class TestLicensePath:
     def test_license_round_trip(self):
@@ -70,6 +80,10 @@ class TestLicensePath:
             return
         sample = encrypt_sample(b"M" * 48, _KEY, bytes(8))
         assert other.decrypt(_KID, sample.data, sample.entry.iv, []) != b"M" * 48
+
+    def test_type_confused_license_is_a_declared_error(self):
+        with pytest.raises(EmbeddedDrmError, match="'keys'"):
+            EmbeddedCdm("svc").load_keys(b'{"nonce": "00", "keys": 5}')
 
     def test_decrypt_unloaded_key(self):
         with pytest.raises(KeyError, match="not loaded"):

@@ -152,7 +152,8 @@ class TestLicenseServer:
     """License issuance against a real packaged world (conftest)."""
 
     def _signed_request(self, world, *, level="L1", cdm_version="15.0.0",
-                        kids=None, device_serial="LS-T1"):
+                        kids=None, device_serial="LS-T1",
+                        session_id=b"\x00\x00\x00\x09"):
         keybox = issue_keybox(device_serial)
         world.authority.register(keybox)
         rsa = device_rsa_key(keybox.device_id)
@@ -162,7 +163,7 @@ class TestLicenseServer:
             provider="svc",
         )
         request = LicenseRequest(
-            session_id=b"\x00\x00\x00\x09",
+            session_id=session_id,
             device_id=keybox.device_id,
             rsa_fingerprint=rsa.public.fingerprint(),
             pssh_data=pssh.serialize(),
@@ -204,7 +205,6 @@ class TestLicenseServer:
         response = _post(world.license_server, "/license", request.serialize())
         assert response.status == 403
         assert b"bad request signature" in response.body
-        assert world.license_server.denied_requests
 
     def test_no_grantable_keys(self, world):
         request, __ = self._signed_request(world, kids=[bytes(16)])
@@ -212,11 +212,51 @@ class TestLicenseServer:
         assert response.status == 403
         assert b"no grantable keys" in response.body
 
-    def test_session_record_kept(self, world):
+    def test_content_license_keeps_no_session_record(self, world):
         request, __ = self._signed_request(world)
-        _post(world.license_server, "/license", request.serialize())
-        record = world.license_server.sessions[b"\x00\x00\x00\x09"]
-        assert record.derived.generic_encryption
+        assert _post(world.license_server, "/license", request.serialize()).ok
+        assert not world.license_server.sessions
+
+    def test_session_record_kept(self, world):
+        """A secure-channel license keeps its session's generic key until
+        the channel is taken, and nothing after."""
+        from repro.crypto.rsa import oaep_decrypt
+
+        server = world.license_server
+        kid = bytes(range(16))
+        server.register_secure_channel_key(kid, bytes(16))
+        request, rsa = self._signed_request(world, kids=[kid])
+        response = _post(server, "/license", request.serialize())
+        parsed = LicenseResponse.parse(response.body)
+        session_key = oaep_decrypt(rsa, parsed.wrapped_session_key)
+        derived = derive_session_keys(session_key, parsed.derivation_context)
+        assert set(server.sessions) == {request.session_id}
+        assert server.take_secure_channel(request.session_id) == (
+            derived.generic_encryption
+        )
+        assert server.take_secure_channel(request.session_id) is None
+        assert not server.sessions
+        assert not server._channel_of_device
+
+    def test_new_secure_channel_replaces_the_unused_one(self, world):
+        """The table grows with devices, not sessions; session ids are
+        per device, so another device's channel under a stale id stays."""
+        server = world.license_server
+        kid = bytes(range(16))
+        server.register_secure_channel_key(kid, bytes(16))
+        opened = [("LS-T1", 1), ("LS-T1", 2), ("LS-T2", 2), ("LS-T1", 3)]
+        for serial, number in opened:
+            request, __ = self._signed_request(
+                world, kids=[kid], device_serial=serial,
+                session_id=number.to_bytes(4, "big"),
+            )
+            assert _post(server, "/license", request.serialize()).ok
+        assert {
+            sid: record.device_id for sid, record in server.sessions.items()
+        } == {
+            (2).to_bytes(4, "big"): issue_keybox("LS-T2").device_id,
+            (3).to_bytes(4, "big"): issue_keybox("LS-T1").device_id,
+        }
 
     def test_response_mac_verifies(self, world):
         from repro.crypto.rsa import oaep_decrypt

@@ -1,6 +1,8 @@
 """WebVTT subtitles and the paper's ASCII clear-text heuristic."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.media.subtitles import (
     build_webvtt,
@@ -71,3 +73,37 @@ class TestClearTextHeuristic:
     def test_rejects_mostly_binary_with_ascii_prefix(self):
         blob = b"WEBVTT" + bytes(range(1, 200)) * 3
         assert not looks_like_clear_text(blob)
+
+
+def _reference_verdict(data: bytes) -> bool:
+    """The heuristic as one generator step per byte."""
+    if not data:
+        return False
+    printable = sum(1 for b in data if 32 <= b < 127 or b in (9, 10, 13))
+    return printable / len(data) > 0.95
+
+
+class TestClearTextMatchesReference:
+    @given(st.binary(max_size=2048))
+    def test_random_bytes(self, data):
+        assert looks_like_clear_text(data) == _reference_verdict(data)
+
+    @given(
+        st.integers(min_value=1, max_value=400),
+        st.integers(min_value=-2, max_value=2),
+        st.sampled_from([0, 8, 11, 127, 128, 255]),
+        st.randoms(use_true_random=False),
+    )
+    def test_at_the_boundary(self, size, offset, unprintable, rng):
+        """Printable shares at, just under and just over 0.95."""
+        bad = max(0, min(size, round(size * 0.05) + offset))
+        data = bytearray(b"a" * (size - bad) + bytes([unprintable]) * bad)
+        rng.shuffle(data)
+        assert looks_like_clear_text(bytes(data)) == _reference_verdict(bytes(data))
+
+    @pytest.mark.parametrize("size", [20, 40, 100, 1000])
+    def test_exactly_ninety_five_percent_is_not_clear(self, size):
+        bad = size // 20
+        data = b"a" * (size - bad) + b"\x00" * bad
+        assert not looks_like_clear_text(data)
+        assert looks_like_clear_text(b"a" + data)

@@ -8,7 +8,7 @@ from repro.net.cdn import CdnServer
 from repro.net.http import HttpRequest, HttpResponse, parse_url
 from repro.net.network import HttpClient, Network
 from repro.net.proxy import FLOW_LOG_SIZE, InterceptingProxy
-from repro.net.server import REQUEST_LOG_SIZE, VirtualServer
+from repro.net.server import VirtualServer
 from repro.net.tls import (
     Certificate,
     PinSet,
@@ -151,19 +151,13 @@ class TestServerRouting:
         with pytest.raises(ValueError, match="start with"):
             VirtualServer("s.example").route("relative", lambda r: None)
 
-    def test_request_log(self):
+    def test_serving_keeps_no_per_request_state(self):
         server = VirtualServer("s.example")
-        server.handle(HttpRequest("GET", "https://s.example/x"))
-        assert len(server.request_log) == 1
-
-    def test_request_log_keeps_only_the_most_recent(self):
-        server = VirtualServer("s.example")
-        total = REQUEST_LOG_SIZE + 50
-        for i in range(total):
-            server.handle(HttpRequest("GET", f"https://s.example/r{i}"))
-        assert len(server.request_log) == REQUEST_LOG_SIZE
-        assert server.request_log[0].url == "https://s.example/r50"
-        assert server.request_log[-1].url == f"https://s.example/r{total - 1}"
+        server.route("/r", lambda r: HttpResponse(status=200, body=b"ok"))
+        before = {name: repr(value) for name, value in vars(server).items()}
+        for i in range(100):
+            assert server.handle(HttpRequest("GET", f"https://s.example/r{i}")).ok
+        assert {name: repr(value) for name, value in vars(server).items()} == before
 
 
 class TestNetwork:

@@ -50,13 +50,19 @@ class TestSpanNesting:
         assert grandchild.parent_id == child.span_id
 
     def test_current_span_tracks_the_stack(self, bus):
-        assert bus.current_span() is None
+        """A new span's parent is the current span: the top of the stack,
+        which a close pops."""
         with bus.span("outer") as outer:
-            assert bus.current_span() is outer
             with bus.span("inner") as inner:
-                assert bus.current_span() is inner
-            assert bus.current_span() is outer
-        assert bus.current_span() is None
+                pass
+            with bus.span("after_inner") as after_inner:
+                pass
+        with bus.span("after_outer") as after_outer:
+            pass
+        assert outer.parent_id is None
+        assert inner.parent_id == outer.span_id
+        assert after_inner.parent_id == outer.span_id
+        assert after_outer.parent_id is None
 
     def test_siblings_share_a_parent(self, bus):
         with bus.span("root") as root:
@@ -73,7 +79,9 @@ class TestSpanNesting:
             with bus.span("outer"):
                 with bus.span("inner"):
                     raise RuntimeError("boom")
-        assert bus.current_span() is None
+        with bus.span("after") as after:
+            pass
+        assert after.parent_id is None
         assert all(s.end_ns is not None for s in bus.spans)
 
     def test_root_span_track_comes_from_app_attr(self, bus):

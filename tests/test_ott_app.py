@@ -13,6 +13,21 @@ from repro.ott.backend import OttBackend
 from repro.ott.profile import URI_SECURE_CHANNEL, OttProfile
 
 
+def record_exchanges(server) -> list:
+    """Wrap *server*'s ``handle`` so the test sees each (request,
+    response) it serves; the server itself keeps nothing per request."""
+    exchanges = []
+    handle = server.handle
+
+    def recording(request):
+        response = handle(request)
+        exchanges.append((request, response))
+        return response
+
+    server.handle = recording
+    return exchanges
+
+
 class OttWorld:
     def __init__(self, **profile_overrides):
         defaults = dict(
@@ -119,19 +134,16 @@ class TestProvisioningAndRevocation:
 
     def test_provisioning_reused_across_plays(self):
         world = OttWorld()
+        exchanges = record_exchanges(world.backend.provisioning)
         app = world.l1_app()
         assert app.play().ok
         provision_calls = [
-            r
-            for r in world.backend.provisioning.request_log
-            if r.parsed_url.path == "/provision"
+            r for r, __ in exchanges if r.parsed_url.path == "/provision"
         ]
         assert len(provision_calls) == 1
         assert app.play().ok
         provision_calls = [
-            r
-            for r in world.backend.provisioning.request_log
-            if r.parsed_url.path == "/provision"
+            r for r, __ in exchanges if r.parsed_url.path == "/provision"
         ]
         assert len(provision_calls) == 1  # still one: persisted
 
@@ -144,17 +156,33 @@ class TestSecureChannel:
 
     def test_manifest_not_in_plain_api_response(self):
         world = OttWorld(service="scflix2", uri_protection=URI_SECURE_CHANNEL)
+        exchanges = record_exchanges(world.backend.api)
         app = world.l1_app()
         assert app.play().ok
         playback_responses = [
-            r for r in world.backend.api.request_log
-            if r.parsed_url.path == "/playback"
+            response
+            for request, response in exchanges
+            if request.parsed_url.path == "/playback"
         ]
         assert playback_responses  # and the body the server sent was encrypted:
-        # replay the recorded request and inspect the response body.
-        response = world.backend.api.handle(playback_responses[-1])
-        assert b"mpd_url" not in response.body
-        assert b"protected_manifest" in response.body
+        assert b"mpd_url" not in playback_responses[-1].body
+        assert b"protected_manifest" in playback_responses[-1].body
+
+    def test_secure_channel_is_used_once(self):
+        """The playback API consumes the channel: replaying the captured
+        request finds none, and the license server holds no record."""
+        world = OttWorld(service="scflix3", uri_protection=URI_SECURE_CHANNEL)
+        exchanges = record_exchanges(world.backend.api)
+        assert world.l1_app().play().ok
+        (request, __), = [
+            exchange
+            for exchange in exchanges
+            if exchange[0].parsed_url.path == "/playback"
+        ]
+        assert not world.backend.license_server.sessions
+        replay = world.backend.api.handle(request)
+        assert replay.status == 403
+        assert b"no secure channel" in replay.body
 
 
 class TestCustomDrm:
@@ -174,6 +202,22 @@ class TestCustomDrm:
         assert l1.ok
         assert l1.used_widevine
         assert not l1.used_custom_drm
+
+    def test_type_confused_license_fails_the_playback(self):
+        world = OttWorld(service="embed3", custom_drm_on_l3=True)
+        handle = world.backend.api.handle
+
+        def confusing(request):
+            response = handle(request)
+            if request.parsed_url.path == "/embedded-license":
+                response.body = b'{"nonce": "00", "keys": 5}'
+            return response
+
+        world.backend.api.handle = confusing
+        result = world.l3_app().play()
+        assert result.used_custom_drm
+        assert not result.ok
+        assert "license load failed" in result.error
 
     def test_custom_drm_never_touches_platform_cdm(self):
         world = OttWorld(service="embed2", custom_drm_on_l3=True)

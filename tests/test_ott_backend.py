@@ -168,6 +168,21 @@ class TestSecureChannel:
         assert response.status == 403
         assert b"secure channel" in response.body
 
+    def test_malformed_session_id_is_a_bad_request(self):
+        backend = OttBackend(
+            _profile(service="scflix", uri_protection=URI_SECURE_CHANNEL),
+            Network(),
+            KeyboxAuthority(),
+        )
+        title = next(iter(backend.catalog))
+        token = backend.accounts["alice"]
+        response = _get(
+            backend.api,
+            f"https://api.scflix.example/playback?title={title.title_id}"
+            f"&token={token}&session=zz",
+        )
+        assert response.status == 400
+
     def test_secure_channel_key_registered(self):
         backend = OttBackend(
             _profile(service="scflix2", uri_protection=URI_SECURE_CHANNEL),
@@ -222,6 +237,20 @@ class TestEmbeddedLicense:
             backend.api,
             f"https://api.embedflix.example/embedded-license?token={token}",
             json.dumps(request).encode(),
+        )
+        assert response.status == 400
+
+    @pytest.mark.parametrize(
+        "body",
+        [b'{"payload": 5, "mac": "x"}', b"[1]", b"[" * 100_000],
+        ids=["payload-not-a-string", "not-an-object", "nested-too-deeply"],
+    )
+    def test_type_confused_request_is_a_bad_request(self, custom_backend, body):
+        token = custom_backend.accounts["alice"]
+        response = _post(
+            custom_backend.api,
+            f"https://api.embedflix.example/embedded-license?token={token}",
+            body,
         )
         assert response.status == 400
 

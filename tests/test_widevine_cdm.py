@@ -73,6 +73,20 @@ class TestMediaDrmBasics:
         with pytest.raises(MediaDrmException, match="not open"):
             drm.get_key_request(session, b"init")
 
+    def test_close_ends_every_session_and_pending_provisioning(self, world):
+        device = world.l1_device()
+        drm = MediaDrm(WIDEVINE_SYSTEM_ID, device, origin="com.close.app")
+        sessions = [drm.open_session(), drm.open_session()]
+        drm.get_provision_request()
+        oemcrypto = device.widevine_plugin.oemcrypto
+        assert len(oemcrypto._sessions) == 3
+        drm.close()
+        assert oemcrypto._sessions == {}
+        assert drm._cdm._sessions == {}
+        assert drm._cdm._pending_provisioning == {}
+        with pytest.raises(MediaDrmException, match="not open"):
+            drm.get_key_request(sessions[0], b"init")
+
     def test_key_request_requires_provisioning(self, world):
         device = world.l1_device()
         drm = MediaDrm(WIDEVINE_SYSTEM_ID, device, origin="com.fresh.app")
@@ -88,6 +102,17 @@ class TestProvisioningFlow:
         _provision(drm_a, device, world, origin="com.app.a")
         assert drm_a._cdm.is_provisioned("com.app.a")
         assert not drm_a._cdm.is_provisioned("com.app.b")
+
+    def test_new_provisioning_request_supersedes_the_pending_one(self, world):
+        """A refused request's session is closed by the next request for
+        the same origin; the next response provisions the device."""
+        device = world.l1_device()
+        drm = MediaDrm(WIDEVINE_SYSTEM_ID, device, origin="com.app.retry")
+        drm.get_provision_request()
+        assert len(device.widevine_plugin.oemcrypto._sessions) == 1
+        _provision(drm, device, world)
+        assert device.widevine_plugin.oemcrypto._sessions == {}
+        assert drm._cdm.is_provisioned("com.app.retry")
 
     def test_provision_response_without_request_rejected(self, world):
         device = world.l1_device()
