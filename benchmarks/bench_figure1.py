@@ -8,21 +8,15 @@ one complete Figure-1 round trip (license acquisition + secure decode).
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.figures import FIGURE_1_ARROWS, collapse_decode_loop
-from repro.core.study import WideLeakStudy
+from repro.core.figures import FIGURE_1_ARROWS, capture_figure1
 from repro.ott.app import OttApp
 from repro.ott.registry import profile_by_name
+
 
 def test_figure1_sequence_reproduced(study, capsys):
     profile = profile_by_name("OCS")
     app = OttApp(profile, study.l1_device, study.backends[profile.service])
-    app.play()  # provision once, out of band of the figure
-    study.l1_device.trace.clear()
-    result = app.play()
-    assert result.ok
-    arrows = collapse_decode_loop(study.l1_device.trace.labels())
+    arrows = capture_figure1(app)
     with capsys.disabled():
         print("\n=== Figure 1 message sequence (captured) ===")
         for source, target, label in arrows:

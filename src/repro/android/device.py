@@ -19,7 +19,7 @@ from repro.android.trace import FlowTrace
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import HttpClient, Network
 from repro.net.tls import PinSet, TrustStore
-from repro.obs.bus import ObservabilityBus
+from repro.obs.bus import NULL_BUS, ObservabilityBus
 from repro.widevine.keybox import issue_keybox
 from repro.widevine.plugin import WidevineHalPlugin
 from repro.widevine.versions import CDM_CURRENT, CDM_NEXUS5
@@ -65,8 +65,9 @@ class AndroidDevice:
         # The device's observation spine: every playback-path component
         # emits through it. Callers that orchestrate many devices (the
         # study, a fleet cell's DeviceSession) inject a shared bus so all
-        # observations land in one tree; each keeps its own trace.
-        self.obs = obs if obs is not None else ObservabilityBus()
+        # observations land in one tree; each keeps its own trace. Left
+        # out, nothing is recorded: an enabled bus keeps every span.
+        self.obs = obs if obs is not None else NULL_BUS
         self.trace = FlowTrace()
         self.trust_store = TrustStore()
         self.persistent_store: dict[str, bytes] = {}

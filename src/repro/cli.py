@@ -1,7 +1,7 @@
 """Command-line interface for the WideLeak reproduction.
 
     wideleak table1              regenerate Table I and diff vs the paper
-    wideleak figure1             capture and print the Figure 1 sequence
+    wideleak figure1             capture Figure 1's sequence and diff vs the paper
     wideleak audit <app>         run the Q1–Q4 pipeline for one app
     wideleak analyze <app>       call-graph + taint analysis, cross-checked
     wideleak lint [paths...]     AST lint of the repo's own invariants
@@ -251,24 +251,20 @@ def _cmd_table1() -> int:
 
 
 def _cmd_figure1() -> int:
+    from repro.core.figures import capture_figure1, figure1_matches
     from repro.ott.app import OttApp
 
     study = WideLeakStudy.with_default_apps()
     profile = profile_by_name("OCS")
     app = OttApp(profile, study.l1_device, study.backends[profile.service])
-    app.play()
-    study.l1_device.trace.clear()
-    result = app.play()
-    if not result.ok:
-        print(f"playback failed: {result.error}")
+    try:
+        arrows = capture_figure1(app)
+    except RuntimeError as exc:
+        print(exc)
         return 1
-    from repro.core.figures import collapse_decode_loop
-
-    for source, target, label in collapse_decode_loop(
-        study.l1_device.trace.labels()
-    ):
+    for source, target, label in arrows:
         print(f"{source} -> {target}: {label}")
-    return 0
+    return 0 if figure1_matches(arrows) else 1
 
 
 def _cmd_list_apps() -> int:

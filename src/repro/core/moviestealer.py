@@ -10,27 +10,26 @@ This module implements both halves of that claim:
 
 - :class:`MovieStealer` — the baseline: scan a process's memory for
   decodable media samples;
-- :class:`InsecureSoftwarePlayer` — a deliberately archaic app that
-  decrypts in-process and keeps decoded frames in its own heap (the
+- :class:`InsecureSoftwarePlayer` — a deliberately archaic app: an
+  :class:`~repro.ott.app.OttApp` on the embedded-DRM path (it decrypts
+  in-process) that also keeps every clear sample in its own heap (the
   2013-era design), against which the baseline still succeeds.
 
 Against any modern :class:`~repro.ott.app.OttApp` the scan comes back
-empty: decrypted samples exist only inside the CDM/codec path, never in
-the app's address space.
+empty: on the Widevine path decrypted samples exist only inside the
+CDM/codec path, and the embedded-DRM path keeps none in mapped memory.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.android.device import AndroidDevice
+from repro.android.mediacodec import DecodedFrame, MediaCodec
 from repro.android.process import Process
-from repro.bmff.builder import read_samples, read_track_info
-from repro.dash.mpd import Mpd
 from repro.media.codecs import SAMPLE_MAGIC, validate_sample
+from repro.ott.app import OttApp
 from repro.ott.backend import OttBackend
-from repro.ott.custom_drm import EmbeddedCdm
 from repro.ott.profile import OttProfile
 
 __all__ = ["MovieStealer", "MovieStealerResult", "InsecureSoftwarePlayer"]
@@ -84,12 +83,13 @@ class MovieStealer:
         return self.scan_process(device.find_process(package))
 
 
-class InsecureSoftwarePlayer:
+class InsecureSoftwarePlayer(OttApp):
     """A 2013-style app: in-process DRM, decoded frames on the heap.
 
-    Uses an embedded software CDM (the service must expose the
-    embedded-license endpoint) and — the fatal design — writes every
-    decrypted sample into its own mapped memory before "rendering".
+    An :class:`~repro.ott.app.OttApp` that always plays through the
+    embedded software CDM (the service must expose the embedded-license
+    endpoint) and — the fatal design — writes every clear sample it
+    renders into its own mapped memory.
     """
 
     def __init__(
@@ -100,73 +100,28 @@ class InsecureSoftwarePlayer:
                 "the insecure player needs a service with an embedded-"
                 "license endpoint (custom_drm_on_l3=True)"
             )
-        self.profile = profile
-        self.device = device
-        self.backend = backend
-        self.process = device.spawn_app_process(profile.package)
-        self.http = device.new_http_client()
+        super().__init__(profile, device, backend)
+        self._frames: list[bytes] = []
         self._heap = self.process.map_region(f"{profile.package}:decoded-frames", 0)
+
+    def _embedded_drm(self) -> bool:
+        """The 2013 design: in-process DRM whatever the device offers."""
+        return True
+
+    def _render(self, codec: MediaCodec, sample: bytes) -> DecodedFrame:
+        self._frames.append(sample)
+        return super()._render(codec, sample)
 
     def play(self, title_id: str | None = None, *, language: str = "en") -> bool:
         """Play a title, leaving decoded frames strewn across the heap."""
-        if title_id is None:
-            title_id = next(iter(self.backend.catalog)).title_id
-        token_resp = self.http.post(
-            f"https://{self.profile.api_host}/auth",
-            json.dumps({"username": "alice"}).encode(),
-        )
-        token = json.loads(token_resp.body.decode())["token"]
-
-        playback = self.http.get(
-            f"https://{self.profile.api_host}/playback"
-            f"?title={title_id}&token={token}"
-        )
-        mpd = Mpd.from_xml(
-            self.http.get(json.loads(playback.body.decode())["mpd_url"]).body
-        )
-
-        cdm = EmbeddedCdm(self.profile.service)
-        license_resp = self.http.post(
-            f"https://{self.profile.api_host}/embedded-license?token={token}",
-            cdm.build_key_request(title_id),
-        )
-        if not license_resp.ok:
-            return False
-        cdm.load_keys(license_resp.body)
-
-        frames: list[bytes] = []
-        for aset in mpd.sets_of_type("video"):
-            for rep in aset.representations:
-                if (rep.height or 0) > 540:
-                    continue
-                init = self.http.get(rep.init_url).body
-                info = read_track_info(init)
-                for url in rep.segment_urls:
-                    samples, protected = read_samples(
-                        self.http.get(url).body, iv_size=info.iv_size
-                    )
-                    for sample in samples:
-                        if protected:
-                            assert info.default_kid is not None
-                            clear = cdm.decrypt(
-                                info.default_kid,
-                                sample.data,
-                                sample.entry.iv,
-                                [
-                                    (s.clear_bytes, s.protected_bytes)
-                                    for s in sample.entry.subsamples
-                                ],
-                            )
-                        else:
-                            clear = sample.data
-                        if not validate_sample(clear).valid:
-                            return False
-                        frames.append(clear)
-        # The 2013 mistake: clear frames linger in app memory.
-        heap = b"".join(frames)
-        self.process.unmap_region(self._heap)
-        self._heap = self.process.map_region(
-            f"{self.profile.package}:decoded-frames", len(heap)
-        )
-        self._heap.write(0, heap)
-        return True
+        ok = super().play(title_id, language=language).ok
+        frames, self._frames = self._frames, []
+        if ok:
+            # The 2013 mistake: clear frames linger in app memory.
+            heap = b"".join(frames)
+            self.process.unmap_region(self._heap)
+            self._heap = self.process.map_region(
+                f"{self.profile.package}:decoded-frames", len(heap)
+            )
+            self._heap.write(0, heap)
+        return ok

@@ -1,22 +1,25 @@
 """The Android OTT application model.
 
-Drives the full Figure 1 playback path against a service backend:
-authentication, manifest retrieval (plain, or over Netflix's Widevine
-secure channel), per-origin provisioning, license acquisition, and
-secure decode through MediaCodec. Also models the app-hardening layer
-the paper side-steps: certificate pinning, anti-debugging, SafetyNet.
+One playback session for either DRM: authentication, manifest retrieval
+(plain, or over Netflix's Widevine secure channel), track selection and
+a per-track download/parse/decode loop. Only how keys arrive (Widevine's
+``MediaDrm`` with provisioning, or Amazon's embedded CDM) and how a
+protected sample becomes a frame depend on the DRM. Also models the
+app-hardening layer the paper side-steps: certificate pinning,
+anti-debugging, SafetyNet.
 
-The app, like a real one, never sees decrypted media buffers — only
-frame metadata surfaces from the codec.
+On the Widevine path the app, like a real one, never sees decrypted
+media buffers — only frame metadata surfaces from the codec.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.android.device import AndroidDevice
-from repro.android.mediacodec import CryptoInfo, MediaCodec
+from repro.android.mediacodec import CodecException, CryptoInfo, DecodedFrame, MediaCodec
 from repro.android.mediacrypto import MediaCrypto
 from repro.android.mediadrm import (
     MediaDrm,
@@ -25,12 +28,14 @@ from repro.android.mediadrm import (
 )
 from repro.android.packages import Apk
 from repro.android.safetynet import attest
-from repro.bmff.builder import read_samples, read_track_info
+from repro.bmff.builder import TrackInfo, read_samples, read_track_info
+from repro.bmff.cenc import CencSample
 from repro.bmff.pssh import WIDEVINE_SYSTEM_ID, WidevinePsshData
-from repro.dash.client import MAX_HEIGHT_BY_LEVEL, TrackSelectionError, TrackSelector
+from repro.dash.client import TrackSelectionError, TrackSelector
 from repro.dash.mpd import Mpd, MpdRepresentation
 from repro.media.subtitles import parse_webvtt
 from repro.net.tls import PinSet
+from repro.obs.bus import NULL_BUS, ObservabilityBus
 from repro.ott.backend import SECURE_CHANNEL_CONTENT_ID, OttBackend
 from repro.ott.custom_drm import EmbeddedCdm, EmbeddedDrmError
 from repro.ott.profile import URI_SECURE_CHANNEL, OttProfile
@@ -96,6 +101,59 @@ class PlaybackResult:
     provisioning_failed: bool = False
     tracks: list[TrackPlayback] = field(default_factory=list)
     subtitle_ok: bool | None = None  # None = no subtitle track played
+
+
+def _ranges(sample: CencSample) -> tuple[tuple[int, int], ...]:
+    """A sample's (clear, protected) subsample byte counts."""
+    return tuple((s.clear_bytes, s.protected_bytes) for s in sample.entry.subsamples)
+
+
+@dataclass(frozen=True)
+class _WidevineDecode:
+    """A protected sample goes, still encrypted, to a codec configured
+    with ``MediaCrypto``; the platform CDM decrypts behind it."""
+
+    crypto: MediaCrypto
+
+    def codec(self, rep: MpdRepresentation, info: TrackInfo) -> MediaCodec:
+        if not info.protected:
+            return MediaCodec.create_decoder(rep.mime_type)
+        secure = self.crypto.requires_secure_decoder_component(rep.mime_type)
+        codec = MediaCodec.create_decoder(rep.mime_type, secure=secure)
+        codec.configure(self.crypto)
+        return codec
+
+    def frame(
+        self, codec: MediaCodec, info: TrackInfo, sample: CencSample
+    ) -> DecodedFrame:
+        crypto_info = CryptoInfo(
+            info.default_kid, sample.entry.iv, _ranges(sample), info.scheme
+        )
+        return codec.queue_secure_input_buffer(sample.data, crypto_info)
+
+
+@dataclass(frozen=True)
+class _EmbeddedDecode:
+    """The app decrypts a protected sample in its own process and
+    renders the clear bytes through a plain codec."""
+
+    cdm: EmbeddedCdm
+    render: Callable[[MediaCodec, bytes], DecodedFrame]
+
+    def codec(self, rep: MpdRepresentation, info: TrackInfo) -> MediaCodec:
+        return MediaCodec.create_decoder(rep.mime_type)
+
+    def frame(
+        self, codec: MediaCodec, info: TrackInfo, sample: CencSample
+    ) -> DecodedFrame:
+        ranges = list(_ranges(sample))
+        try:
+            clear = self.cdm.decrypt(
+                info.default_kid, sample.data, sample.entry.iv, ranges
+            )
+        except KeyError as exc:
+            raise CodecException(f"decrypt failed: {exc.args[0]}") from None
+        return self.render(codec, clear)
 
 
 class OttApp:
@@ -208,7 +266,7 @@ class OttApp:
 
     # -- manifest retrieval ---------------------------------------------------------------
 
-    def _fetch_manifest_url(self, drm: MediaDrm, title_id: str) -> str:
+    def _fetch_manifest_url(self, drm: MediaDrm | None, title_id: str) -> str:
         with self.device.obs.span(
             "manifest.fetch", app=self.profile.name, title=title_id
         ) as span:
@@ -218,13 +276,15 @@ class OttApp:
             )
             return url
 
-    def _fetch_manifest_url_inner(self, drm: MediaDrm, title_id: str) -> str:
+    def _fetch_manifest_url_inner(self, drm: MediaDrm | None, title_id: str) -> str:
         token = self._require_token()
         base = (
             f"https://{self.profile.api_host}/playback"
             f"?title={title_id}&token={token}"
         )
-        if self.profile.uri_protection != URI_SECURE_CHANNEL:
+        # The secure channel is a Widevine session: an embedded-DRM
+        # session (no MediaDrm) asks the plain API.
+        if self.profile.uri_protection != URI_SECURE_CHANNEL or drm is None:
             response = self.http.get(base)
             if not response.ok:
                 raise PlaybackError(f"playback API: {response.body.decode()}")
@@ -251,67 +311,76 @@ class OttApp:
         drm.close_session(session_id)
         return json.loads(clear.decode())["mpd_url"]
 
+    # -- how keys arrive -----------------------------------------------------------------------
+
+    def _widevine_keys(self, drm: MediaDrm, init_data: bytes) -> _WidevineDecode:
+        """Figure 1: keys load into the platform CDM through ``MediaDrm``,
+        after the provisioning round trip when the origin needs one."""
+        session_id = drm.open_session()
+        self._acquire_license(drm, session_id, init_data)
+        self.device.flows(
+            ("Application", "CDN", "Get Media"),
+            ("CDN", "Application", "Media"),
+        )
+        return _WidevineDecode(MediaCrypto(drm, session_id))
+
+    def _embedded_keys(self, title_id: str) -> _EmbeddedDecode:
+        """Amazon's L3 fallback: keys load into the app's own CDM; the
+        platform Widevine is never touched."""
+        cdm = EmbeddedCdm(self.profile.service)
+        response = self.http.post(
+            f"https://{self.profile.api_host}/embedded-license"
+            f"?token={self._require_token()}",
+            cdm.build_key_request(title_id),
+        )
+        if not response.ok:
+            raise LicenseDeniedError(response.body.decode())
+        try:
+            cdm.load_keys(response.body)
+        except EmbeddedDrmError as exc:
+            raise PlaybackError(f"license load failed: {exc}") from exc
+        return _EmbeddedDecode(cdm, self._render)
+
     # -- track playback ------------------------------------------------------------------------
+
+    def _render(self, codec: MediaCodec, sample: bytes) -> DecodedFrame:
+        """Decode one clear sample."""
+        return codec.queue_input_buffer(sample)
 
     def _play_track(
         self,
-        drm: MediaDrm,
-        session_id: bytes,
+        decode: _WidevineDecode | _EmbeddedDecode,
         rep: MpdRepresentation,
         kind: str,
+        obs: ObservabilityBus,
     ) -> TrackPlayback:
-        with self.device.obs.span(
-            "playback.track", kind=kind, rep=rep.rep_id
-        ) as span:
-            stats = self._play_track_inner(drm, session_id, rep, kind)
+        with obs.span("playback.track", kind=kind, rep=rep.rep_id) as span:
+            info = read_track_info(self._download(rep.init_url))
+            stats = TrackPlayback(
+                rep_id=rep.rep_id, kind=kind, encrypted=info.protected
+            )
+            codec = decode.codec(rep, info)
+            for url in rep.segment_urls:
+                samples, protected = read_samples(
+                    self._download(url), iv_size=info.iv_size
+                )
+                for sample in samples:
+                    if protected:
+                        frame = decode.frame(codec, info, sample)
+                    else:
+                        frame = self._render(codec, sample.data)
+                    stats.frames_total += 1
+                    if frame.valid:
+                        stats.frames_valid += 1
             span.set(frames=stats.frames_total)
             return stats
 
-    def _play_track_inner(
-        self,
-        drm: MediaDrm,
-        session_id: bytes,
-        rep: MpdRepresentation,
-        kind: str,
-    ) -> TrackPlayback:
-        init = self._download(rep.init_url)
-        info = read_track_info(init)
-        stats = TrackPlayback(rep_id=rep.rep_id, kind=kind, encrypted=info.protected)
-
-        if info.protected:
-            crypto = MediaCrypto(drm, session_id)
-            secure = crypto.requires_secure_decoder_component(rep.mime_type)
-            codec = MediaCodec.create_decoder(rep.mime_type, secure=secure)
-            codec.configure(crypto)
-        else:
-            codec = MediaCodec.create_decoder(rep.mime_type)
-
-        for url in rep.segment_urls:
-            segment = self._download(url)
-            samples, protected = read_samples(segment, iv_size=info.iv_size)
-            for sample in samples:
-                if protected:
-                    assert info.default_kid is not None
-                    frame = codec.queue_secure_input_buffer(
-                        sample.data,
-                        CryptoInfo(
-                            key_id=info.default_kid,
-                            iv=sample.entry.iv,
-                            subsamples=tuple(
-                                (s.clear_bytes, s.protected_bytes)
-                                for s in sample.entry.subsamples
-                            ),
-                            mode=info.scheme,
-                        ),
-                    )
-                else:
-                    frame = codec.queue_input_buffer(sample.data)
-                stats.frames_total += 1
-                if frame.valid:
-                    stats.frames_valid += 1
-        return stats
-
     # -- the headline API ---------------------------------------------------------------------------
+
+    def _embedded_drm(self) -> bool:
+        """Amazon-style: the app's own DRM wherever Widevine is not L1."""
+        level = self.device.widevine_security_level
+        return self.profile.custom_drm_on_l3 and level != "L1"
 
     def play(
         self,
@@ -326,170 +395,70 @@ class OttApp:
         if title_id is None:
             title_id = next(iter(self.backend.catalog)).title_id
         level = self.device.widevine_security_level
-
-        if self.profile.custom_drm_on_l3 and level != "L1":
-            with self.device.obs.span(
-                "playback.session",
-                app=self.profile.name,
-                title=title_id,
-                drm="custom",
-            ):
-                return self._play_custom(title_id, language, subtitle_language)
-
+        embedded = self._embedded_drm()
+        result = PlaybackResult(
+            ok=False,
+            title_id=title_id,
+            used_widevine=not embedded,
+            used_custom_drm=embedded,
+            security_level=level,
+        )
         with self.device.obs.span(
             "playback.session",
             app=self.profile.name,
             title=title_id,
-            drm="widevine",
+            drm="custom" if embedded else "widevine",
         ) as span:
-            result = self._play_widevine(title_id, language, subtitle_language)
-            span.set(ok=result.ok)
-            return result
-
-    def _play_widevine(
-        self, title_id: str, language: str, subtitle_language: str | None
-    ) -> PlaybackResult:
-        level = self.device.widevine_security_level
-        result = PlaybackResult(
-            ok=False, title_id=title_id, used_widevine=True, security_level=level
-        )
-        drm = MediaDrm(WIDEVINE_SYSTEM_ID, self.device, origin=self.profile.package)
-        try:
-            mpd_url = self._fetch_manifest_url(drm, title_id)
-            mpd = Mpd.from_xml(self._download(mpd_url))
-            selector = TrackSelector(mpd, obs=self.device.obs)
-
-            video_rep = selector.select_video(
-                max_height=MAX_HEIGHT_BY_LEVEL.get(level, 540)
-            )
-            audio_rep = selector.select_audio(language)
-
-            session_id = drm.open_session()
-            init_data = selector.init_data_for(video_rep)
-            self._acquire_license(drm, session_id, init_data)
-
-            self.device.flows(
-                ("Application", "CDN", "Get Media"),
-                ("CDN", "Application", "Media"),
-            )
-            result.tracks.append(
-                self._play_track(drm, session_id, video_rep, "video")
-            )
-            result.tracks.append(
-                self._play_track(drm, session_id, audio_rep, "audio")
-            )
-            result.video_height = video_rep.height
-
-            if subtitle_language is not None:
-                subtitle_rep = selector.select_text(subtitle_language)
-                if subtitle_rep is not None:
-                    try:
-                        vtt = self._download(subtitle_rep.init_url)
-                        result.subtitle_ok = bool(parse_webvtt(vtt))
-                    except (ValueError, PlaybackError):
-                        result.subtitle_ok = False
-
-            result.ok = all(t.ok for t in result.tracks)
-            if not result.ok:
-                result.error = "undecodable frames"
-        except ProvisioningDeniedError as exc:
-            result.provisioning_failed = True
-            result.error = f"provisioning denied: {exc}"
-        except (
-            LicenseDeniedError,
-            PlaybackError,
-            TrackSelectionError,
-            MediaDrmException,
-        ) as exc:
-            result.error = str(exc)
-        finally:
-            # Every exit path: the sessions this play opened (and a
-            # provisioning request the server refused) end with it.
-            drm.close()
-        return result
-
-    def _play_custom(
-        self, title_id: str, language: str, subtitle_language: str | None
-    ) -> PlaybackResult:
-        """Amazon-style path: embedded DRM, platform Widevine untouched."""
-        result = PlaybackResult(
-            ok=False,
-            title_id=title_id,
-            used_widevine=False,
-            used_custom_drm=True,
-            security_level=self.device.widevine_security_level,
-        )
-        try:
-            token = self._require_token()
-            response = self.http.get(
-                f"https://{self.profile.api_host}/playback"
-                f"?title={title_id}&token={token}"
-            )
-            if not response.ok:
-                raise PlaybackError(response.body.decode())
-            mpd_url = json.loads(response.body.decode())["mpd_url"]
-            mpd = Mpd.from_xml(self._download(mpd_url))
-            selector = TrackSelector(mpd, obs=self.device.obs)
-
-            cdm = EmbeddedCdm(self.profile.service)
-            license_response = self.http.post(
-                f"https://{self.profile.api_host}/embedded-license"
-                f"?token={token}",
-                cdm.build_key_request(title_id),
-            )
-            if not license_response.ok:
-                raise LicenseDeniedError(license_response.body.decode())
+            drm = None
+            if not embedded:
+                origin = self.profile.package
+                drm = MediaDrm(WIDEVINE_SYSTEM_ID, self.device, origin=origin)
+            # Only Widevine tracks record playback.track spans.
+            track_obs = NULL_BUS if embedded else self.device.obs
             try:
-                cdm.load_keys(license_response.body)
-            except EmbeddedDrmError as exc:
-                raise PlaybackError(f"license load failed: {exc}") from exc
-
-            video_rep = selector.select_video(max_height=540)
-            audio_rep = selector.select_audio(language)
-            for rep, kind in ((video_rep, "video"), (audio_rep, "audio")):
-                init = self._download(rep.init_url)
-                info = read_track_info(init)
-                stats = TrackPlayback(
-                    rep_id=rep.rep_id, kind=kind, encrypted=info.protected
+                mpd_url = self._fetch_manifest_url(drm, title_id)
+                mpd = Mpd.from_xml(self._download(mpd_url))
+                selector = TrackSelector(mpd, obs=self.device.obs)
+                tracks = selector.select(
+                    # The embedded CDM is software-only: L3's ceiling.
+                    security_level="L3" if embedded else level,
+                    audio_language=language,
+                    text_language=subtitle_language,
                 )
-                codec = MediaCodec.create_decoder(rep.mime_type)
-                for url in rep.segment_urls:
-                    samples, protected = read_samples(
-                        self._download(url), iv_size=info.iv_size
-                    )
-                    for sample in samples:
-                        if protected:
-                            assert info.default_kid is not None
-                            clear = cdm.decrypt(
-                                info.default_kid,
-                                sample.data,
-                                sample.entry.iv,
-                                [
-                                    (s.clear_bytes, s.protected_bytes)
-                                    for s in sample.entry.subsamples
-                                ],
-                            )
-                        else:
-                            clear = sample.data
-                        frame = codec.queue_input_buffer(clear)
-                        stats.frames_total += 1
-                        if frame.valid:
-                            stats.frames_valid += 1
-                result.tracks.append(stats)
-            result.video_height = video_rep.height
+                if drm is None:
+                    decode = self._embedded_keys(title_id)
+                else:
+                    init_data = selector.init_data_for(tracks.video)
+                    decode = self._widevine_keys(drm, init_data)
+                for rep, kind in ((tracks.video, "video"), (tracks.audio, "audio")):
+                    result.tracks.append(self._play_track(decode, rep, kind, track_obs))
+                result.video_height = tracks.video.height
 
-            if subtitle_language is not None:
-                subtitle_rep = selector.select_text(subtitle_language)
-                if subtitle_rep is not None:
+                if tracks.text is not None:
                     try:
-                        vtt = self._download(subtitle_rep.init_url)
+                        vtt = self._download(tracks.text.init_url)
                         result.subtitle_ok = bool(parse_webvtt(vtt))
                     except (ValueError, PlaybackError):
                         result.subtitle_ok = False
 
-            result.ok = all(t.ok for t in result.tracks)
-            if not result.ok:
-                result.error = "undecodable frames"
-        except (LicenseDeniedError, PlaybackError, TrackSelectionError) as exc:
-            result.error = str(exc)
+                result.ok = all(t.ok for t in result.tracks)
+                if not result.ok:
+                    result.error = "undecodable frames"
+            except ProvisioningDeniedError as exc:
+                result.provisioning_failed = True
+                result.error = f"provisioning denied: {exc}"
+            except (
+                LicenseDeniedError,
+                PlaybackError,
+                TrackSelectionError,
+                MediaDrmException,
+                CodecException,
+            ) as exc:
+                result.error = str(exc)
+            finally:
+                # Every exit path: the sessions this play opened (and a
+                # provisioning request the server refused) end with it.
+                if drm is not None:
+                    drm.close()
+            span.set(ok=result.ok)
         return result

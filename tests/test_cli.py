@@ -54,6 +54,18 @@ class TestCommands:
         assert "Application -> MediaDRM Server: MediaDrm(UUID)" in out
         assert out.count("Decrypt()") == 1
 
+    def test_figure1_exits_1_when_the_capture_diverges(self, capsys, monkeypatch):
+        from repro.core import figures
+
+        monkeypatch.setattr(
+            figures, "FIGURE_1_ARROWS", figures.FIGURE_1_ARROWS[:-1]
+        )
+        assert main(["figure1"]) == 1
+        out = capsys.readouterr().out
+        # The captured sequence is still printed, whole.
+        assert out.count("\n") == len(figures.FIGURE_1_ARROWS) + 1
+        assert out.endswith("Media Crypto -> CDM: Decrypt()\n")
+
 
 class TestUnifiedAppErrors:
     """Every subcommand taking an app shares resolve_app(): exit 2 with

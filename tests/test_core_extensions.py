@@ -108,6 +108,17 @@ class TestMovieStealer:
         result = MovieStealer().run(device, profile.package)
         assert not result.succeeded
 
+    def test_fails_against_modern_embedded_drm_app(self):
+        """Decrypting in-process is not enough: the modern app keeps no
+        clear sample in its mapped memory."""
+        profile, network, authority, backend = _world(
+            service="msemb", custom_drm_on_l3=True
+        )
+        device = _legacy(network, authority)
+        result = OttApp(profile, device, backend).play()
+        assert result.ok and result.used_custom_drm
+        assert not MovieStealer().run(device, profile.package).succeeded
+
     def test_fails_against_drm_process_too(self):
         profile, network, authority, backend = _world(service="msdrm")
         device = _legacy(network, authority)
@@ -129,6 +140,15 @@ class TestMovieStealer:
         from repro.media.codecs import validate_sample
 
         assert all(validate_sample(s).valid for s in result.recovered_samples)
+
+    def test_insecure_player_fails_an_unknown_title(self):
+        profile, network, authority, backend = _world(
+            service="msnope", custom_drm_on_l3=True
+        )
+        player = InsecureSoftwarePlayer(
+            profile, _legacy(network, authority), backend
+        )
+        assert player.play("nope") is False
 
     def test_requires_root(self):
         profile, network, authority, backend = _world(service="msroot")

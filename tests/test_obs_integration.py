@@ -7,13 +7,17 @@ from collections import Counter
 
 import pytest
 
+from repro.android.device import pixel_6
 from repro.core.figures import capture_figure1, figure1_matches
 from repro.core.monitor import DrmApiMonitor
 from repro.core.study import WideLeakStudy
+from repro.license_server.provisioning import KeyboxAuthority
+from repro.net.network import Network
 from repro.obs.bus import ObservabilityBus
 from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
 from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
+from repro.ott.backend import OttBackend
 from repro.ott.registry import ALL_PROFILES, profile_by_name
 
 SUBSET = ALL_PROFILES[:3]
@@ -125,6 +129,22 @@ class TestDeviceTraces:
         assert app.play().ok
         assert study.l1_device.trace.labels()
         assert list(study.legacy_device.trace.events) == []
+
+    def test_a_device_built_without_a_bus_records_nothing(self):
+        """A long-lived process must not keep every span it plays: the
+        default device bus is the disabled one; its Figure 1 trace still
+        fills."""
+        network, authority = Network(), KeyboxAuthority()
+        profile = profile_by_name("Showtime")
+        backend = OttBackend(profile, network, authority)
+        device = pixel_6(network, authority)
+        app = OttApp(profile, device, backend)
+        for __ in range(3):
+            assert app.play().ok
+        assert device.trace.labels()
+        assert device.obs.spans == []
+        assert device.obs.events == []
+        assert device.obs.metrics.counters() == {}
 
 
 class TestMonitorDetachFlush:

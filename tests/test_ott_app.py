@@ -1,5 +1,7 @@
 """OTT app playback behaviour across devices, services and protections."""
 
+import json
+
 import pytest
 
 from repro.core.monitor import bypass_app_protections
@@ -226,6 +228,55 @@ class TestCustomDrm:
         before = oc.call_count
         assert app.play().ok
         assert oc.call_count == before
+
+
+class TestMissingContentKey:
+    """A license that lacks the audio track's key fails the playback with
+    a decrypt error instead of raising, on either DRM."""
+
+    @staticmethod
+    def _world(service: str) -> tuple[OttWorld, bytes]:
+        world = OttWorld(
+            service=service,
+            custom_drm_on_l3=True,
+            audio_protection=AudioProtection.DISTINCT_KEY,
+        )
+        title_id = next(iter(world.backend.catalog)).title_id
+        return world, world.backend.packaged[title_id].kid_by_rep["a-en"]
+
+    def test_widevine_license_without_the_audio_key(self):
+        world, audio_kid = self._world("nokey-wv")
+        del world.backend.license_server._keys[audio_kid]
+        app = world.l1_app()
+        result = app.play()
+        assert result.used_widevine
+        assert not result.ok
+        assert result.error.startswith("decrypt failed")
+        assert app.device.widevine_plugin.cdm._sessions == {}
+        assert app.device.widevine_plugin.oemcrypto._sessions == {}
+
+    def test_embedded_license_without_the_audio_key(self):
+        world, audio_kid = self._world("nokey-embed")
+        handle = world.backend.api.handle
+
+        def dropping(request):
+            response = handle(request)
+            if request.parsed_url.path == "/embedded-license":
+                message = json.loads(response.body)
+                message["keys"] = [
+                    key
+                    for key in message["keys"]
+                    if key["key_id"] != audio_kid.hex()
+                ]
+                response.body = json.dumps(message).encode()
+            return response
+
+        world.backend.api.handle = dropping
+        result = world.l3_app().play()
+        assert result.used_custom_drm
+        assert not result.ok
+        assert result.error.startswith("decrypt failed")
+        assert audio_kid.hex() in result.error
 
 
 class TestAppProtections:
