@@ -101,7 +101,8 @@ class AndroidDevice:
         self.drm_server.register_plugin(self.widevine_plugin)
 
     def flows(self, *arrows: tuple[str, str, str]) -> None:
-        """Draw consecutive Figure 1 arrows into this device's trace and bus."""
+        """Draw consecutive Figure 1 arrows into this device's trace, the
+        one record of them; the bus only counts them (``flow.arrows``)."""
         self.trace.record(*arrows)
         self.obs.flows(*arrows)
 

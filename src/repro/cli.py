@@ -8,7 +8,6 @@
     wideleak attack <app>        run the §IV-D key-ladder attack
     wideleak attack-all          the full §IV-D sweep
     wideleak trace [--app <app>] record a run and export a Chrome trace
-    wideleak trace --diff A B    per-span-name deltas between two traces
     wideleak profile             critical paths, self-time, flame graph
     wideleak fleet submit        run a campaign through the fleet scheduler
     wideleak fleet status        show known campaigns and their progress
@@ -174,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace = sub.add_parser(
         "trace",
         help="run the study with the observability bus recording and "
-        "export a Chrome trace_event JSON (chrome://tracing / Perfetto); "
-        "--diff compares two recorded traces instead",
+        "export a Chrome trace_event JSON (chrome://tracing / Perfetto)",
     )
     trace.add_argument(
         "--app",
@@ -190,22 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace.add_argument("--rate", default="1/1", metavar="1/N", help=rate_help)
     trace.add_argument("--seed", type=int, default=0, help=seed_help)
-    trace.add_argument(
-        "--diff",
-        nargs=2,
-        metavar=("OLD", "NEW"),
-        help="compare two trace files (JSONL, Chrome trace_event, or "
-        "BENCH_study.json) and report per-span count/duration deltas; "
-        "exits 1 when a delta exceeds the regression threshold",
-    )
-    trace.add_argument(
-        "--threshold",
-        type=float,
-        default=0.25,
-        metavar="FRAC",
-        help="regression threshold for --diff as a fraction "
-        "(default 0.25 = flag spans that got more than 25%% slower)",
-    )
 
     profile = sub.add_parser(
         "profile",
@@ -384,21 +366,6 @@ def _describe_sampling(snapshot: dict) -> str:
     )
 
 
-def _cmd_trace_diff(old: str, new: str, threshold: float) -> int:
-    from repro.obs.profile import diff_traces, load_trace_profile
-
-    try:
-        old_profile = load_trace_profile(old)
-        new_profile = load_trace_profile(new)
-    except (OSError, ValueError) as exc:
-        print(f"trace --diff: {exc}", file=sys.stderr)
-        return 2
-    diff = diff_traces(old_profile, new_profile, threshold=threshold)
-    print(f"trace diff: {old} -> {new}")
-    print(diff.render())
-    return 1 if diff.regressions() else 0
-
-
 def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
     """Run the study, or its ``--app`` alone, under a ``--rate`` sampler.
 
@@ -424,9 +391,6 @@ def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import render_metrics_table, write_chrome_trace
-
-    if args.diff is not None:
-        return _cmd_trace_diff(args.diff[0], args.diff[1], args.threshold)
 
     study = _sampled_study(args)
     if study is None:

@@ -51,7 +51,7 @@ __all__ = [
 # Bump when the cell payload layout or the pipeline semantics change:
 # every existing cache entry is invalidated by construction (the key
 # changes), never by deletion.
-CELL_SCHEMA_VERSION = 1
+CELL_SCHEMA_VERSION = 2
 
 QUESTION_WORLD = "world"
 QUESTION_AUDIT = "audit"

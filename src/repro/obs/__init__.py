@@ -10,14 +10,15 @@ gives the reproduction a single spine for all of them:
 - :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
   (p50/p95/p99 with exemplar span ids);
 - :mod:`repro.obs.counters` — the one table that derives every counter
-  from the spans and points the bus records;
+  from the spans and events the bus records (the bus tallies Figure 1
+  arrows itself);
 - :mod:`repro.obs.bus` — the :class:`ObservabilityBus` every layer
   emits through (explicitly propagated, one per device session, no
   thread-locals);
 - :mod:`repro.obs.sampling` — deterministic head-based sampling per
   root span (keep 1-in-N app trees whole; counters stay exact);
 - :mod:`repro.obs.profile` — trace analytics: critical paths,
-  self-time profiles, collapsed-stack flame graphs, trace diff;
+  self-time profiles, collapsed-stack flame graphs;
 - :mod:`repro.obs.export` — JSON-lines, Chrome ``trace_event``
   (``chrome://tracing`` / Perfetto) and metrics-table exporters.
 """
@@ -31,11 +32,8 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import HistogramStat, MetricsRegistry
 from repro.obs.profile import (
-    TraceDiff,
     critical_path,
     critical_paths,
-    diff_traces,
-    load_trace_profile,
     render_profile,
     self_time_profile,
     to_collapsed_stacks,
@@ -61,9 +59,6 @@ __all__ = [
     "render_profile",
     "to_collapsed_stacks",
     "write_flame_graph",
-    "TraceDiff",
-    "diff_traces",
-    "load_trace_profile",
     "to_jsonl",
     "to_chrome_trace",
     "write_chrome_trace",

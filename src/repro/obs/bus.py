@@ -1,17 +1,19 @@
 """The observability bus: one hook point for a run's observations.
 
-Spans, Figure 1 flow arrows, OEMCrypto hook buffer dumps and DRM API
-observations all emit through one :class:`ObservabilityBus`, which
-records each once through one of three methods:
+Spans, OEMCrypto hook buffer dumps and DRM API observations emit
+through one :class:`ObservabilityBus`, which records each once:
 
 - ``bus.span(name, **attrs)`` opens a timed, hierarchical span;
 - ``bus.event(name, **attrs)`` attaches a point event to the current
-  span;
-- ``bus.flows(*arrows)`` records Figure 1 arrows (the drawing device
-  traces them too: ``AndroidDevice.flows``).
+  span.
 
-Nothing is counted directly: :mod:`repro.obs.counters` derives every
-counter from those records, and every histogram is a span duration.
+Figure 1 arrows are kept once, by the device that drew them
+(``AndroidDevice.flows`` appends them to its ``FlowTrace``);
+``bus.flows(*arrows)`` only counts them (``flow.arrows``).
+
+Apart from that tally nothing is counted directly:
+:mod:`repro.obs.counters` derives every other counter from the spans
+and events, and every histogram is a span duration.
 
 Context is propagated *explicitly*: a bus travels with the devices
 that own it (the study's bus in process; one fresh bus per
@@ -23,7 +25,8 @@ byte-identical to the in-process run.
 
 A disabled bus (``ObservabilityBus(enabled=False)``) does nothing at
 all: spans return the shared :data:`~repro.obs.span.NULL_SPAN`, and
-events, arrows and metrics vanish (each device still traces its own).
+events, arrow counts and metrics vanish (each device still traces its
+own arrows).
 
 A **sampled** bus (``ObservabilityBus(sampler=TraceSampler(4))``) sits
 between those extremes: when a root span opens, the sampler makes one
@@ -50,7 +53,7 @@ __all__ = ["ObservabilityBus", "NULL_BUS"]
 
 
 class ObservabilityBus:
-    """Collects spans, events, flow arrows and metrics for one run."""
+    """Collects spans, events and metrics for one run."""
 
     def __init__(
         self,
@@ -77,8 +80,8 @@ class ObservabilityBus:
         self._dropped_roots = 0
         self._dropped_spans = 0
         # The registry shares the bus lock and folds closed spans and
-        # pending point counts in before any read (see _observe_closed);
-        # each span name's histogram is looked up once.
+        # pending event and arrow counts in before any read (see
+        # _observe_closed); each span name's histogram is looked up once.
         self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
         self._span_histograms: dict[str, HistogramStat] = {}
         self._closed: list[Span] = []
@@ -146,10 +149,10 @@ class ObservabilityBus:
     def _observe_closed(self) -> None:
         """Fold the spans closed since the last fold, in close order:
         durations into their histograms, counters (``SPAN_COUNTERS``)
-        and pending point counts into one registry update. Runs when a
-        root span closes and before any metrics read, so no reader
-        misses a closed span; one pass over a finished tree keeps the
-        histograms warm in cache. Caller holds the lock.
+        and pending event and arrow counts into one registry update.
+        Runs when a root span closes and before any metrics read, so no
+        reader misses a closed span; one pass over a finished tree keeps
+        the histograms warm in cache. Caller holds the lock.
         """
         histograms = self._span_histograms
         counts = self._pending
@@ -202,30 +205,19 @@ class ObservabilityBus:
                 self._pending[counter] += 1
             stack = self._stack
             if stack:
-                stack[-1]._add_points([point])
+                stack[-1]._add_point(point)
             else:
                 self._events.append(point)
 
     # -- flow arrows -------------------------------------------------------
 
     def flows(self, *arrows: tuple[str, str, str]) -> None:
-        """Record consecutive Figure 1 arrows, in order, on the current
-        span (or the bus root), in one pass."""
+        """Count consecutive Figure 1 arrows (``flow.arrows``). The
+        arrows themselves live in the drawing device's ``FlowTrace``;
+        the bus keeps no copy."""
         if self.enabled:
-            now = self._clock()
-            points = [
-                make_point(
-                    ("flow", now, {"source": source, "target": target, "label": label})
-                )
-                for source, target, label in arrows
-            ]
             with self._lock:
-                self._pending[POINT_COUNTERS["flow"]] += len(points)
-                stack = self._stack
-                if stack:
-                    stack[-1]._add_points(points)
-                else:
-                    self._events.extend(points)
+                self._pending["flow.arrows"] += len(arrows)
 
     # -- reading -----------------------------------------------------------
 

@@ -1,10 +1,12 @@
 """The counter schema: the one table that derives every counter from
 a record the bus already keeps. The bus applies :data:`SPAN_COUNTERS`
 as it folds closed spans (sampled-out ones too, so counters are exact
-at any rate) and :data:`POINT_COUNTERS` where it records a point. A
-span gets the attribute its rule keys on only once its work succeeded:
-a span an exception unwinds counts nothing unfinished, and a bare span
-never breaks the fold.
+at any rate) and :data:`POINT_COUNTERS` where it records a point.
+The one counter outside the table is ``flow.arrows``: Figure 1 arrows
+are kept by the device that drew them, and ``bus.flows`` only tallies
+them. A span gets the attribute its rule keys on only once its work
+succeeded: a span an exception unwinds counts nothing unfinished, and
+a bare span never breaks the fold.
 """
 
 from __future__ import annotations
@@ -68,5 +70,5 @@ SPAN_COUNTERS: dict[str, Rule] = {
 }
 """Span name -> the counter increments of one closed span of that name."""
 
-POINT_COUNTERS: dict[str, str] = {"flow": "flow.arrows", "oecc.dump": "oecc.dumps"}
+POINT_COUNTERS: dict[str, str] = {"oecc.dump": "oecc.dumps"}
 """Point name -> the counter each recorded point of that name adds 1 to."""

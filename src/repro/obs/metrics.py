@@ -4,8 +4,9 @@ Two instrument kinds cover what the study needs:
 
 - **counters** — monotonically increasing integers (requests issued,
   bytes moved, licenses granted, flow arrows drawn), each derived from
-  the bus's spans and points by :mod:`repro.obs.counters` (or replayed
-  by the fleet) and added through :meth:`MetricsRegistry.count_many`.
+  the bus's spans and events by :mod:`repro.obs.counters` (or, for
+  ``flow.arrows``, tallied by ``bus.flows``) or replayed by the fleet,
+  and added through :meth:`MetricsRegistry.count_many`.
   They are a deterministic function of the pipeline, wired into
   ``StudyResult.summary()``, and must come out byte-identical across
   in-process, fleet, cold, warm — and sampled — runs.

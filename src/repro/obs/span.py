@@ -25,7 +25,7 @@ class SpanPoint(NamedTuple):
     """One instantaneous event attached to a span (or the bus root).
 
     A named tuple rather than a frozen dataclass: it stays immutable
-    and is cheaper to build (every event and flow arrow is one).
+    and is cheaper to build (every event is one).
     """
 
     name: str
@@ -38,8 +38,7 @@ class SpanPoint(NamedTuple):
 
 make_point = functools.partial(tuple.__new__, SpanPoint)
 """``make_point((name, ts_ns, attrs))`` builds a :class:`SpanPoint` in C,
-skipping the named tuple's generated Python ``__new__`` (half the cost
-of recording a flow arrow)."""
+skipping the named tuple's generated Python ``__new__``."""
 
 
 @dataclass(slots=True)
@@ -53,8 +52,9 @@ class Span:
     start_ns: int
     end_ns: int | None = None
     attrs: dict[str, Any] = field(default_factory=dict)
-    # The shared empty tuple until the first point: ~95% of spans never
-    # get one, and an empty list per span is a GC-tracked allocation.
+    # The shared empty tuple until the first point: only a span that
+    # sees an event (``oecc.dump``, ``dash.select_video``) gets one, and
+    # an empty list per span is a GC-tracked allocation.
     points: list[SpanPoint] | tuple[()] = ()
     # Head-based sampling verdict, inherited from the root: a dropped
     # span still times its work (histograms stay exact) but is never
@@ -88,13 +88,12 @@ class Span:
         self.attrs.update(attrs)
         return self
 
-    def _add_points(self, points: list[SpanPoint]) -> None:
-        """Append *points*, a list the span may keep as its own. Caller
-        holds the bus lock."""
+    def _add_point(self, point: SpanPoint) -> None:
+        """Append *point*. Caller holds the bus lock."""
         if self.points:
-            self.points.extend(points)
+            self.points.append(point)
         else:
-            self.points = points
+            self.points = [point]
 
     def to_dict(self) -> dict[str, Any]:
         return {

@@ -35,7 +35,6 @@ from repro.dash.client import TrackSelectionError, TrackSelector
 from repro.dash.mpd import Mpd, MpdRepresentation
 from repro.media.subtitles import parse_webvtt
 from repro.net.tls import PinSet
-from repro.obs.bus import NULL_BUS, ObservabilityBus
 from repro.ott.backend import SECURE_CHANNEL_CONTENT_ID, OttBackend
 from repro.ott.custom_drm import EmbeddedCdm, EmbeddedDrmError
 from repro.ott.profile import URI_SECURE_CHANNEL, OttProfile
@@ -352,8 +351,8 @@ class OttApp:
         decode: _WidevineDecode | _EmbeddedDecode,
         rep: MpdRepresentation,
         kind: str,
-        obs: ObservabilityBus,
     ) -> TrackPlayback:
+        obs = self.device.obs
         with obs.span("playback.track", kind=kind, rep=rep.rep_id) as span:
             info = read_track_info(self._download(rep.init_url))
             stats = TrackPlayback(
@@ -413,8 +412,6 @@ class OttApp:
             if not embedded:
                 origin = self.profile.package
                 drm = MediaDrm(WIDEVINE_SYSTEM_ID, self.device, origin=origin)
-            # Only Widevine tracks record playback.track spans.
-            track_obs = NULL_BUS if embedded else self.device.obs
             try:
                 mpd_url = self._fetch_manifest_url(drm, title_id)
                 mpd = Mpd.from_xml(self._download(mpd_url))
@@ -431,7 +428,7 @@ class OttApp:
                     init_data = selector.init_data_for(tracks.video)
                     decode = self._widevine_keys(drm, init_data)
                 for rep, kind in ((tracks.video, "video"), (tracks.audio, "audio")):
-                    result.tracks.append(self._play_track(decode, rep, kind, track_obs))
+                    result.tracks.append(self._play_track(decode, rep, kind))
                 result.video_height = tracks.video.height
 
                 if tracks.text is not None:

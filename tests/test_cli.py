@@ -1,12 +1,8 @@
 """Command-line interface."""
 
-from pathlib import Path
-
 import pytest
 
 from repro.cli import build_parser, main
-
-TRACE_FIXTURES = Path(__file__).parent / "fixtures" / "traces"
 
 
 class TestParser:
@@ -131,26 +127,3 @@ class TestProfileAndTrace:
         out = capsys.readouterr().out
         assert "sampling 1/4 (seed 1)" in out
         assert out_path.exists()
-
-    def test_trace_diff_flags_the_slowdown_and_exits_nonzero(self, capsys):
-        code = main(
-            [
-                "trace",
-                "--diff",
-                str(TRACE_FIXTURES / "baseline.jsonl"),
-                str(TRACE_FIXTURES / "slowdown.jsonl"),
-            ]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REGRESSED" in out
-        assert "license.exchange" in out
-
-    def test_trace_diff_identical_exits_zero(self, capsys):
-        fixture = str(TRACE_FIXTURES / "baseline.jsonl")
-        assert main(["trace", "--diff", fixture, fixture]) == 0
-        assert "no span regressed" in capsys.readouterr().out
-
-    def test_trace_diff_missing_file_exits_2(self, capsys):
-        assert main(["trace", "--diff", "nope.jsonl", "nope2.jsonl"]) == 2
-        assert "trace --diff" in capsys.readouterr().err

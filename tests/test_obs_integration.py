@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from repro.android.device import pixel_6
+from repro.android.trace import FlowTrace
 from repro.core.figures import capture_figure1, figure1_matches
 from repro.core.monitor import DrmApiMonitor
 from repro.core.study import WideLeakStudy
@@ -55,18 +56,54 @@ def derived_counters(bus: ObservabilityBus) -> dict[str, int]:
     return dict(derived)
 
 
+def traced_arrows(monkeypatch) -> list[int]:
+    """Patch ``FlowTrace.record`` so the returned one-item list adds up
+    every arrow any device's trace records from now on."""
+    total = [0]
+    record = FlowTrace.record
+
+    def counting(trace, *arrows):
+        total[0] += len(arrows)
+        record(trace, *arrows)
+
+    monkeypatch.setattr(FlowTrace, "record", counting)
+    return total
+
+
 class TestExchangeCounters:
-    def test_counters_are_a_function_of_the_request_spans(self):
+    def test_counters_are_a_function_of_the_request_spans(self, monkeypatch):
         """Every counter of a full, unsampled study — all 20 of the
         artifact's — is the counter table applied to the records the
-        bus kept: its spans, their points and its root events."""
+        bus kept (its spans, their points and its root events), plus
+        ``flow.arrows``: the arrows the devices' traces recorded."""
+        arrows = traced_arrows(monkeypatch)
         study = WideLeakStudy.with_default_apps()
         assert study.obs.sampler is None
         study.run()
         counted = study.obs.metrics.counters()
-        assert derived_counters(study.obs) == counted
+        assert derived_counters(study.obs) | {"flow.arrows": arrows[0]} == counted
         assert len(counted) == 20
         assert counted["proxy.flows"] and counted["cdn.segments_served"]
+
+    def test_figure1_arrows_are_kept_by_the_devices_only(self):
+        """A traced study keeps no ``flow`` point on any span or root
+        event; the bus counts the arrows and the L1 device's trace still
+        renders the Figure 1 sequence."""
+        study = WideLeakStudy.with_default_apps()
+        study.run()
+        points = [p.name for span in study.obs.spans for p in span.points]
+        points += [e.name for e in study.obs.events]
+        assert points and "flow" not in points
+        assert study.obs.metrics.counters()["flow.arrows"] == 1524
+        app = OttApp(
+            profile_by_name("OCS"),
+            study.l1_device,
+            study.backends[profile_by_name("OCS").service],
+        )
+        assert figure1_matches(capture_figure1(app))
+        assert "Application -> License Server: Get License" in (
+            study.l1_device.trace.render()
+        )
 
     def test_fleet_counters_are_a_function_of_the_campaign_span(self, tmp_path):
         from repro.fleet import Campaign, FleetScheduler

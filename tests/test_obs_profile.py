@@ -1,28 +1,21 @@
 """Trace analytics: critical-path extraction, self-time aggregation,
-collapsed-stack flame graphs, and the trace diff."""
+and collapsed-stack flame graphs."""
 
 from __future__ import annotations
 
-import json
 import re
-from pathlib import Path
 
 import pytest
 
 from repro.obs.bus import ObservabilityBus
-from repro.obs.export import to_chrome_trace, to_jsonl
 from repro.obs.profile import (
     critical_path,
     critical_paths,
-    diff_traces,
-    load_trace_profile,
     render_profile,
     self_time_profile,
     to_collapsed_stacks,
     write_flame_graph,
 )
-
-FIXTURES = Path(__file__).parent / "fixtures" / "traces"
 
 
 class SteppedClock:
@@ -156,82 +149,3 @@ class TestCollapsedStacks:
     def test_write_flame_graph(self, recorded, tmp_path):
         path = write_flame_graph(recorded, tmp_path / "flame.txt")
         assert path.read_text() == to_collapsed_stacks(recorded)
-
-
-class TestLoadTraceProfile:
-    def test_loads_our_jsonl_export(self, recorded, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        path.write_text(to_jsonl(recorded))
-        profile = load_trace_profile(path)
-        assert profile["http.request"].count == 2
-        assert profile["http.request"].total_ns == 55
-        assert profile["study.total"].total_ns == 100
-
-    def test_loads_chrome_trace_export(self, recorded, tmp_path):
-        path = tmp_path / "trace.json"
-        path.write_text(json.dumps(to_chrome_trace(recorded)))
-        profile = load_trace_profile(path)
-        assert profile["http.request"].count == 2
-        assert profile["http.request"].total_ns == pytest.approx(55)
-        assert profile["study.total"].total_ns == pytest.approx(100)
-
-    def test_loads_bench_trajectory(self, tmp_path):
-        path = tmp_path / "BENCH_study.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "trajectory": [
-                        {"phase": "sequential-warm", "seconds": 0.9},
-                    ],
-                    "observability": {"traced_seconds": 0.95},
-                }
-            )
-        )
-        profile = load_trace_profile(path)
-        assert profile["sequential-warm"].total_ns == pytest.approx(0.9e9)
-        assert profile["study.total"].total_ns == pytest.approx(0.95e9)
-
-
-class TestTraceDiff:
-    def test_flags_the_injected_slowdown(self):
-        old = load_trace_profile(FIXTURES / "baseline.jsonl")
-        new = load_trace_profile(FIXTURES / "slowdown.jsonl")
-        diff = diff_traces(old, new, threshold=0.25)
-        regressed = {row.name for row in diff.regressions()}
-        # license.exchange went 5µs -> 20µs (and dragged its parent and
-        # the wall total along); audit.content stayed put.
-        assert "license.exchange" in regressed
-        assert "http.request" in regressed
-        assert "audit.content" not in regressed
-        rendered = diff.render()
-        assert "REGRESSED" in rendered
-        assert "license.exchange" in rendered
-
-    def test_identical_traces_show_no_regression(self):
-        old = load_trace_profile(FIXTURES / "baseline.jsonl")
-        diff = diff_traces(old, old, threshold=0.25)
-        assert diff.regressions() == []
-        assert "no span regressed" in diff.render()
-
-    def test_threshold_is_respected(self):
-        old = load_trace_profile(FIXTURES / "baseline.jsonl")
-        new = load_trace_profile(FIXTURES / "slowdown.jsonl")
-        # The worst ratio is http.request's 6.0x: it clears a 2.5
-        # threshold (6 > 3.5) but nothing clears 6.0 (needs > 7x).
-        assert diff_traces(old, new, threshold=6.0).regressions() == []
-        assert diff_traces(old, new, threshold=2.5).regressions()
-
-    def test_added_and_removed_names_never_regress(self):
-        old = load_trace_profile(FIXTURES / "baseline.jsonl")
-        new = dict(old)
-        removed = new.pop("audit.content")
-        diff = diff_traces(old, new)
-        row = next(r for r in diff.rows if r.name == "audit.content")
-        assert row.new_count == 0 and not row.regressed(0.0)
-        del removed
-
-    def test_count_deltas_are_reported(self):
-        old = load_trace_profile(FIXTURES / "baseline.jsonl")
-        new = load_trace_profile(FIXTURES / "slowdown.jsonl")
-        rendered = diff_traces(old, new).render()
-        assert "1→1" in rendered

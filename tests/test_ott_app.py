@@ -10,9 +10,11 @@ from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 from repro.net.proxy import InterceptingProxy
 from repro.net.tls import TlsError
+from repro.obs.bus import ObservabilityBus
 from repro.ott.app import AppProtectionError, OttApp
 from repro.ott.backend import OttBackend
 from repro.ott.profile import URI_SECURE_CHANNEL, OttProfile
+from repro.ott.registry import profile_by_name
 
 
 def record_exchanges(server) -> list:
@@ -228,6 +230,27 @@ class TestCustomDrm:
         before = oc.call_count
         assert app.play().ok
         assert oc.call_count == before
+
+    def test_embedded_tracks_count_their_frames(self):
+        """Amazon on L3: each embedded-DRM track records a
+        ``playback.track`` span carrying its frames, so
+        ``playback.frames`` counts them as it counts Widevine's."""
+        from repro.android.device import nexus_5
+
+        profile = profile_by_name("Amazon Prime Video")
+        network, authority = Network(), KeyboxAuthority()
+        backend = OttBackend(profile, network, authority)
+        bus = ObservabilityBus()
+        device = nexus_5(network, authority, obs=bus)
+        result = OttApp(profile, device, backend).play()
+        assert result.ok and result.used_custom_drm
+        tracks = [s for s in bus.spans if s.name == "playback.track"]
+        assert [(s.attrs["kind"], s.attrs["frames"]) for s in tracks] == [
+            (t.kind, t.frames_total) for t in result.tracks
+        ]
+        frames = sum(t.frames_total for t in result.tracks)
+        assert frames > 0
+        assert bus.metrics.counters()["playback.frames"] == frames
 
 
 class TestMissingContentKey:
