@@ -37,7 +37,6 @@ from repro.fleet import Campaign, FleetScheduler
 from repro.ott.registry import ALL_PROFILES
 from repro.crypto.aes import cipher_for
 from repro.obs.bus import ObservabilityBus
-from repro.obs.sampling import TraceSampler
 from repro.crypto.cmac import _subkeys_for
 from repro.crypto.kdf import _session_key_material, derive_key
 from repro.crypto.modes import _keystream_blocks
@@ -113,69 +112,6 @@ def _obs_overhead() -> dict[str, float]:
         "traced_seconds": round(statistics.median(traced_runs), 3),
         "pairs": _GATE_PAIRS,
         "overhead_pct": round((statistics.median(ratios) - 1.0) * 100.0, 2),
-    }
-
-
-def _timed_study_sampled(denominator: int) -> tuple[float, str, int]:
-    """Full sequential study at a 1/N sampling rate; returns
-    (seconds, artifact JSON, spans dropped)."""
-    gc.collect()
-    start = time.perf_counter()
-    study = WideLeakStudy.with_default_apps(
-        sampler=TraceSampler(denominator)
-    )
-    result = study.run()
-    elapsed = time.perf_counter() - start
-    assert result.table.matches_paper
-    return elapsed, result.to_json(), study.obs.sampling_snapshot()["dropped_spans"]
-
-
-def _sampling_sweep() -> dict[str, object]:
-    """Wall time across sampling rates (full, 1/4, 1/16, disabled) over
-    ``_GATE_PAIRS`` interleaved rounds, warm caches; the gate reads the
-    median per-round ratio of 1/4 to full tracing.
-
-    Also asserts the exactness contract: the study artifact is
-    byte-identical at every rate."""
-    full_runs: list[float] = []
-    one_in_4_runs: list[float] = []
-    one_in_16_runs: list[float] = []
-    disabled_runs: list[float] = []
-    ratios: list[float] = []
-    full_json = sampled_json_4 = sampled_json_16 = ""
-    dropped_4 = dropped_16 = 0
-    for round_index in range(_GATE_PAIRS):
-        if round_index % 2:
-            one_in_4, sampled_json_4, dropped_4 = _timed_study_sampled(4)
-            full, full_json, _zero = _timed_study_sampled(1)
-        else:
-            full, full_json, _zero = _timed_study_sampled(1)
-            one_in_4, sampled_json_4, dropped_4 = _timed_study_sampled(4)
-        full_runs.append(full)
-        one_in_4_runs.append(one_in_4)
-        ratios.append(one_in_4 / full)
-        seconds, sampled_json_16, dropped_16 = _timed_study_sampled(16)
-        one_in_16_runs.append(seconds)
-        disabled_runs.append(_timed_study_bus(False))
-    assert sampled_json_4 == full_json
-    assert sampled_json_16 == full_json
-    assert dropped_16 >= dropped_4 > 0
-    return {
-        "full_seconds": round(statistics.median(full_runs), 3),
-        "one_in_4_seconds": round(statistics.median(one_in_4_runs), 3),
-        "one_in_16_seconds": round(statistics.median(one_in_16_runs), 3),
-        "disabled_seconds": round(statistics.median(disabled_runs), 3),
-        "one_in_4_over_full": round(statistics.median(ratios), 4),
-        "one_in_4_dropped_spans": dropped_4,
-        "one_in_16_dropped_spans": dropped_16,
-        "artifact_byte_identical_at_all_rates": True,
-        "gate_tolerance_pct": 10.0,
-        "note": (
-            "full sequential study per head-sampling rate, warm caches, "
-            f"medians of {_GATE_PAIRS} interleaved rounds; the gate reads "
-            "the median per-round 1/4-over-full ratio; counters and "
-            "StudyResult.to_json() byte-identical at every rate"
-        ),
     }
 
 
@@ -264,17 +200,10 @@ def test_bench_study_trajectory(capsys):
 
     attacks_s = _timed_attacks()
     observability = _obs_overhead()
-    sampling_sweep = _sampling_sweep()
     fleet = _fleet_trajectory(cold_json)
 
     assert warm_json == cold_json
     assert observability["overhead_pct"] < 10.0, observability
-    # Recording fewer spans must not cost more than recording them all.
-    # Sampled runs still observe every duration (the exactness
-    # contract), so the true delta is near zero; the 10% tolerance —
-    # the same budget the obs-overhead gate uses — absorbs the ±7-10%
-    # round-to-round scheduler noise measured in this container.
-    assert sampling_sweep["one_in_4_over_full"] <= 1.10, sampling_sweep
 
     payload = {
         "artifact": "WideLeak full-study wall time (construction + Q1-Q4)",
@@ -301,7 +230,6 @@ def test_bench_study_trajectory(capsys):
                 "ObservabilityBus, warm caches, median per-pair ratio "
                 f"over {_GATE_PAIRS} interleaved pairs (order alternating)"
             ),
-            "sampling_sweep": sampling_sweep,
         },
         "fleet": fleet,
         "packager_segment_cache": {
@@ -324,13 +252,6 @@ def test_bench_study_trajectory(capsys):
             f"untraced {observability['untraced_seconds']}s)"
         )
         print(
-            "sampling sweep: "
-            f"full {sampling_sweep['full_seconds']}s / "
-            f"1-in-4 {sampling_sweep['one_in_4_seconds']}s / "
-            f"1-in-16 {sampling_sweep['one_in_16_seconds']}s / "
-            f"disabled {sampling_sweep['disabled_seconds']}s"
-        )
-        print(
             "fleet: "
             f"cold {fleet['cold_seconds']}s / "
             f"warm {fleet['warm_seconds']}s "
@@ -347,17 +268,6 @@ def test_bench_obs_overhead_smoke():
     _timed_study_bus(True)  # warm the substrate caches first
     observability = _obs_overhead()
     assert observability["overhead_pct"] < 10.0, observability
-
-
-def test_bench_sampling_overhead_smoke():
-    """CI smoke: sampling at 1/4 must not be slower than full tracing
-    (median per-round ratio over interleaved rounds; 10% tolerance for
-    scheduler noise), and the study artifact must stay byte-identical
-    at every rate — asserted inside the sweep. Standalone so the CI
-    profile-smoke job can run just this gate."""
-    _timed_study_bus(True)  # warm the substrate caches first
-    sweep = _sampling_sweep()
-    assert sweep["one_in_4_over_full"] <= 1.10, sweep
 
 
 def test_bench_sequential_study_warm(benchmark):

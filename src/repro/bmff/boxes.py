@@ -47,8 +47,11 @@ __all__ = [
     "BoxParseError",
 ]
 
-# Box types that contain child boxes rather than raw payload.
-CONTAINER_TYPES = {
+# Box types that contain child boxes rather than raw payload: the
+# structural boxes, plus ``stsd`` and the sample entries the builder
+# writes (clear and protected video, audio and text), which this
+# library nests its codec, ``sinf`` and ``tenc`` boxes under.
+CONTAINER_TYPES = frozenset({
     b"moov",
     b"trak",
     b"mdia",
@@ -62,7 +65,14 @@ CONTAINER_TYPES = {
     b"edts",
     b"dinf",
     b"udta",
-}
+    b"stsd",
+    b"avc1",
+    b"encv",
+    b"mp4a",
+    b"enca",
+    b"wvtt",
+    b"enct",
+})
 
 _HEADER = struct.Struct(">I4s")
 _U16 = struct.Struct(">H")
@@ -179,13 +189,6 @@ class TencBox(FullBox):
         ) + self.default_kid
         return super().body()
 
-    @classmethod
-    def parse_payload(cls, version: int, flags: int, payload: bytes) -> "TencBox":
-        return cls(
-            box_type=b"tenc",
-            **_decode_tenc(payload, 0, len(payload), version, flags, 8),
-        )
-
 
 @dataclass
 class SubsampleRange:
@@ -280,15 +283,6 @@ class SencBox(FullBox):
         self.flags, self.payload = _encode_senc(self.entries, self.iv_size)
         return super().body()
 
-    @classmethod
-    def parse_payload(
-        cls, version: int, flags: int, payload: bytes, iv_size: int = 8
-    ) -> "SencBox":
-        return cls(
-            box_type=b"senc",
-            **_decode_senc(payload, 0, len(payload), version, flags, iv_size),
-        )
-
 
 def _decode_pssh(data, start, end, version, flags, iv_size) -> dict:
     if end - start < 20:
@@ -347,13 +341,6 @@ class PsshBox(FullBox):
         self.payload = bytes(out)
         return super().body()
 
-    @classmethod
-    def parse_payload(cls, version: int, flags: int, payload: bytes) -> "PsshBox":
-        return cls(
-            box_type=b"pssh",
-            **_decode_pssh(payload, 0, len(payload), version, flags, 8),
-        )
-
 
 def _encode_saiz(sample_sizes: list[int]) -> bytes:
     # One size shared by every sample goes in default_sample_info_size.
@@ -390,13 +377,6 @@ class SaizBox(FullBox):
         self.payload = _encode_saiz(self.sample_sizes)
         return super().body()
 
-    @classmethod
-    def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaizBox":
-        return cls(
-            box_type=b"saiz",
-            **_decode_saiz(payload, 0, len(payload), version, flags, 8),
-        )
-
 
 def _encode_saio(offsets: list[int]) -> bytes:
     return struct.pack(f">{len(offsets) + 1}I", len(offsets), *offsets)
@@ -422,13 +402,6 @@ class SaioBox(FullBox):
         self.payload = _encode_saio(self.offsets)
         return super().body()
 
-    @classmethod
-    def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SaioBox":
-        return cls(
-            box_type=b"saio",
-            **_decode_saio(payload, 0, len(payload), version, flags, 8),
-        )
-
 
 @dataclass
 class FrmaBox(Box):
@@ -439,10 +412,6 @@ class FrmaBox(Box):
     def body(self) -> bytes:
         self.payload = self.original_format
         return super().body()
-
-    @classmethod
-    def parse_payload(cls, payload: bytes) -> "FrmaBox":
-        return cls(box_type=b"frma", original_format=payload[:4])
 
 
 def _decode_schm(data, start, end, version, flags, iv_size) -> dict:
@@ -466,13 +435,6 @@ class SchmBox(FullBox):
     def body(self) -> bytes:
         self.payload = self.scheme_type + struct.pack(">I", self.scheme_version)
         return super().body()
-
-    @classmethod
-    def parse_payload(cls, version: int, flags: int, payload: bytes) -> "SchmBox":
-        return cls(
-            box_type=b"schm",
-            **_decode_schm(payload, 0, len(payload), version, flags, 8),
-        )
 
 
 # Typed full boxes: fourcc -> (class, payload decoder).

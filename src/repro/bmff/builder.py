@@ -20,7 +20,6 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.bmff import boxes as bx
 from repro.bmff.boxes import (
     Box,
     BoxParseError,
@@ -59,11 +58,6 @@ _KIND_BY_ENTRY = {}
 for _kind, (_clear, _enc) in _SAMPLE_ENTRIES.items():
     _KIND_BY_ENTRY[_clear] = (_kind, False)
     _KIND_BY_ENTRY[_enc] = (_kind, True)
-
-# Extend the container grammar with stsd and the sample entries.
-bx.CONTAINER_TYPES.update(
-    {b"stsd", b"avc1", b"encv", b"mp4a", b"enca", b"wvtt", b"enct"}
-)
 
 # Type paths the readers look up, from the top level down.
 _STSD_PATH = (b"moov", b"trak", b"mdia", b"minf", b"stbl", b"stsd")

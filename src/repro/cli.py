@@ -165,8 +165,9 @@ def build_parser() -> argparse.ArgumentParser:
     attack.add_argument("app", help='display name, e.g. "Showtime"')
 
     rate_help = (
-        "head-based sampling rate 1/N: keep 1-in-N app span trees whole "
-        "(default 1/1: record everything; counters stay exact at any rate)"
+        "head-based sampling rate 1/N: export 1-in-N root span trees whole "
+        "(default 1/1: export everything; the study records every span, so "
+        "counters are the same at any rate)"
     )
     seed_help = "sampling seed (default 0); same seed + rate = same kept trees"
 
@@ -366,8 +367,9 @@ def _describe_sampling(snapshot: dict) -> str:
     )
 
 
-def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
-    """Run the study, or its ``--app`` alone, under a ``--rate`` sampler.
+def _sampled_trace(args: argparse.Namespace):
+    """Run the study, or its ``--app`` alone, on a recording bus and
+    return the ``--rate`` sampler's view of it.
 
     None (after printing why) for a bad rate or an unknown app.
     """
@@ -378,7 +380,7 @@ def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
     except ValueError as exc:
         print(f"--rate: {exc}", file=sys.stderr)
         return None
-    study = WideLeakStudy.with_default_apps(sampler=sampler)
+    study = WideLeakStudy.with_default_apps()
     if args.app is None:
         study.run()
     else:
@@ -386,35 +388,35 @@ def _sampled_study(args: argparse.Namespace) -> WideLeakStudy | None:
         if profile is None:
             return None
         study.study_app(profile)
-    return study
+    return sampler.view(study.obs)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.export import render_metrics_table, write_chrome_trace
 
-    study = _sampled_study(args)
-    if study is None:
+    trace = _sampled_trace(args)
+    if trace is None:
         return 2
-    path = write_chrome_trace(study.obs, args.out)
-    spans = len(study.obs.spans)
+    path = write_chrome_trace(trace, args.out)
+    spans = len(trace.spans)
     print(f"wrote {path} ({spans} spans) — load in chrome://tracing or Perfetto")
-    print(_describe_sampling(study.obs.sampling_snapshot()))
+    print(_describe_sampling(trace.sampling_snapshot()))
     print()
-    print(render_metrics_table(study.obs))
+    print(render_metrics_table(trace))
     return 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.obs.profile import render_profile, write_flame_graph
 
-    study = _sampled_study(args)
-    if study is None:
+    trace = _sampled_trace(args)
+    if trace is None:
         return 2
-    print(render_profile(study.obs, top=args.top))
+    print(render_profile(trace, top=args.top))
     print()
-    print(_describe_sampling(study.obs.sampling_snapshot()))
+    print(_describe_sampling(trace.sampling_snapshot()))
     if args.flame is not None:
-        path = write_flame_graph(study.obs, args.flame)
+        path = write_flame_graph(trace, args.flame)
         print(
             f"wrote {path} (collapsed stacks) — feed to flamegraph.pl or "
             "drop onto https://speedscope.app"

@@ -48,7 +48,6 @@ from repro.license_server.provisioning import KeyboxAuthority
 from repro.media.player import AssetStatus
 from repro.net.network import Network
 from repro.obs.bus import ObservabilityBus
-from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
 from repro.ott.backend import OttBackend
 from repro.ott.profile import OttProfile
@@ -366,8 +365,7 @@ class DeviceSession:
 
     A current L1 Pixel 6 and the discontinued L3 Nexus 5, both rooted,
     per the DRM threat model. The study boots its own pair on its own
-    bus; a fleet cell boots a fresh pair on a fresh bus (the default),
-    which shares the study's sampler, so keep/drop decisions match.
+    bus; a fleet cell boots a fresh pair on a fresh bus (the default).
     Serials match the study's pair, so the keybox authority sees the
     same factory keyboxes (re-registration writes identical values) and
     every derived key matches.
@@ -377,7 +375,7 @@ class DeviceSession:
         self, study: "WideLeakStudy", *, obs: ObservabilityBus | None = None
     ):
         self.obs = obs if obs is not None else ObservabilityBus(
-            enabled=study.obs.enabled, sampler=study.obs.sampler
+            enabled=study.obs.enabled
         )
         self.l1_device: AndroidDevice = pixel_6(
             study.network, study.authority, obs=self.obs
@@ -397,19 +395,12 @@ class WideLeakStudy:
         profiles: tuple[OttProfile, ...] | None = None,
         *,
         obs: ObservabilityBus | None = None,
-        sampler: TraceSampler | None = None,
     ):
         self.profiles = profiles if profiles is not None else ALL_PROFILES
         # One bus for the whole study: world construction, packaging,
         # every per-app pipeline. Fleet cells run on DeviceSessions with
-        # their own buses (sharing this bus's sampler); the fleet adds
-        # up their counters at assembly.
-        if obs is not None and sampler is not None:
-            raise ValueError(
-                "pass either a bus (which carries its own sampler) or a "
-                "sampler, not both"
-            )
-        self.obs = obs if obs is not None else ObservabilityBus(sampler=sampler)
+        # their own buses; the fleet adds up their counters at assembly.
+        self.obs = obs if obs is not None else ObservabilityBus()
         self.network = Network()
         self.authority = KeyboxAuthority()
         self.backends: dict[str, OttBackend] = {
@@ -427,10 +418,9 @@ class WideLeakStudy:
         cls,
         *,
         obs: ObservabilityBus | None = None,
-        sampler: TraceSampler | None = None,
     ) -> "WideLeakStudy":
         """The paper's setup: all ten premium OTT apps."""
-        return cls(obs=obs, sampler=sampler)
+        return cls(obs=obs)
 
     # -- single-app pipeline ---------------------------------------------------
 

@@ -7,16 +7,18 @@ gives the reproduction a single spine for all of them:
 
 - :mod:`repro.obs.span` — hierarchical spans with attributes and point
   events;
+- :mod:`repro.obs.bus` — the :class:`ObservabilityBus` every layer
+  emits through (explicitly propagated, one per device session, no
+  thread-locals); it only records;
 - :mod:`repro.obs.metrics` — counters and fixed-bucket histograms
-  (p50/p95/p99 with exemplar span ids);
+  (p50/p95/p99 with exemplar span ids), folded from the recording each
+  time they are read;
 - :mod:`repro.obs.counters` — the one table that derives every counter
   from the spans and events the bus records (the bus tallies Figure 1
   arrows itself);
-- :mod:`repro.obs.bus` — the :class:`ObservabilityBus` every layer
-  emits through (explicitly propagated, one per device session, no
-  thread-locals);
 - :mod:`repro.obs.sampling` — deterministic head-based sampling per
-  root span (keep 1-in-N app trees whole; counters stay exact);
+  root span, as a view of a finished recording (keep 1-in-N root trees
+  whole, with the bus's own metrics);
 - :mod:`repro.obs.profile` — trace analytics: critical paths,
   self-time profiles, collapsed-stack flame graphs;
 - :mod:`repro.obs.export` — JSON-lines, Chrome ``trace_event``

@@ -1,7 +1,8 @@
 """The observability bus: one hook point for a run's observations.
 
 Spans, OEMCrypto hook buffer dumps and DRM API observations emit
-through one :class:`ObservabilityBus`, which records each once:
+through one :class:`ObservabilityBus`, which only records, each
+observation once:
 
 - ``bus.span(name, **attrs)`` opens a timed, hierarchical span;
 - ``bus.event(name, **attrs)`` attaches a point event to the current
@@ -9,11 +10,13 @@ through one :class:`ObservabilityBus`, which records each once:
 
 Figure 1 arrows are kept once, by the device that drew them
 (``AndroidDevice.flows`` appends them to its ``FlowTrace``);
-``bus.flows(*arrows)`` only counts them (``flow.arrows``).
+``bus.flows(*arrows)`` only adds their number to ``flow.arrows``.
 
-Apart from that tally nothing is counted directly:
-:mod:`repro.obs.counters` derives every other counter from the spans
-and events, and every histogram is a span duration.
+Nothing is folded while the run goes on: ``bus.metrics`` derives every
+counter (through :mod:`repro.obs.counters`) and every ``span.<name>``
+duration histogram from the recording each time it is read. What a
+``--rate`` sampler keeps is a view of the finished recording
+(:meth:`~repro.obs.sampling.TraceSampler.view`), not a recording mode.
 
 Context is propagated *explicitly*: a bus travels with the devices
 that own it (the study's bus in process; one fresh bus per
@@ -27,25 +30,15 @@ A disabled bus (``ObservabilityBus(enabled=False)``) does nothing at
 all: spans return the shared :data:`~repro.obs.span.NULL_SPAN`, and
 events, arrow counts and metrics vanish (each device still traces its
 own arrows).
-
-A **sampled** bus (``ObservabilityBus(sampler=TraceSampler(4))``) sits
-between those extremes: when a root span opens, the sampler makes one
-deterministic keep/drop decision and the whole tree inherits it —
-dropped trees still time their spans and still fold into histograms
-and counters (both stay exact), but their span records are never
-stored. The kept/dropped tally is exported via :meth:`sampling_snapshot`
-so a truncated trace is never silent about it.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from collections import defaultdict
 from typing import Any, Callable
 
-from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
-from repro.obs.metrics import HistogramStat, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sampling import TraceSampler
 from repro.obs.span import NULL_SPAN, Span, SpanPoint, make_point, structural_tree
 
@@ -53,20 +46,15 @@ __all__ = ["ObservabilityBus", "NULL_BUS"]
 
 
 class ObservabilityBus:
-    """Collects spans, events and metrics for one run."""
+    """Records the spans and events of one run."""
 
     def __init__(
         self,
         *,
         enabled: bool = True,
         clock: Callable[[], int] | None = None,
-        sampler: TraceSampler | None = None,
     ):
         self.enabled = enabled
-        # Head-based sampler, shared (not copied) by every session bus
-        # so all buses compute identical per-root decisions. None =
-        # record every tree.
-        self.sampler = sampler
         # Span timing is wall-clock by design: traces measure where real
         # time goes. Determinism holds structurally — tests compare span
         # trees and counters, never timestamps.
@@ -75,17 +63,8 @@ class ObservabilityBus:
         self._spans: list[Span] = []
         self._stack: list[Span] = []
         self._events: list[SpanPoint] = []
-        self._next_id = 1
-        self._sampled_roots = 0
-        self._dropped_roots = 0
-        self._dropped_spans = 0
-        # The registry shares the bus lock and folds closed spans and
-        # pending event and arrow counts in before any read (see
-        # _observe_closed); each span name's histogram is looked up once.
-        self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
-        self._span_histograms: dict[str, HistogramStat] = {}
-        self._closed: list[Span] = []
-        self._pending: defaultdict[str, int] = defaultdict(int)
+        # The registry shares the bus lock and reads these very lists.
+        self.metrics = MetricsRegistry(self._lock, self._spans, self._events)
 
     # -- spans -------------------------------------------------------------
 
@@ -99,36 +78,19 @@ class ObservabilityBus:
             return NULL_SPAN
         now = self._clock()
         with self._lock:
-            stack = self._stack
+            spans, stack = self._spans, self._stack
             if stack:
                 parent = stack[-1]
-                parent_id, track, sampled = parent.span_id, parent.track, parent.sampled
+                parent_id, track = parent.span_id, parent.track
             else:
-                parent_id = None
-                track = str(attrs.get("app", name))
-                # The head-based decision: made exactly once, here, and
-                # inherited by every descendant — a tree is recorded
-                # whole or not at all.
-                sampled = self.sampler is None or self.sampler.keep(name, attrs)
-                if sampled:
-                    self._sampled_roots += 1
-                else:
-                    self._dropped_roots += 1
-            if sampled:
-                # Dropped spans are never stored, so only kept spans
-                # consume ids — exported ids stay dense at any rate.
-                span_id = self._next_id
-                self._next_id = span_id + 1
-            else:
-                span_id = 0
-                self._dropped_spans += 1
-            # ``**attrs`` is a fresh dict per call: the span can own it.
-            # Positional: keywords cost a third of the constructor.
+                parent_id, track = None, str(attrs.get("app", name))
+            # Ids are dense, in open order. ``**attrs`` is a fresh dict
+            # per call: the span can own it. Positional: keywords cost a
+            # third of the constructor.
             span = Span(
-                name, span_id, parent_id, track, now, None, attrs, (), sampled, self
+                name, len(spans) + 1, parent_id, track, now, None, attrs, (), self
             )
-            if sampled:
-                self._spans.append(span)
+            spans.append(span)
             stack.append(span)
         return span
 
@@ -142,41 +104,6 @@ class ObservabilityBus:
                 stack.pop()
             else:
                 self._unwind(span, now)
-            self._closed.append(span)
-            if not stack:
-                self._observe_closed()
-
-    def _observe_closed(self) -> None:
-        """Fold the spans closed since the last fold, in close order:
-        durations into their histograms, counters (``SPAN_COUNTERS``)
-        and pending event and arrow counts into one registry update.
-        Runs when a root span closes and before any metrics read, so no
-        reader misses a closed span; one pass over a finished tree keeps
-        the histograms warm in cache. Caller holds the lock.
-        """
-        histograms = self._span_histograms
-        counts = self._pending
-        for span in self._closed:
-            stat = histograms.get(span.name)
-            if stat is None:
-                stat = self.metrics.histogram(f"span.{span.name}")
-                histograms[span.name] = stat
-            # Dropped spans still observe and count (sampling trades away
-            # span *records*, never exactness), but only recorded spans
-            # donate exemplars, so the metrics table's span-id links
-            # can always be followed into the trace.
-            stat.observe(
-                span.end_ns - span.start_ns,
-                exemplar=span.span_id if span.sampled else None,
-            )
-            rule = SPAN_COUNTERS.get(span.name)
-            if rule is not None:
-                for counter, value in rule(span.attrs).items():
-                    counts[counter] += value
-        self._closed.clear()
-        if counts:
-            self.metrics.count_many(counts)
-            counts.clear()
 
     def _unwind(self, span: Span, now: int) -> None:
         """Close everything opened after (and including) *span*: an
@@ -199,10 +126,7 @@ class ObservabilityBus:
         if not self.enabled:
             return
         point = make_point((name, self._clock(), attrs))
-        counter = POINT_COUNTERS.get(name)
         with self._lock:
-            if counter is not None:
-                self._pending[counter] += 1
             stack = self._stack
             if stack:
                 stack[-1]._add_point(point)
@@ -216,8 +140,7 @@ class ObservabilityBus:
         arrows themselves live in the drawing device's ``FlowTrace``;
         the bus keeps no copy."""
         if self.enabled:
-            with self._lock:
-                self._pending["flow.arrows"] += len(arrows)
+            self.metrics.count_many({"flow.arrows": len(arrows)})
 
     # -- reading -----------------------------------------------------------
 
@@ -242,17 +165,9 @@ class ObservabilityBus:
         return structural_tree(self.spans)
 
     def sampling_snapshot(self) -> dict[str, Any]:
-        """What head-based sampling kept and dropped — embedded in both
-        exporters so trace truncation is never silent."""
-        with self._lock:
-            return {
-                "rate": "1/1" if self.sampler is None else self.sampler.rate,
-                "seed": 0 if self.sampler is None else self.sampler.seed,
-                "sampled_roots": self._sampled_roots,
-                "dropped_roots": self._dropped_roots,
-                "dropped_spans": self._dropped_spans,
-                "recorded_spans": len(self._spans),
-            }
+        """The exporters' sampling record: a bus keeps every tree, so
+        it reads as the view at rate 1/1."""
+        return TraceSampler(1).view(self).sampling_snapshot()
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -262,14 +177,7 @@ class ObservabilityBus:
             self._spans.clear()
             self._stack.clear()
             self._events.clear()
-            self._next_id = 1
-            self._sampled_roots = 0
-            self._dropped_roots = 0
-            self._dropped_spans = 0
-            self.metrics = MetricsRegistry(self._lock, before_read=self._observe_closed)
-            self._span_histograms = {}
-            self._closed.clear()
-            self._pending.clear()
+            self.metrics = MetricsRegistry(self._lock, self._spans, self._events)
 
 
 NULL_BUS = ObservabilityBus(enabled=False)

@@ -1,12 +1,12 @@
 """The counter schema: the one table that derives every counter from
-a record the bus already keeps. The bus applies :data:`SPAN_COUNTERS`
-as it folds closed spans (sampled-out ones too, so counters are exact
-at any rate) and :data:`POINT_COUNTERS` where it records a point.
-The one counter outside the table is ``flow.arrows``: Figure 1 arrows
-are kept by the device that drew them, and ``bus.flows`` only tallies
-them. A span gets the attribute its rule keys on only once its work
-succeeded: a span an exception unwinds counts nothing unfinished, and
-a bare span never breaks the fold.
+a record the bus already keeps. Each time a bus's counters are read,
+its metrics registry applies :data:`SPAN_COUNTERS` to every closed span
+and :data:`POINT_COUNTERS` to every recorded point, whatever a
+sampler's view later exports. The one counter outside the table is
+``flow.arrows``: Figure 1 arrows are kept by the device that drew them,
+and ``bus.flows`` only tallies them. A span gets the attribute its rule
+keys on only once its work succeeded: a span an exception unwinds
+counts nothing unfinished, and a bare span never breaks the fold.
 """
 
 from __future__ import annotations

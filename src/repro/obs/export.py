@@ -1,5 +1,9 @@
 """Exporters: turn one bus's recordings into shareable artifacts.
 
+Each exporter reads a bus, or a sampler's view of one
+(:meth:`~repro.obs.sampling.TraceSampler.view`), which has the same
+``spans``, ``events``, ``metrics`` and ``sampling_snapshot()``.
+
 Three output formats, one per consumer class:
 
 - :func:`to_jsonl` — a JSON-lines event log (one span or event per
@@ -161,7 +165,7 @@ def render_metrics_table(bus: ObservabilityBus) -> str:
         for name, stat in histograms.items():
             exemplar = stat.max_exemplar()
             # The exemplar links the stream's worst outlier to its span
-            # in the recorded trace (only sampled spans donate one).
+            # in the bus's recording (a sampled view may not export it).
             exemplar_cell = "-" if exemplar is None else f"span:{exemplar[1]}"
             lines.append(
                 f"{name.ljust(width)}  {stat.count:>7d}"

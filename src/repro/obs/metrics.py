@@ -1,37 +1,38 @@
-"""Metrics registry of the observability bus.
+"""Metrics of the observability bus, derived from its recording.
 
-Two instrument kinds cover what the study needs:
+The registry stores nothing it could derive: every read folds the
+bus's recording afresh, so recording stays cheap and a read is never
+stale. Two instrument kinds cover what the study needs:
 
-- **counters** — monotonically increasing integers (requests issued,
-  bytes moved, licenses granted, flow arrows drawn), each derived from
-  the bus's spans and events by :mod:`repro.obs.counters` (or, for
-  ``flow.arrows``, tallied by ``bus.flows``) or replayed by the fleet,
-  and added through :meth:`MetricsRegistry.count_many`.
+- **counters** — integers (requests issued, bytes moved, licenses
+  granted, flow arrows drawn): the :mod:`repro.obs.counters` table
+  applied to the closed spans, their points and the root events, plus
+  what :meth:`MetricsRegistry.count_many` added (the ``flow.arrows``
+  tally of ``bus.flows``, and the cell counters a fleet replays).
   They are a deterministic function of the pipeline, wired into
   ``StudyResult.summary()``, and must come out byte-identical across
-  in-process, fleet, cold, warm — and sampled — runs.
-- **histograms** — ``span.<name>`` durations in nanoseconds: real
-  time, so *excluded* from the study artifact; they feed the metrics
-  table and the exporters.
+  in-process, fleet, cold and warm runs.
+- **histograms** — ``span.<name>`` durations in nanoseconds of every
+  closed span: real time, so *excluded* from the study artifact; they
+  feed the metrics table and the exporters.
 
 Histograms bucket every observation against **fixed power-of-two
 boundaries** (bucket *i* holds values in ``(2^(i-1), 2^i]``; bucket 0
 holds values ``<= 1``). Fixed boundaries keep percentiles independent
-of observation order — bucket counts simply add. Buckets can carry an
+of observation order — bucket counts simply add. Buckets carry an
 **exemplar**: the span id of the largest observation that landed in
 them, linking a latency outlier in the metrics table straight to its
-span in the recorded trace (only sampled spans donate exemplars, so the
-link never dangles).
-
-Registries are lock-guarded, so counters and histograms stay exact
-whichever thread emits into them.
+span in the recording.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any
+
+from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
+from repro.obs.span import Span, SpanPoint
 
 __all__ = ["HistogramStat", "MetricsRegistry", "bucket_index", "bucket_bounds"]
 
@@ -140,60 +141,70 @@ class HistogramStat:
 
 
 class MetricsRegistry:
-    """Named counters and histograms, safe for concurrent emission.
+    """Counters and histograms of one bus, folded from its recording
+    on every read.
 
-    *lock* guards every counter and histogram: it is the owning bus's
-    (re-entrant) lock, so its span records and metrics share one.
-    *before_read*, called with the lock held before any counter or
-    histogram is read, folds in the bus's closed spans.
+    *lock* is the owning bus's (re-entrant) lock, and *spans* and
+    *events* are the bus's own record lists, read under it.
     """
 
-    def __init__(self, lock: Any, before_read: Callable[[], None]) -> None:
+    def __init__(
+        self, lock: Any, spans: list[Span], events: list[SpanPoint]
+    ) -> None:
         self._lock = lock
-        self._before_read = before_read
-        self._counters: dict[str, int] = {}
-        self._histograms: dict[str, HistogramStat] = {}
-
-    # -- emission ----------------------------------------------------------
+        self._spans = spans
+        self._events = events
+        self._added: dict[str, int] = {}
 
     def count_many(self, counts: dict[str, int]) -> None:
-        """Add to several counters under one lock acquisition."""
+        """Add to counters that no record derives, under one lock
+        acquisition."""
         with self._lock:
-            counters = self._counters
+            added = self._added
             for name, value in counts.items():
-                counters[name] = counters.get(name, 0) + value
-
-    def histogram(self, name: str) -> HistogramStat:
-        """The live stat behind *name*, created empty on first use.
-
-        A caller that keeps it must hold the registry's lock while it
-        calls :meth:`HistogramStat.observe`. Unlike :meth:`histograms`,
-        this does not run the ``before_read`` hook (the hook itself
-        calls it).
-        """
-        with self._lock:
-            stat = self._histograms.get(name)
-            if stat is None:
-                stat = self._histograms[name] = HistogramStat()
-            return stat
+                added[name] = added.get(name, 0) + value
 
     # -- reading -----------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
-        """Sorted copy of every counter."""
+        """Every counter, sorted by name: the counter table applied to
+        the recording, plus what :meth:`count_many` added."""
+        span_rules, point_counters = SPAN_COUNTERS, POINT_COUNTERS
         with self._lock:
-            self._before_read()
-            return dict(sorted(self._counters.items()))
+            counts = dict(self._added)
+            points = list(self._events)
+            for span in self._spans:
+                if span.points:
+                    points += span.points
+                # An open span has not set its facts yet.
+                if span.end_ns is None:
+                    continue
+                rule = span_rules.get(span.name)
+                if rule is not None:
+                    for name, value in rule(span.attrs).items():
+                        counts[name] = counts.get(name, 0) + value
+        for point in points:
+            name = point_counters.get(point.name)
+            if name is not None:
+                counts[name] = counts.get(name, 0) + 1
+        return dict(sorted(counts.items()))
 
     def counter(self, name: str) -> int:
-        with self._lock:
-            self._before_read()
-            return self._counters.get(name, 0)
+        return self.counters().get(name, 0)
 
     def histograms(self) -> dict[str, HistogramStat]:
+        """One ``span.<name>`` duration histogram per name of a closed
+        span, each span its own exemplar."""
+        stats: dict[str, HistogramStat] = {}
         with self._lock:
-            self._before_read()
-            return dict(sorted(self._histograms.items()))
+            for span in self._spans:
+                if span.end_ns is None:
+                    continue
+                stat = stats.get(span.name)
+                if stat is None:
+                    stat = stats[span.name] = HistogramStat()
+                stat.observe(span.end_ns - span.start_ns, exemplar=span.span_id)
+        return {f"span.{name}": stats[name] for name in sorted(stats)}
 
     def snapshot(self) -> dict[str, Any]:
         return {

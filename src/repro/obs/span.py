@@ -7,6 +7,11 @@ study orchestrator; the tree shape is deterministic (a pure function of
 the pipeline run), while the timestamps are real wall-clock nanoseconds,
 which is what the exporters turn into Chrome ``trace_event`` timelines.
 
+A span is the bus's whole record of its work: the metrics registry
+derives counters from its attributes and a duration histogram entry
+from its timestamps once it has closed, and a ``--rate`` sampler's view
+keeps or drops it with the rest of its root's tree.
+
 Code paths that may run without a bus use :data:`NULL_SPAN`, a shared
 do-nothing span handle, so instrumentation is branch-free at the call
 site and literally free when observation is off.
@@ -56,10 +61,6 @@ class Span:
     # sees an event (``oecc.dump``, ``dash.select_video``) gets one, and
     # an empty list per span is a GC-tracked allocation.
     points: list[SpanPoint] | tuple[()] = ()
-    # Head-based sampling verdict, inherited from the root: a dropped
-    # span still times its work (histograms stay exact) but is never
-    # recorded, so a tree is either exported whole or not at all.
-    sampled: bool = field(default=True, compare=False)
 
     @property
     def duration_ns(self) -> int:
@@ -131,9 +132,9 @@ def structural_tree(spans: list[Span]) -> list[tuple]:
     """The timestamp-free projection of a span list: nested
     ``(name, sorted-attrs, children)`` tuples in start order.
 
-    Two runs of the same pipeline — traced in full or sampled — must
-    produce equal structural trees for every app both keep; the
-    equivalence tests compare exactly this.
+    Two runs of the same pipeline must produce equal structural trees,
+    and a sampler's view keeps some of them unchanged; the equivalence
+    tests compare exactly this.
     """
     children: dict[int | None, list[Span]] = {}
     for span in spans:

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.bmff.boxes import (
+    CONTAINER_TYPES,
     Box,
     BoxParseError,
     FrmaBox,
+    FullBox,
     PsshBox,
     SaioBox,
     SaizBox,
@@ -326,8 +328,10 @@ class TestMalformedPayloads:
         "cls", [TencBox, SencBox, PsshBox, SaizBox, SaioBox, SchmBox]
     )
     def test_parse_payload_of_empty_payload(self, cls):
-        with pytest.raises(BoxParseError):
-            cls.parse_payload(0, 0, b"")
+        fourcc = cls.__name__[:4].lower()
+        box = FullBox(box_type=fourcc.encode())
+        with pytest.raises(BoxParseError, match=f"{fourcc} payload too short"):
+            parse_boxes(box.serialize())
 
     def test_malformed_box_nested_in_container(self):
         blob = struct.pack(">I", 8 + len(_full_box(b"saio", b"\x00"))) + b"moof"
@@ -356,6 +360,24 @@ class TestWalkBoxes:
                 Box(box_type=b"mdat", payload=b"xy"),
             ]
         )
+
+    def test_the_grammar_nests_sample_entries(self):
+        """One immutable grammar: ``stsd`` and the builder's sample
+        entries hold child boxes, so ``tenc`` is reached through them."""
+        assert isinstance(CONTAINER_TYPES, frozenset)
+        entries = {b"avc1", b"encv", b"mp4a", b"enca", b"wvtt", b"enct"}
+        assert {b"stsd"} | entries <= CONTAINER_TYPES
+        tenc = TencBox(box_type=b"tenc", default_kid=bytes(range(16)))
+        blob = Box(box_type=b"stsd", children=[
+            Box(box_type=b"encv", children=[
+                Box(box_type=b"sinf", children=[
+                    Box(box_type=b"schi", children=[tenc]),
+                ]),
+            ]),
+        ]).serialize()
+        path, *_, fields = walk_boxes(blob)[-1]
+        assert path == (b"stsd", b"encv", b"sinf", b"schi", b"tenc")
+        assert fields["default_kid"] == bytes(range(16))
 
     def test_spans_in_document_order_with_paths(self):
         spans = walk_boxes(self._blob())

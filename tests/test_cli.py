@@ -1,8 +1,11 @@
 """Command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.obs.sampling import TraceSampler
 
 
 class TestParser:
@@ -127,3 +130,52 @@ class TestProfileAndTrace:
         out = capsys.readouterr().out
         assert "sampling 1/4 (seed 1)" in out
         assert out_path.exists()
+
+    def test_sampled_trace_is_a_view_of_the_full_recording(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        """``--rate 1/4`` exports whole trees of a study that recorded
+        every span: the Chrome trace's sampling metadata is the printed
+        line, and each exported span's parent is exported too."""
+        views = []
+        view = TraceSampler.view
+
+        def recording_view(sampler, bus):
+            views.append((bus, view(sampler, bus)))
+            return views[-1][1]
+
+        monkeypatch.setattr(TraceSampler, "view", recording_view)
+        runs = {}
+        for rate in ("1/4", "1/1"):
+            out_path = tmp_path / f"trace-{rate[-1]}.json"
+            assert main(["trace", "--rate", rate, "--out", str(out_path)]) == 0
+            line = next(
+                line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith("sampling ")
+            )
+            runs[rate] = (json.loads(out_path.read_text()), line, *views[-1])
+        trace, line, bus, sampled = runs["1/4"]
+        events = trace["traceEvents"]
+        metadata = next(e for e in events if e["name"] == "sampling")["args"]
+        assert line == (
+            f"sampling 1/4 (seed 0): kept {metadata['sampled_roots']} of "
+            f"{metadata['sampled_roots'] + metadata['dropped_roots']} root "
+            f"span trees, dropped {metadata['dropped_spans']} spans, "
+            f"recorded {metadata['recorded_spans']}"
+        )
+        assert metadata == sampled.sampling_snapshot()
+        assert 0 < metadata["sampled_roots"] < 20
+        exported = [e for e in events if e["ph"] == "X"]
+        assert [e["name"] for e in exported] == [s.name for s in sampled.spans]
+        kept_ids = {s.span_id for s in sampled.spans}
+        assert all(
+            s.parent_id in kept_ids
+            for s in sampled.spans
+            if s.parent_id is not None
+        )
+        # Sampling chose what to export, not what the study recorded.
+        full_bus = runs["1/1"][2]
+        assert len(bus.spans) == len(full_bus.spans) == (
+            metadata["recorded_spans"] + metadata["dropped_spans"]
+        )

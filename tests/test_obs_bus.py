@@ -281,30 +281,49 @@ class TestMetricsShorthands:
         assert bus.metrics.histograms()["span.study.app"].count == 1
         assert stat.count == 3
 
-    def test_dropped_trees_still_fill_histograms(self):
+    def test_dropped_trees_still_fill_histograms(self, bus):
+        """A sampler's view drops span records, not metrics: its
+        histograms are the bus's, over every recorded span."""
         from repro.obs.sampling import TraceSampler
 
-        sampled = ObservabilityBus(clock=FakeClock(), sampler=TraceSampler(10**6))
         for app in ("Hulu", "Netflix", "Showtime"):
-            with sampled.span("study.app", app=app):
-                with sampled.span("http.request"):
+            with bus.span("study.app", app=app):
+                with bus.span("http.request"):
                     pass
-        stat = sampled.metrics.histograms()["span.http.request"]
-        dropped = sampled.sampling_snapshot()["dropped_roots"]
+        view = TraceSampler(10**6).view(bus)
+        assert view.sampling_snapshot()["dropped_roots"] == 3
+        assert view.spans == []
+        stat = view.metrics.histograms()["span.http.request"]
         assert stat.count == 3
-        assert len(stat.exemplars) <= 3 - dropped
+        assert {span_id for _, span_id in stat.exemplars.values()} <= {
+            s.span_id for s in bus.spans
+        }
 
 
 class TestDerivedCounters:
     """Counters come from the table in repro.obs.counters, applied to
-    the spans and points the bus records; the bus has no counting
-    method of its own (``flows`` only tallies ``flow.arrows``)."""
+    the spans and points the bus records each time they are read; the
+    bus has no counting method of its own (``flows`` only tallies
+    ``flow.arrows``)."""
 
     def test_the_bus_emits_through_spans_events_and_flows_only(self):
         for gone in ("count", "count_many", "observe"):
             assert not hasattr(ObservabilityBus, gone)
-        for gone in ("count", "count_locked", "observe"):
+        for gone in ("count", "count_locked", "observe", "histogram"):
             assert not hasattr(MetricsRegistry, gone)
+
+    def test_the_bus_keeps_no_fold_state(self, bus):
+        """Recording a tree stores its spans and nothing derived."""
+        with bus.span("study.app", app="Hulu"):
+            with bus.span("license.issue") as issue:
+                issue.set(status=200)
+        for gone in (
+            "_closed", "_pending", "_span_histograms", "_observe_closed",
+            "sampler", "_dropped_spans",
+        ):
+            assert not hasattr(bus, gone)
+        assert bus.metrics._added == {}
+        assert bus.metrics.counters() == {"license.issued": 1}
 
     def test_a_span_counts_when_it_closes(self, bus):
         with bus.span("study.app", app="Hulu"):

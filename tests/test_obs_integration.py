@@ -16,7 +16,6 @@ from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 from repro.obs.bus import ObservabilityBus
 from repro.obs.counters import POINT_COUNTERS, SPAN_COUNTERS
-from repro.obs.sampling import TraceSampler
 from repro.ott.app import OttApp
 from repro.ott.backend import OttBackend
 from repro.ott.registry import ALL_PROFILES, profile_by_name
@@ -72,13 +71,12 @@ def traced_arrows(monkeypatch) -> list[int]:
 
 class TestExchangeCounters:
     def test_counters_are_a_function_of_the_request_spans(self, monkeypatch):
-        """Every counter of a full, unsampled study — all 20 of the
+        """Every counter of a full study — all 20 of the
         artifact's — is the counter table applied to the records the
         bus kept (its spans, their points and its root events), plus
         ``flow.arrows``: the arrows the devices' traces recorded."""
         arrows = traced_arrows(monkeypatch)
         study = WideLeakStudy.with_default_apps()
-        assert study.obs.sampler is None
         study.run()
         counted = study.obs.metrics.counters()
         assert derived_counters(study.obs) | {"flow.arrows": arrows[0]} == counted
@@ -148,12 +146,8 @@ class TestDisabledBusStudy:
 class TestDeviceTraces:
     @pytest.mark.parametrize(
         "obs",
-        [
-            None,
-            ObservabilityBus(enabled=False),
-            ObservabilityBus(sampler=TraceSampler(2, seed=0)),
-        ],
-        ids=["enabled", "disabled", "sampled"],
+        [None, ObservabilityBus(enabled=False)],
+        ids=["enabled", "disabled"],
     )
     def test_playback_fills_only_its_own_device_trace(self, obs):
         """The study's two devices share one bus; a playback on the L1

@@ -1,6 +1,6 @@
-"""Head-based sampling: deterministic per-root decisions, root-span
-atomicity, exactness of counters/histograms at any rate, study
-byte-identity, and the never-silent export record."""
+"""Head-based sampling as a view of a finished recording: deterministic
+per-root decisions, root-span atomicity, the bus's own metrics at any
+rate, and the never-silent export record."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import json
 import pytest
 
 from repro.android.device import pixel_6
-from repro.core.study import DeviceSession, WideLeakStudy
+from repro.core.study import WideLeakStudy
 from repro.license_server.provisioning import KeyboxAuthority
 from repro.net.network import Network
 from repro.obs.bus import ObservabilityBus
@@ -97,138 +97,132 @@ class TestDecisions:
 
 class TestRootSpanAtomicity:
     def test_trees_are_kept_whole_or_dropped_whole(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
+        bus = ObservabilityBus(clock=FakeClock())
         run_pipeline(bus)
+        view = MIXED_SAMPLER.view(bus)
         kept_roots = {
-            s.attrs["app"] for s in bus.spans if s.parent_id is None
+            s.attrs["app"] for s in view.spans if s.parent_id is None
         }
-        recorded_ids = {s.span_id for s in bus.spans}
-        # Every recorded non-root span hangs off a recorded parent: no
-        # tree is ever split by sampling.
+        kept_ids = {s.span_id for s in view.spans}
+        # Every kept non-root span hangs off a kept parent: no tree is
+        # ever split by sampling.
         assert all(
-            s.parent_id in recorded_ids
-            for s in bus.spans
+            s.parent_id in kept_ids
+            for s in view.spans
             if s.parent_id is not None
         )
-        # Each kept tree is complete (root + its two children).
-        assert len(bus.spans) == 3 * len(kept_roots)
-        snapshot = bus.sampling_snapshot()
+        # Each kept tree is complete (root + its two children), in the
+        # bus's open order.
+        assert len(view.spans) == 3 * len(kept_roots)
+        assert view.spans == [s for s in bus.spans if s in view.spans]
+        snapshot = view.sampling_snapshot()
         assert snapshot["sampled_roots"] == len(kept_roots)
         assert snapshot["dropped_roots"] == 4 - len(kept_roots)
         assert snapshot["dropped_spans"] == 3 * (4 - len(kept_roots))
         assert 0 < len(kept_roots) < 4  # the seed gives a mixed verdict
 
     def test_recorded_span_ids_stay_dense(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
+        """The bus records every tree whatever a view keeps: its ids
+        stay dense, and the view neither renumbers nor removes them."""
+        bus = ObservabilityBus(clock=FakeClock())
         run_pipeline(bus)
-        assert [s.span_id for s in bus.spans] == list(
-            range(1, len(bus.spans) + 1)
-        )
+        view = MIXED_SAMPLER.view(bus)
+        assert [s.span_id for s in bus.spans] == list(range(1, 13))
+        assert {s.span_id for s in view.spans} < {s.span_id for s in bus.spans}
+        assert bus.sampling_snapshot()["recorded_spans"] == 12
+
+    def test_a_root_is_keyed_on_its_recorded_attributes(self):
+        """A root whose attributes grow while it is open is decided on
+        what it recorded, the attributes a trace shows."""
+        bus = ObservabilityBus(clock=FakeClock())
+        with bus.span("package.title", title="t") as root:
+            root.set(segments=30)
+        sampler = TraceSampler(2, seed=0)
+        assert sampler.keep("package.title", {"title": "t"})
+        assert not sampler.keep("package.title", {"title": "t", "segments": 30})
+        assert sampler.view(bus).spans == []
 
 
 class TestExactness:
     def test_counters_and_histograms_match_the_unsampled_run(self):
         full = ObservabilityBus(clock=FakeClock())
-        sampled = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
         run_pipeline(full)
-        run_pipeline(sampled)
-        assert sampled.metrics.counters() == full.metrics.counters()
-        # Histograms observe every closed span — dropped ones included.
+        view = MIXED_SAMPLER.view(full)
+        assert view.metrics.counters() == full.metrics.counters()
+        # Histograms cover every recorded span — dropped trees included.
         for name, stat in full.metrics.histograms().items():
-            other = sampled.metrics.histograms()[name]
+            other = view.metrics.histograms()[name]
             assert (other.count, other.total) == (stat.count, stat.total)
             assert other.buckets == stat.buckets
 
-    def test_dropped_trees_donate_no_exemplars(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
-        run_pipeline(bus)
-        recorded_ids = {s.span_id for s in bus.spans}
-        for stat in bus.metrics.histograms().values():
-            for _, span_id in stat.exemplars.values():
-                assert span_id in recorded_ids
-
     def test_flow_arrows_survive_inside_dropped_trees(self):
         sampler = TraceSampler(2, seed=0)
-        bus = ObservabilityBus(clock=FakeClock(), sampler=sampler)
+        bus = ObservabilityBus(clock=FakeClock())
         device = pixel_6(Network(), KeyboxAuthority(), obs=bus)
         assert not sampler.keep("study.app", {"app": "Amazon Prime Video"})
         with bus.span("study.app", app="Amazon Prime Video"):
             device.flows(("Application", "CDM", "Decrypt()"))
+        view = sampler.view(bus)
         assert device.trace.labels() == [("Application", "CDM", "Decrypt()")]
-        assert bus.metrics.counters()["flow.arrows"] == 1
-        assert bus.spans == []
-        assert bus.events == []
+        assert view.metrics.counters()["flow.arrows"] == 1
+        assert view.spans == []
+        assert view.events == []
 
 
 class TestExportRecord:
     def test_jsonl_trailing_line_reports_the_drop(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
+        bus = ObservabilityBus(clock=FakeClock())
         run_pipeline(bus)
-        sampling = json.loads(to_jsonl(bus).strip().split("\n")[-1])
+        view = MIXED_SAMPLER.view(bus)
+        lines = to_jsonl(view).strip().split("\n")
+        sampling = json.loads(lines[-1])
         assert sampling["type"] == "sampling"
         assert sampling["rate"] == "1/2"
         assert sampling["dropped_spans"] > 0
-        assert sampling["recorded_spans"] == len(bus.spans)
+        assert sampling["recorded_spans"] == len(view.spans)
+        assert sum(json.loads(line)["type"] == "span" for line in lines) == len(
+            view.spans
+        )
 
     def test_chrome_trace_metadata_reports_the_drop(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
+        bus = ObservabilityBus(clock=FakeClock())
         run_pipeline(bus)
-        events = to_chrome_trace(bus)["traceEvents"]
+        view = MIXED_SAMPLER.view(bus)
+        events = to_chrome_trace(view)["traceEvents"]
         sampling = next(e for e in events if e["name"] == "sampling")
+        assert sampling["args"] == view.sampling_snapshot()
         assert sampling["args"]["dropped_spans"] > 0
+        assert sum(e["ph"] == "X" for e in events) == len(view.spans)
 
     def test_clear_resets_the_tally(self):
-        bus = ObservabilityBus(clock=FakeClock(), sampler=MIXED_SAMPLER)
+        bus = ObservabilityBus(clock=FakeClock())
         run_pipeline(bus)
         bus.clear()
-        snapshot = bus.sampling_snapshot()
+        snapshot = MIXED_SAMPLER.view(bus).sampling_snapshot()
         assert snapshot["dropped_spans"] == 0
         assert snapshot["sampled_roots"] == 0
         assert snapshot["recorded_spans"] == 0
 
 
 class TestStudyByteIdentity:
-    """The acceptance bar: for a fixed seed and rate, the sampled run
-    keeps a deterministic subset of app trees, and the artifact is
-    byte-identical to the unsampled run's."""
+    """For a fixed seed and rate, the view of a study keeps a
+    deterministic subset of its app trees and reads the study's own
+    counters."""
 
     @pytest.fixture(scope="class")
-    def runs(self):
-        unsampled = WideLeakStudy(profiles=SUBSET).run()
-        sequential = WideLeakStudy(
-            profiles=SUBSET, sampler=TraceSampler(2, seed=0)
-        ).run()
-        return unsampled, sequential
+    def study(self):
+        study = WideLeakStudy(profiles=SUBSET)
+        study.run()
+        return study
 
-    def test_artifact_is_byte_identical_at_any_rate(self, runs):
-        unsampled, sequential = runs
-        assert sequential.to_json() == unsampled.to_json()
+    def test_counters_are_exact_at_any_rate(self, study):
+        counters = study.obs.metrics.counters()
+        for denominator in (1, 2, 4, 16):
+            view = TraceSampler(denominator, seed=0).view(study.obs)
+            assert view.metrics.counters() == counters
 
-    def test_counters_are_exact_at_any_rate(self, runs):
-        unsampled, sequential = runs
-        assert sequential.obs.metrics.counters() == unsampled.obs.metrics.counters()
-
-    def test_sampling_dropped_some_but_not_all_app_roots(self, runs):
-        _, sequential = runs
-        kept = {
-            s.attrs["app"]
-            for s in sequential.obs.spans
-            if s.name == "study.app"
-        }
+    def test_sampling_dropped_some_but_not_all_app_roots(self, study):
+        view = TraceSampler(2, seed=0).view(study.obs)
+        kept = {s.attrs["app"] for s in view.spans if s.name == "study.app"}
         assert kept == {"Netflix", "Disney+"}
-        assert sequential.obs.sampling_snapshot()["dropped_spans"] > 0
-
-
-class TestWideLeakStudyWiring:
-    def test_bus_and_sampler_are_mutually_exclusive(self):
-        with pytest.raises(ValueError):
-            WideLeakStudy(
-                profiles=SUBSET,
-                obs=ObservabilityBus(),
-                sampler=TraceSampler(2),
-            )
-
-    def test_worker_sessions_share_the_study_sampler(self):
-        study = WideLeakStudy(profiles=SUBSET, sampler=TraceSampler(4, seed=1))
-        session = DeviceSession(study)
-        assert session.obs.sampler is study.obs.sampler
+        assert view.sampling_snapshot()["dropped_spans"] > 0

@@ -5,12 +5,13 @@
 
 Runs one warm-up default study (every cache warm), then one traced
 default study with each public ``ObservabilityBus`` method wrapped in
-a timer, plus the span close (``_close``) and the fold
-(``_observe_closed``, which runs inside a root's close and before every
-metrics read). It prints, per method, the calls, the in-place time
-(wall time inside the method, callees included: the close row contains
-the fold row) and the time per call, then the spans, points and
-counters the traced study recorded.
+a timer, plus the span close (``_close``). It prints, per method, the
+calls, the in-place time (wall time inside the method, callees
+included) and the time per call. The bus only records, so the fold of
+its recording into counters is paid where they are read: the
+"counters read" row times one ``bus.metrics.counters()`` call after
+the traced study, which is what a study's ``to_json()`` pays. Last come
+the spans, points and counters the traced study recorded.
 
 A wrapper adds about 1 µs per call, so compare two bus versions by
 running this on each in the same window and comparing methods called
@@ -31,8 +32,8 @@ sys.path.insert(0, str(_REPO_ROOT / "src"))
 from repro.core.study import WideLeakStudy  # noqa: E402
 from repro.obs.bus import ObservabilityBus  # noqa: E402
 
-# Private methods worth a row: a span's close and the fold it triggers.
-_PRIVATE_ROWS = {"_close": "span close", "_observe_closed": "fold"}
+# Private method worth a row: a span's close.
+_PRIVATE_ROWS = {"_close": "span close"}
 
 
 def _timed_methods() -> dict[str, str]:
@@ -86,7 +87,9 @@ def main() -> int:
     bus = study.obs
     spans = bus.spans
     points = sum(len(span.points) for span in spans) + len(bus.events)
+    read_start = time.perf_counter_ns()
     counters = bus.metrics.counters()
+    totals["counters read"] = [1, time.perf_counter_ns() - read_start]
 
     print(f"traced default study: {wall_s * 1e3:.1f} ms wall (bus methods timed)")
     print(f"{'method':<16s} {'calls':>7s} {'in-place ms':>12s} {'us/call':>9s}")
